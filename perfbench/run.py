@@ -5,16 +5,23 @@ Usage (from the repository root):
 
     python3 perfbench/run.py --workload abduce --seed 1 --seconds 30 --trace 0
 
-``--trace 0`` measures the end-to-end metrics: set-up is repeated and its
-median reported, then problems run one at a time in a closed loop (one
-client, ``jobs=1``), cycling through the workload's inputs until
-``--seconds`` have passed. ``--trace 1`` reports the per-layer metrics: one
-traced pass over a fixed, seed-determined list of problems, then the same
-list untraced, whose difference in wall time is the tracing overhead and
-whose outputs must equal the traced ones. A problem that raises is a
-failure recorded with its exception type; the run goes on. The last line
-of standard output is one JSON object; the exit code is 1 when an output
-check fails and 2 when argos cannot be imported.
+``--trace 0`` measures the end-to-end metrics: problems run one at a time
+in a closed loop (one client, ``jobs=1``), cycling through the workload's
+inputs until ``--seconds`` have passed and every input has run once. The
+loop is split into equal segments, and before each one, untimed by the
+loop, a fresh interpreter imports argos and a fresh copy of the workload
+sets up; the median of these samples is the set-up time, so they span the
+run rather than one moment of the host's speed. Times and rates are taken
+over the distinct inputs, so runs that repeat different parts of the suite
+describe the same suite. ``--trace 1`` reports the per-layer
+metrics: each problem of a fixed, seed-determined list runs once traced and
+once untraced, back to back, alternating which goes first; the summed
+difference in their times is the tracing overhead, and their outputs must
+be equal. A problem that raises is a failure recorded with its exception
+type; the run goes on, but any failure the workload does not tolerate
+fails the output check. The last line of standard output is one JSON
+object; the exit code is 1 when an output check fails and 2 when argos
+cannot be imported. Metric names and units come from ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import argparse
 import json
 import resource
 import statistics
+import subprocess
 import sys
 import time
 import traceback
@@ -31,188 +39,165 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-SETUP_REPEATS = 3
+SRC = ROOT / "src"
+SEGMENTS = 5  # of a timed loop, each preceded by one set-up sample
 
 clock = time.perf_counter
 
-# name, unit, better: the metrics as BENCHMARK.json lists them
-END_TO_END = [
-    ("problems_per_s", "1/s", "higher"),
-    ("problem_p50_s", "s", "lower"),
-    ("problem_p90_s", "s", "lower"),
-    ("setup_s", "s", "lower"),
-    ("accuracy", "ratio", "higher"),
-    ("peak_rss_mb", "MB", "lower"),
-]
-PER_LAYER = [
-    ("parser.parse_s", "s", "lower"),
-    ("parser.parses", "count", "lower"),
-    ("kinship.generate_s", "s", "lower"),
-    ("logic.ground_s", "s", "lower"),
-    ("logic.grounds", "count", "lower"),
-    ("cnf.encode_s", "s", "lower"),
-    ("cnf.vars", "count", "lower"),
-    ("cnf.clauses", "count", "lower"),
-    ("sat.decide_s", "s", "lower"),
-    ("sat.decides", "count", "lower"),
-    ("sat.verdict_solves", "count", "lower"),
-    ("sat.sessions", "count", "lower"),
-    ("sat.backbone_s", "s", "lower"),
-    ("sat.backbones", "count", "lower"),
-    ("sat.backbone_probes", "count", "lower"),
-    ("sat.backbone_literals", "count", "higher"),
-    ("sat.probe_yield", "ratio", "higher"),
-    ("satcore.solve_s", "s", "lower"),
-    ("satcore.solves", "count", "lower"),
-    ("satcore.conflicts", "count", "lower"),
-    ("backends.vote_s", "s", "lower"),
-    ("backends.votes", "count", "lower"),
-    ("backends.generate_s", "s", "lower"),
-    ("backends.generates", "count", "lower"),
-    ("backends.score_s", "s", "lower"),
-    ("backends.scores", "count", "lower"),
-    ("backends.cot_calls_per_problem", "count", "lower"),
-    ("backends.calls_per_problem", "count", "lower"),
-    ("engine.self_s", "s", "lower"),
-    ("engine.iterations", "count", "lower"),
-    ("engine.candidates", "count", "lower"),
-    ("engine.accept_yield", "ratio", "higher"),
-    ("engine.regrounds", "count", "lower"),
-    ("engine.sat_decided_frac", "ratio", "higher"),
-    ("harness.corruption_s", "s", "lower"),
-    ("harness.corruption_total_s", "s", "lower"),
-    ("harness.useful_s", "s", "lower"),
-    ("harness.useful_total_s", "s", "lower"),
-    ("harness.corruptions", "count", "lower"),
-    ("trace.problems", "count", "higher"),
-    ("trace.overhead_s", "s", "lower"),
-    ("trace.overhead_frac", "ratio", "lower"),
-]
+# times `import argos` in a fresh interpreter: a module imports once per process
+IMPORT_PROBE = (
+    "import sys, time; sys.path.insert(0, sys.argv[1]); "
+    "t = time.perf_counter(); import argos; print(time.perf_counter() - t)"
+)
 
 
-def import_argos() -> float:
-    """Import argos from this checkout's ``src``; returns the import time."""
-    src = ROOT / "src"
-    sys.path[:0] = [str(src), str(HERE)]
-    start = clock()
+def import_argos() -> None:
+    """Import argos from this checkout's ``src``, or exit 2."""
+    sys.path[:0] = [str(SRC), str(HERE)]
     try:
         import argos  # noqa: F401
         import workloads  # noqa: F401
     except ImportError as exc:
-        print(f"cannot import argos from {src}: {exc}", file=sys.stderr)
+        print(f"cannot import argos from {SRC}: {exc}", file=sys.stderr)
         sys.exit(2)
-    elapsed = clock() - start
-    if Path(argos.__file__).resolve().parent != src / "argos":
-        print(f"argos was imported from {argos.__file__}, not {src}", file=sys.stderr)
+    if Path(argos.__file__).resolve().parent != SRC / "argos":
+        print(f"argos was imported from {argos.__file__}, not {SRC}", file=sys.stderr)
         sys.exit(2)
-    return elapsed
+
+
+def setup_seconds(workload) -> float:
+    """One set-up sample: import argos in a fresh interpreter, then set up a
+    fresh copy of the workload, so the running one keeps its state."""
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(SRC)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    t0 = clock()
+    type(workload)(workload.seed).setup()
+    return float(out.stdout) + clock() - t0
 
 
 class Pass:
     """Per-problem results of one run over the inputs."""
 
     def __init__(self):
-        self.times: dict[int, list[float]] = {}  # input index -> times of its completed runs
+        self.times: dict[int, list[float]] = {}  # input index -> times of its runs
+        self.failed: set[int] = set()  # input indices that raised
+        self.passed: set[int] = set()  # completed with every check passing
+        self.accurate: set[int] = set()  # answer equals the reference
         self.attempted = 0
-        self.ok = 0  # completed and every check passed
-        self.accurate = 0  # answer equals the reference
         self.failures: Counter = Counter()  # exception type -> count
         self.errors: list[str] = []
-        self.fingerprints: list[str] = []
+        self.fingerprints: dict[int, str] = {}
         self.wall = 0.0
 
-
-def drive(workload, items, seconds=None, tracer=None) -> Pass:
-    """One problem at a time: cycle until ``seconds`` pass, or one pass when None.
-
-    A timed loop stops only after a whole number of the workload's ``cycle``
-    problems, so every run holds the same mix of input kinds.
-    """
-    p = Pass()
-    start = clock()
-    i = 0
-    while True:
-        item = items[i % len(items)]
-        if tracer is not None:
-            tracer.problem = i
-            tracer.enter("problem")
+    def run(self, workload, index: int, item) -> None:
+        """Run one problem and record its outcome; an exception is a failure."""
+        self.attempted += 1
         t0 = clock()
         try:
             out = workload.run(item)
         except Exception as exc:  # a failed problem is recorded, never fatal
-            if not p.failures[type(exc).__name__]:
+            kind = type(exc).__name__
+            if not self.failures[kind]:
                 traceback.print_exc(file=sys.stderr)
-            p.failures[type(exc).__name__] += 1
-            p.fingerprints.append(f"raised {type(exc).__name__}: {exc}")
+            self.failures[kind] += 1
+            self.failed.add(index)
+            if not workload.tolerates(exc):
+                self.errors.append(f"input {index} raised {kind}: {exc}")
+            self.fingerprints[index] = f"raised {kind}: {exc}"
         else:
-            p.times.setdefault(i % len(items), []).append(clock() - t0)
-            p.ok += not out.errors
-            p.accurate += out.accurate
-            p.errors += out.errors
-            p.fingerprints.append(out.fingerprint)
-        finally:
-            if tracer is not None:
-                tracer.exit()
-        p.attempted += 1
-        i += 1
-        if seconds is None:
-            if i == len(items):
-                break
-        elif clock() - start >= seconds and i % workload.cycle == 0:
-            break
-    p.wall = clock() - start
-    return p
+            if not out.errors:
+                self.passed.add(index)
+            if out.accurate:
+                self.accurate.add(index)
+            self.errors += out.errors
+            self.fingerprints[index] = out.fingerprint
+        self.times.setdefault(index, []).append(clock() - t0)
+
+    def busy(self) -> float:
+        """Summed time of every run, failed ones included."""
+        return sum(sum(ts) for ts in self.times.values())
+
+    def check_failures(self, workload) -> None:
+        """More distinct failed inputs than the workload's known baseline fail the check."""
+        if len(self.failed) > workload.known_failures:
+            self.errors.append(
+                f"{len(self.failed)} distinct inputs failed; the known baseline is "
+                f"{workload.known_failures}"
+            )
 
 
-def end_to_end(workload, seconds: float, import_s: float) -> tuple[Pass, dict]:
-    setups = []
-    for _ in range(SETUP_REPEATS):
-        t0 = clock()
-        items = workload.setup()
-        setups.append(clock() - t0)
-    p = drive(workload, items, seconds)
-    if not p.times:
-        print("no problem completed", file=sys.stderr)
-        sys.exit(1)
-    # one time per distinct input, so every run's percentiles describe the
-    # same suite whichever part of it the run repeated
+def percentiles(p: Pass) -> tuple[float, float]:
+    """p50 and p90 over distinct inputs of each one's mean time.
+
+    An input that failed counts at its time to failure. It cannot hide a
+    slow problem behind a crash: ``check_failures`` rejects a run with more
+    failed inputs than the workload's known baseline.
+    """
     times = sorted(statistics.fmean(ts) for ts in p.times.values())
     p90 = statistics.quantiles(times, n=10, method="inclusive")[8] if len(times) > 1 else times[0]
-    values = {
-        "problems_per_s": p.ok / p.wall,
-        "problem_p50_s": statistics.median(times),
+    return statistics.median(times), p90
+
+
+def end_to_end(workload, seconds: float) -> tuple[Pass, dict]:
+    items = workload.setup()
+    p = Pass()
+    setups = []
+    i = 0
+    for segment in range(1, SEGMENTS + 1):
+        setups.append(setup_seconds(workload))
+        start = clock()
+        while True:
+            p.run(workload, i % len(items), items[i % len(items)])
+            i += 1
+            if p.wall + clock() - start >= seconds * segment / SEGMENTS and (
+                segment < SEGMENTS or i >= len(items)
+            ):
+                break
+        p.wall += clock() - start
+    p.check_failures(workload)
+    p50, p90 = percentiles(p)
+    print(f"distinct inputs: {len(p.times)} run, {len(p.failed)} failed")
+    # one pass over the suite: each distinct input once, at its mean time
+    suite_s = sum(statistics.fmean(ts) for ts in p.times.values())
+    return p, {
+        "problems_per_s": len(p.passed - p.failed) / suite_s,
+        "problem_p50_s": p50,
         "problem_p90_s": p90,
-        "setup_s": import_s + statistics.median(setups),
-        "accuracy": p.accurate / p.attempted,
+        "setup_s": statistics.median(setups),
+        "accuracy": len(p.accurate - p.failed) / len(p.times),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
-    return p, {name: (values[name], unit) for name, unit, _ in END_TO_END}
 
 
 def per_layer(workload) -> tuple[Pass, dict]:
     import tracing
 
     tracer = tracing.Tracer()
-    uninstall = tracing.install(tracer)
-    try:
+    with tracing.installed(tracer):
         items = workload.setup()[: workload.traced]
-        traced = drive(workload, items, tracer=tracer)
-    finally:
-        uninstall()
-    plain = drive(workload, items)
+    traced, plain = Pass(), Pass()
+    for i, item in enumerate(items):
+        for on in ((True, False) if i % 2 == 0 else (False, True)):
+            if on:
+                with tracing.installed(tracer):
+                    traced.run(workload, i, item)
+            else:
+                plain.run(workload, i, item)
+    traced.wall = traced.busy()
+    traced.check_failures(workload)
     if plain.fingerprints != traced.fingerprints:
-        traced.errors.append("outputs of the traced pass differ from the untraced pass")
+        traced.errors.append("outputs of the traced runs differ from the untraced runs")
 
-    self_s = tracer.self_seconds()
-    total_s = tracer.total_seconds()
-    c = tracer.counts
+    self_s, total_s, c = tracer.self_s, tracer.total_s, tracer.counts
     problems = traced.attempted
 
     def ratio(a, b):
         return a / b if b else 0.0
 
-    overhead = traced.wall - plain.wall
-    values = {
+    overhead = traced.busy() - plain.busy()
+    return traced, {
         "parser.parse_s": self_s["parser.parse"],
         "parser.parses": c["parser.parses"],
         "kinship.generate_s": self_s["kinship.generate"],
@@ -254,47 +239,45 @@ def per_layer(workload) -> tuple[Pass, dict]:
         "harness.corruptions": c["harness.corruptions"],
         "trace.problems": problems,
         "trace.overhead_s": overhead,
-        "trace.overhead_frac": ratio(overhead, plain.wall),
+        "trace.overhead_frac": ratio(overhead, plain.busy()),
     }
-    return traced, {name: (values[name], unit) for name, unit, _ in PER_LAYER}
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description="argos benchmark")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
-    import_s = import_argos()
+    import_argos()
     from workloads import WORKLOADS
 
     if args.workload not in WORKLOADS:
         ap.error(f"unknown workload {args.workload!r}; choose from {sorted(WORKLOADS)}")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workload = WORKLOADS[args.workload](args.seed)
     if args.trace:
-        p, metrics = per_layer(workload)
+        p, values = per_layer(workload)
+        table = spec["per_layer"]
     else:
-        p, metrics = end_to_end(workload, args.seconds, import_s)
+        p, values = end_to_end(workload, args.seconds)
+        table = spec["end_to_end"]
+    metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in table}
 
     failed = sum(p.failures.values())
     print(f"workload={workload.name} seed={args.seed} trace={args.trace} "
           f"attempted={p.attempted} failed={failed} "
-          f"failed_frac={failed / p.attempted:.4f} wall_s={p.wall:.3f}")
+          f"failed_frac={failed / max(p.attempted, 1):.4f} wall_s={p.wall:.3f}")
     for kind, n in sorted(p.failures.items()):
         print(f"  failures: {n} x {kind}")
     for e in p.errors[:20]:
         print(f"  CHECK FAILED: {e}")
-    for name, (value, unit) in metrics.items():
-        print(f"  {name} = {value:.6g} {unit}")
+    for name, m in metrics.items():
+        print(f"  {name} = {m['value']:.6g} {m['unit']}")
     correct = not p.errors
-    print(json.dumps({
-        "correct": correct,
-        "attempted": p.attempted,
-        "failed": failed,
-        "metrics": {name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()},
-    }))
+    print(json.dumps({"correct": correct, "attempted": p.attempted, "failed": failed, "metrics": metrics}))
     sys.exit(0 if correct else 1)
 
 

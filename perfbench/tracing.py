@@ -9,15 +9,16 @@ is deliberately not wrapped (it runs millions of times per run, so a
 wrapper there would mostly measure itself); the CNF layer is timed at the
 session calls that drive the builder (``add_formulas``, ``set_query``).
 
-Spans stay in memory. A span's self time is its duration minus the
-durations of its direct child spans.
+Spans stay in memory, summed by name. A span's self time is its duration
+minus the durations of its direct child spans.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter, defaultdict
-from typing import Callable, Optional
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional
 
 from argos import _satcore, engine, harness, kinship, logic, parser, sat
 from argos.backends import OracleBackend
@@ -26,44 +27,28 @@ _clock = time.perf_counter
 
 
 class Tracer:
-    """In-memory span recorder: one open-span stack, counters by name."""
+    """In-memory span recorder: per-name self and total seconds, counters by name."""
 
     def __init__(self):
-        #: closed spans: (span id, parent id or -1, name, start, end, self seconds, problem)
-        self.spans: list[tuple] = []
+        self.self_s: defaultdict = defaultdict(float)
+        self.total_s: defaultdict = defaultdict(float)
         self.counts: Counter = Counter()
-        self.problem: Optional[str] = None
-        self._stack: list[list] = []  # [span id, name, start, child seconds]
-        self._next_id = 0
+        self._stack: list[list] = []  # [name, start, child seconds]
 
     def current(self) -> Optional[str]:
-        return self._stack[-1][1] if self._stack else None
+        return self._stack[-1][0] if self._stack else None
 
     def enter(self, name: str) -> None:
-        self._stack.append([self._next_id, name, _clock(), 0.0])
-        self._next_id += 1
+        self._stack.append([name, _clock(), 0.0])
 
     def exit(self) -> None:
         end = _clock()
-        span_id, name, start, child = self._stack.pop()
+        name, start, child = self._stack.pop()
         duration = end - start
-        parent = -1
         if self._stack:
-            self._stack[-1][3] += duration
-            parent = self._stack[-1][0]
-        self.spans.append((span_id, parent, name, start, end, duration - child, self.problem))
-
-    def self_seconds(self) -> dict[str, float]:
-        out: dict[str, float] = defaultdict(float)
-        for span in self.spans:
-            out[span[2]] += span[5]
-        return out
-
-    def total_seconds(self) -> dict[str, float]:
-        out: dict[str, float] = defaultdict(float)
-        for span in self.spans:
-            out[span[2]] += span[4] - span[3]
-        return out
+            self._stack[-1][2] += duration
+        self.self_s[name] += duration - child
+        self.total_s[name] += duration
 
 
 def _spanned(tracer: Tracer, name: str, fn: Callable, before=None, after=None) -> Callable:
@@ -84,8 +69,9 @@ def _spanned(tracer: Tracer, name: str, fn: Callable, before=None, after=None) -
     return wrapper
 
 
-def install(tracer: Tracer) -> Callable[[], None]:
-    """Wrap every layer's entry points; returns the function that unwraps them."""
+@contextmanager
+def installed(tracer: Tracer) -> Iterator[None]:
+    """Wrap every layer's entry points for the duration of the block."""
     count = tracer.counts
     undo: list[tuple] = []
 
@@ -198,11 +184,11 @@ def install(tracer: Tracer) -> Callable[[], None]:
           lambda fn: _spanned(tracer, "harness.corruption", fn, after=corruption_done))
     patch(harness, "useful_clause_count", lambda fn: _spanned(tracer, "harness.useful", fn))
 
-    def uninstall() -> None:
+    try:
+        yield
+    finally:
         for owner, attr, original, had_own in reversed(undo):
             if had_own:
                 setattr(owner, attr, original)
             else:
                 delattr(owner, attr)
-
-    return uninstall

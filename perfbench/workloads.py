@@ -3,7 +3,8 @@
 Each workload builds its fixed suite in ``setup``, ordered by the seed,
 and runs one problem in ``run``. ``run`` returns an :class:`Outcome` whose ``errors``
 list the failed output checks; an exception raised by argos propagates to
-the caller, which records it as a failed problem. argos is reached only
+the caller, which records it as a failed problem and asks ``tolerates``
+whether it is a known defect. argos is reached only
 through module attributes looked up at call time (``kinship.generate_kinship``,
 ``harness.run_argos``, ...), so the tracer's wrappers see every call.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -56,21 +58,29 @@ def _in_cycles(problems: list, seed: int, cycle: int) -> list:
     return [p for g in groups for p in g]
 
 
-class Abduce:
-    """Criterion-4 path: SAT-closed abduction with corruption and useful-clause checks."""
+class Workload:
+    """A workload tolerates no exception unless it names a known defect."""
 
-    name = "abduce"
-    why = "kinship abduction closed by SAT, with corruption and useful-clause checks (criterion 4); backbone probes dominate"
-    suite_seed = 404
-    # Generated chain depths cycle 2, 3, 4 and their costs differ ~20x, so
-    # the suite, the traced pass and timed runs hold whole cycles. A 30 s
-    # run covers the 18-problem suite plus one seed-chosen cycle.
-    cycle = 3
-    pool = 18
-    traced = 12
+    known_failures = 0  # distinct inputs that may fail, each with a tolerated exception
 
     def __init__(self, seed: int):
         self.seed = seed
+
+    def tolerates(self, exc: Exception) -> bool:
+        return False
+
+
+class Abduce(Workload):
+    """Criterion-4 path: SAT-closed abduction with corruption and useful-clause checks."""
+
+    name = "abduce"
+    suite_seed = 404
+    # Generated chain depths cycle 2, 3, 4 and their costs differ ~20x, so
+    # the seed orders whole cycles and the traced prefix holds whole cycles.
+    # A 30 s run covers the 18-problem suite about once.
+    cycle = 3
+    pool = 18
+    traced = 12
 
     def setup(self) -> list:
         problems, kb = kinship.generate_kinship(self.pool, 4, seed=self.suite_seed)
@@ -92,19 +102,15 @@ class Abduce:
         return out
 
 
-class Baselines:
+class Baselines(Workload):
     """Criterion-6 setting: the solver-only and 20-sample vote baselines."""
 
     name = "baselines"
-    why = "sat and sc20 baselines (criterion 6): ground, CNF, one verdict decide, a chaining vote; no backbone, so backbone work must not move it"
     suite_seed = 606
     votes = 20
     cycle = 3  # chain depths, as in Abduce
     pool = 300  # about one pass in 30 s
     traced = 150
-
-    def __init__(self, seed: int):
-        self.seed = seed
 
     def setup(self) -> list:
         # The gold labels are checked against every unanimous vote, so the
@@ -131,19 +137,19 @@ class Baselines:
         return out
 
 
-class Backbone3Cnf:
+class Backbone3Cnf(Workload):
     """Random threshold 3-CNF through SatSession.decide, against recorded answers."""
 
     name = "backbone-3cnf"
-    why = "threshold random 3-CNF through SatSession.decide: hundreds of conflicts per solve, probes that prune, restarts"
-    cycle = 1
-    # A 30 s run covers the pool about 1.4 times, so runs differ only in the
-    # seed-ordered part of their second pass: the recorded suite is fixed.
+    # A 30 s run covers the recorded suite about 1.2 times.
     pool = 350
     traced = 200
+    # The known _satcore._luby(4) defect ("negative shift count") crashes any
+    # solve that reaches its third restart: 88 of the 350 suite instances.
+    known_failures = 88
 
-    def __init__(self, seed: int):
-        self.seed = seed
+    def tolerates(self, exc: Exception) -> bool:
+        return isinstance(exc, ValueError) and traceback.extract_tb(exc.__traceback__)[-1].name == "_luby"
 
     def setup(self) -> list:
         answers = json.loads(ANSWERS.read_text())["instances"]
