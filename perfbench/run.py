@@ -19,8 +19,11 @@ once untraced, back to back, alternating which goes first; the summed
 difference in their times is the tracing overhead, and their outputs must
 be equal. A problem that raises is a failure recorded with its exception
 type; the run goes on, but any failure the workload does not tolerate
-fails the output check. The last line of standard output is one JSON
-object; the exit code is 1 when an output check fails and 2 when argos
+fails the output check. ``attempted`` and ``failed`` count distinct
+inputs, so they depend on the workload alone, not on how many repeats the
+host's speed allowed; a repeated input must give the same outputs as its
+first run, or the output check fails. The last line of standard output is
+one JSON object; the exit code is 1 when an output check fails and 2 when argos
 cannot be imported. Metric names and units come from ``BENCHMARK.json``.
 """
 
@@ -82,38 +85,57 @@ class Pass:
 
     def __init__(self):
         self.times: dict[int, list[float]] = {}  # input index -> times of its runs
-        self.failed: set[int] = set()  # input indices that raised
+        self.failures: dict[int, str] = {}  # input index -> type of the exception it raised
         self.passed: set[int] = set()  # completed with every check passing
         self.accurate: set[int] = set()  # answer equals the reference
-        self.attempted = 0
-        self.failures: Counter = Counter()  # exception type -> count
         self.errors: list[str] = []
         self.fingerprints: dict[int, str] = {}
         self.wall = 0.0
 
+    @property
+    def attempted(self) -> int:
+        """Distinct inputs run."""
+        return len(self.times)
+
+    @property
+    def failed(self) -> set[int]:
+        """Distinct inputs that raised."""
+        return set(self.failures)
+
     def run(self, workload, index: int, item) -> None:
-        """Run one problem and record its outcome; an exception is a failure."""
-        self.attempted += 1
+        """Run one problem and record its outcome; an exception is a failure.
+
+        A repeat of an input already run is timed, and its outputs must equal
+        the first run's; its checks and failure are recorded once.
+        """
+        first = index not in self.times
         t0 = clock()
         try:
             out = workload.run(item)
         except Exception as exc:  # a failed problem is recorded, never fatal
+            t = clock() - t0
             kind = type(exc).__name__
-            if not self.failures[kind]:
-                traceback.print_exc(file=sys.stderr)
-            self.failures[kind] += 1
-            self.failed.add(index)
-            if not workload.tolerates(exc):
-                self.errors.append(f"input {index} raised {kind}: {exc}")
-            self.fingerprints[index] = f"raised {kind}: {exc}"
+            if first:
+                if kind not in self.failures.values():
+                    traceback.print_exc(file=sys.stderr)
+                self.failures[index] = kind
+                if not workload.tolerates(exc):
+                    self.errors.append(f"input {index} raised {kind}: {exc}")
+            fingerprint = f"raised {kind}: {exc}"
         else:
-            if not out.errors:
-                self.passed.add(index)
-            if out.accurate:
-                self.accurate.add(index)
-            self.errors += out.errors
-            self.fingerprints[index] = out.fingerprint
-        self.times.setdefault(index, []).append(clock() - t0)
+            t = clock() - t0
+            if first:
+                if not out.errors:
+                    self.passed.add(index)
+                if out.accurate:
+                    self.accurate.add(index)
+                self.errors += out.errors
+            fingerprint = out.fingerprint
+        if first:
+            self.fingerprints[index] = fingerprint
+        elif fingerprint != self.fingerprints[index]:
+            self.errors.append(f"input {index} gave different outputs on a repeat")
+        self.times.setdefault(index, []).append(t)
 
     def busy(self) -> float:
         """Summed time of every run, failed ones included."""
@@ -158,7 +180,6 @@ def end_to_end(workload, seconds: float) -> tuple[Pass, dict]:
         p.wall += clock() - start
     p.check_failures(workload)
     p50, p90 = percentiles(p)
-    print(f"distinct inputs: {len(p.times)} run, {len(p.failed)} failed")
     # one pass over the suite: each distinct input once, at its mean time
     suite_s = sum(statistics.fmean(ts) for ts in p.times.values())
     return p, {
@@ -266,11 +287,11 @@ def main(argv=None) -> None:
         table = spec["end_to_end"]
     metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in table}
 
-    failed = sum(p.failures.values())
+    failed = len(p.failures)
     print(f"workload={workload.name} seed={args.seed} trace={args.trace} "
           f"attempted={p.attempted} failed={failed} "
           f"failed_frac={failed / max(p.attempted, 1):.4f} wall_s={p.wall:.3f}")
-    for kind, n in sorted(p.failures.items()):
+    for kind, n in sorted(Counter(p.failures.values()).items()):
         print(f"  failures: {n} x {kind}")
     for e in p.errors[:20]:
         print(f"  CHECK FAILED: {e}")

@@ -74,7 +74,8 @@ def _one_pass(workload) -> run.Pass:
 
 def test_failed_problem_is_recorded_and_run_continues(monkeypatch, capsys):
     p = _one_pass(Flaky(seed=1))
-    assert (p.attempted, p.failures["ValueError"], p.passed, p.failed) == (4, 2, {0, 2}, {1, 3})
+    assert (p.attempted, p.passed, p.failed) == (4, {0, 2}, {1, 3})
+    assert p.failures == {1: "ValueError", 3: "ValueError"}
     assert p.errors  # an exception the workload does not tolerate fails the check
 
     monkeypatch.setattr(workloads, "WORKLOADS", {"flaky": Flaky})
@@ -82,7 +83,29 @@ def test_failed_problem_is_recorded_and_run_continues(monkeypatch, capsys):
         run.main(["--workload", "flaky", "--seconds", "0.01"])
     assert exit_.value.code == 1
     last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert last["correct"] is False and last["failed"] == last["attempted"] // 2
+    assert (last["correct"], last["attempted"], last["failed"]) == (False, 4, 2)
+
+
+def test_repeats_count_once_and_must_repeat_outputs():
+    w = Flaky(seed=1)
+    w.tolerated = True
+    w.known_failures = 2
+    p = _one_pass(w)
+    for i, item in enumerate(w.setup()):
+        p.run(w, i, item)
+    assert (p.attempted, p.failed, p.errors) == (4, {1, 3}, [])
+    assert [len(p.times[i]) for i in range(4)] == [2, 2, 2, 2]
+    w.run = lambda item: workloads.Outcome(accurate=True, fingerprint="changed")
+    p.run(w, 0, 0)
+    assert p.errors == ["input 0 gave different outputs on a repeat"]
+
+
+def test_traced_3cnf_inputs_do_not_depend_on_the_seed():
+    picked = [
+        sorted(item[0] for item in workloads.Backbone3Cnf(seed).setup()[: workloads.Backbone3Cnf.traced])
+        for seed in (1, 2)
+    ]
+    assert picked[0] == picked[1] == list(range(workloads.Backbone3Cnf.traced))
 
 
 def test_tolerated_failures_within_the_known_baseline_pass(monkeypatch):
@@ -96,5 +119,5 @@ def test_tolerated_failures_within_the_known_baseline_pass(monkeypatch):
 def test_percentiles_average_repeats_and_count_failed_inputs():
     p = run.Pass()
     p.times = {0: [1.0], 1: [2.0, 4.0], 2: [5.0], 3: [0.5]}
-    p.failed = {3}
+    p.failures = {3: "ValueError"}
     assert run.percentiles(p) == (2.0, 4.4)

@@ -153,8 +153,13 @@ class Backbone3Cnf(Workload):
 
     def setup(self) -> list:
         answers = json.loads(ANSWERS.read_text())["instances"]
-        order = list(range(self.pool))
-        random.Random(self.seed).shuffle(order)
+        # The seed orders the traced prefix and the rest apart, so every
+        # traced run covers the same instances and meets the same crashes.
+        rng = random.Random(self.seed)
+        head, tail = list(range(self.traced)), list(range(self.traced, self.pool))
+        rng.shuffle(head)
+        rng.shuffle(tail)
+        order = head + tail
         literals: dict[int, object] = {}
 
         def literal(l: int):
