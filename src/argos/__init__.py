@@ -13,7 +13,6 @@ from .backends import (
     OracleKB,
     SolveVote,
     WireBackend,
-    llm_solve,
 )
 from .cnf import ClauseSet, to_clause_set
 from .corpus import Problem, load_corpus, load_problem_file, save_problem
@@ -23,7 +22,6 @@ from .engine import (
     EngineConfig,
     LiteralScore,
     SolveResult,
-    find_new_commonsense,
     pair_order,
     score_literal,
     solve,
@@ -49,11 +47,8 @@ from .parser import parse_formula, parse_literal
 from .sat import (
     Backbone,
     SatConclusion,
-    SatOutcome,
     SatSession,
-    check_sat,
     compute_backbone,
-    consistent,
     sat_solve,
 )
 
@@ -79,20 +74,15 @@ __all__ = [
     "Problem",
     "RunMetrics",
     "SatConclusion",
-    "SatOutcome",
     "SatSession",
     "SolveResult",
     "SolveVote",
     "WireBackend",
-    "check_sat",
     "compute_backbone",
-    "consistent",
     "corruption_check",
-    "find_new_commonsense",
     "flip_analysis",
     "generate_kinship",
     "ground",
-    "llm_solve",
     "load_corpus",
     "load_problem_file",
     "pair_order",

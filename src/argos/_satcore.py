@@ -1,4 +1,3 @@
-# cython: language_level=3, boundscheck=False, wraparound=False
 """Conflict-driven clause-learning SAT kernel with an assumption interface.
 
 MiniSat-style two-watched-literal propagation, first-UIP clause learning,
@@ -8,18 +7,7 @@ identical assumption lists always produce identical behaviour.
 
 External literals are signed 1-indexed ints (DIMACS convention); internally
 a literal is ``2*v`` (positive) or ``2*v + 1`` (negative).
-
-This file is valid plain Python and is also compiled by Cython in
-pure-Python mode when the extension build is enabled; ``COMPILED`` reports
-which version is running.
 """
-
-try:
-    import cython
-
-    COMPILED = cython.compiled
-except ImportError:  # pragma: no cover
-    COMPILED = False
 
 SAT = 1
 UNSAT = 0

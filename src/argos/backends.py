@@ -166,10 +166,6 @@ class Backend(ABC):
         ...
 
 
-def llm_solve(backend: Backend, premises, commonsense, query, k: int) -> SolveVote:
-    return backend.solve(premises, commonsense, query, k)
-
-
 # --- prompt templates --------------------------------------------------------
 
 
@@ -403,7 +399,7 @@ class OracleKB:
 
     def is_consistent(self) -> bool:
         from .logic import ground
-        from .sat import consistent
+        from .sat import INCONSISTENT, sat_solve
 
         formulas = self.formulas()
         constants = {e for f in formulas for e in _formula_entity_pool(f)}
@@ -411,7 +407,8 @@ class OracleKB:
         extra = [Entity(f"_e{i}") for i in range(1, 4)]
         pool = sorted(set(universe) | set(extra), key=lambda e: e.name)
         grounded = [ground(f, pool) for f in formulas]
-        return consistent(grounded)
+        conclusion, _ = sat_solve(grounded, with_backbone=False)
+        return conclusion.verdict != INCONSISTENT
 
 
 def _formula_entity_pool(f: Formula) -> frozenset[Entity]:

@@ -24,7 +24,7 @@ from .corpus import (
     load_problem_file,
     save_problem,
 )
-from .engine import Engine, EngineConfig
+from .engine import Engine, EngineConfig, trace_jsonl
 from .errors import ArgosError, BackendError, CorpusError
 from .harness import (
     RunMetrics,
@@ -176,7 +176,7 @@ def cmd_solve(args) -> int:
     print(f"iterations={result.iterations} cot_calls={result.cot_calls}"
           f" confidence={result.confidence:.3f}")
     if args.trace:
-        Path(args.trace).write_text(result.trace_jsonl())
+        Path(args.trace).write_text(trace_jsonl(result.trace))
     return EXIT_OK
 
 
@@ -213,11 +213,7 @@ def cmd_bench(args) -> int:
     traces_dir = out / "traces"
     traces_dir.mkdir(exist_ok=True)
     for pid, trace in sorted(metrics.traces.items()):
-        body = "".join(
-            json.dumps(e, sort_keys=True, separators=(", ", ": ")) + "\n"
-            for e in trace
-        )
-        (traces_dir / f"{pid}.jsonl").write_text(body)
+        (traces_dir / f"{pid}.jsonl").write_text(trace_jsonl(trace))
     print(summary_csv(metrics), end="")
     return EXIT_OK
 

@@ -20,21 +20,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .backends import (
-    CONTRADICTION_STYLE,
-    Backend,
-    SolveVote,
-    llm_solve,
-)
+from .backends import CONTRADICTION_STYLE, Backend, SolveVote
 from .errors import BackendError, BackendExhausted
 from .logic import (
-    Atom,
-    AtomNode,
     Entity,
     Formula,
     Implies,
     Literal,
-    Predicate,
     conj,
     formula_entities,
     ground,
@@ -127,11 +119,12 @@ class SolveResult:
     inconsistent: bool = False
     degenerate: bool = False
 
-    def trace_jsonl(self) -> str:
-        return "".join(
-            json.dumps(e, sort_keys=True, separators=(", ", ": ")) + "\n"
-            for e in self.trace
-        )
+
+def trace_jsonl(trace: Sequence[dict]) -> str:
+    """The one serialization of a trace: one sorted-key JSON object per line."""
+    return "".join(
+        json.dumps(e, sort_keys=True, separators=(", ", ": ")) + "\n" for e in trace
+    )
 
 
 @dataclass(frozen=True)
@@ -260,12 +253,8 @@ class Engine:
         return True
 
     def _vote(self) -> SolveVote:
-        vote = llm_solve(
-            self.backend,
-            self.ground_premises,
-            self.accepted,
-            self.ground_query,
-            self.config.k,
+        vote = self.backend.solve(
+            self.ground_premises, self.accepted, self.ground_query, self.config.k
         )
         self.cot += self.config.k
         self.last_vote = vote
@@ -408,8 +397,8 @@ class Engine:
                     self._emit("vote_skipped", reason="max_cot")
 
             if backbone is None:
-                backbone = Backbone(frozenset(), origin="unavailable")
-            clause = self._find_new_commonsense(backbone)
+                backbone = Backbone(frozenset())
+            clause = self.find_new_commonsense(backbone)
             if clause is None:
                 return self._fallback("search_exhausted")
             self.accepted.append(clause)
@@ -441,7 +430,12 @@ class Engine:
 
     # -- the clause search -------------------------------------------------------
 
-    def _find_new_commonsense(self, backbone: Backbone) -> Optional[CommonsenseClause]:
+    def find_new_commonsense(self, backbone: Backbone) -> Optional[CommonsenseClause]:
+        """The first candidate clause, scanned from ``backbone``, that passes tau.
+
+        Candidates already accepted or rejected by this engine are skipped,
+        and every candidate examined is recorded in the trace.
+        """
         config = self.config
         backbone_lits = backbone.literals
         ordered = pair_order(sorted(backbone_lits, key=str))
@@ -525,26 +519,3 @@ def solve(problem, config: Optional[EngineConfig] = None, backend: Backend = Non
     if backend is None:
         raise ValueError("a backend is required")
     return Engine(problem, config or EngineConfig(), backend).solve()
-
-
-def find_new_commonsense(
-    premises: Sequence[Formula],
-    commonsense: Sequence[CommonsenseClause],
-    backbone: Backbone,
-    tau: float,
-    backend: Backend,
-    config: Optional[EngineConfig] = None,
-) -> Optional[CommonsenseClause]:
-    """One-shot clause search against an externally computed backbone."""
-    from .corpus import Problem
-
-    config = replace(config or EngineConfig(), tau=tau)
-    placeholder = AtomNode(Atom(Predicate("_query_placeholder", 0), ()))
-    shell = Problem(
-        id="_search", entities=set(), premises=list(premises), query=placeholder
-    )
-    engine = Engine(shell, config, backend)
-    engine.accepted = list(commonsense)
-    for c in commonsense:
-        engine.decided[c.key()] = "accepted"
-    return engine._find_new_commonsense(backbone)

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .backends import Backend, llm_solve
+from .backends import Backend
 from .corpus import Problem
 from .engine import (
     DECIDED_BY_FALLBACK,
@@ -27,7 +27,7 @@ from .engine import (
 )
 from .errors import ArgosError
 from .logic import ground
-from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, INCONSISTENT, SatSession, UNKNOWN
+from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, INCONSISTENT, UNKNOWN, sat_solve
 
 _SC_RE = re.compile(r"^sc(\d+)$")
 
@@ -112,10 +112,9 @@ def _grounded(problem: Problem, extra: Sequence = ()):
 def run_sat_baseline(problem: Problem, config: EngineConfig) -> ProblemRecord:
     """Solver only; an undecided problem is answered by a seeded coin flip."""
     premises, query = _grounded(problem)
-    session = SatSession(config.conflict_budget)
-    session.add_formulas(premises)
-    session.set_query(query)
-    conclusion, _ = session.decide(with_backbone=False)
+    conclusion, _ = sat_solve(
+        premises, (), query, config.conflict_budget, with_backbone=False
+    )
     if conclusion.verdict == ENTAILS_QUERY:
         verdict, decided_by, confidence = True, DECIDED_BY_SAT, 1.0
     elif conclusion.verdict == ENTAILS_NOT_QUERY:
@@ -141,7 +140,7 @@ def run_sc_baseline(
 ) -> ProblemRecord:
     """One n-sample vote on the bare premises; exactly n chain-of-thought calls."""
     premises, query = _grounded(problem)
-    vote = llm_solve(backend, premises, (), query, n)
+    vote = backend.solve(premises, (), query, n)
     return ProblemRecord(
         problem_id=problem.id,
         system=f"sc{n}",
@@ -176,20 +175,13 @@ def corruption_check(problem: Problem, accepted_commonsense: Sequence, kb=None) 
     base_premises = [ground(f, members) for f in list(problem.premises) + restored]
     query = ground(problem.query, members)
 
-    base, _ = _decide(base_premises, (), query)
-    if base not in (ENTAILS_QUERY, ENTAILS_NOT_QUERY):
+    base, _ = sat_solve(base_premises, (), query, with_backbone=False)
+    if base.verdict not in (ENTAILS_QUERY, ENTAILS_NOT_QUERY):
         raise ArgosError(f"{problem.id}: restored problem is undecided")
-    augmented, _ = _decide(base_premises, accepted_commonsense, query)
-    return augmented != base
-
-
-def _decide(premises, commonsense, query):
-    session = SatSession()
-    session.add_formulas(premises)
-    session.add_commonsense(commonsense)
-    session.set_query(query)
-    conclusion, backbone = session.decide(with_backbone=False)
-    return conclusion.verdict, backbone
+    augmented, _ = sat_solve(
+        base_premises, accepted_commonsense, query, with_backbone=False
+    )
+    return augmented.verdict != base.verdict
 
 
 def useful_clause_count(problem: Problem, result: SolveResult) -> int:
@@ -197,12 +189,12 @@ def useful_clause_count(problem: Problem, result: SolveResult) -> int:
     if result.decided_by != DECIDED_BY_SAT or not result.commonsense:
         return 0
     premises, query = _grounded(problem)
-    full, _ = _decide(premises, result.commonsense, query)
+    full, _ = sat_solve(premises, result.commonsense, query, with_backbone=False)
     useful = 0
     for i in range(len(result.commonsense)):
         rest = result.commonsense[:i] + result.commonsense[i + 1 :]
-        verdict, _ = _decide(premises, rest, query)
-        if verdict != full:
+        conclusion, _ = sat_solve(premises, rest, query, with_backbone=False)
+        if conclusion.verdict != full.verdict:
             useful += 1
     return useful
 

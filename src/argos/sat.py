@@ -1,24 +1,22 @@
 """Entailment decisions and backbone computation on top of the CDCL kernel.
 
-``sat_solve`` is the solver feedback channel of the engine: it decides the
-query and its negation against the premises plus accepted commonsense, and
-returns the backbone (literals true in every model) over the problem's own
-atoms whenever the set is satisfiable.
+``SatSession`` is the solver feedback channel of the engine: it keeps one
+incremental kernel per grounding, decides the query and its negation against
+the premises plus accepted commonsense, and returns the backbone (literals
+true in every model) over the problem's own atoms whenever the set is
+satisfiable. ``sat_solve`` runs the same decision once on a fresh session and
+serves every one-shot query (baselines, harness checks, validation).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import _satcore
 from .cnf import ClauseSet, CnfBuilder
 from .errors import SolverBudgetExceeded
-from .logic import Atom, Formula, Literal
-
-#: True when the compiled extension kernel is in use.
-KERNEL_COMPILED = bool(getattr(_satcore, "COMPILED", False))
+from .logic import Formula, Literal, iter_atoms
 
 DEFAULT_CONFLICT_BUDGET = 10**6
 
@@ -28,20 +26,11 @@ UNKNOWN = "unknown"
 INCONSISTENT = "inconsistent-premises"
 
 
-@dataclass
-class SatOutcome:
-    """Result of one satisfiability check over a clause set."""
-
-    status: str  # "satisfiable" | "unsatisfiable"
-    model: Optional[dict[Atom, bool]] = None
-
-
 @dataclass(frozen=True)
 class Backbone:
     """Literals entailed by a satisfiable clause set, non-auxiliary only."""
 
     literals: frozenset[Literal]
-    origin: str
 
     def __contains__(self, l: Literal) -> bool:
         return l in self.literals
@@ -61,40 +50,6 @@ def _load_solver(cs: ClauseSet) -> _satcore.Solver:
     for cl in cs.clauses:
         s.add_clause(cl)
     return s
-
-
-def _snapshot_id(cs: ClauseSet) -> str:
-    h = hashlib.sha256()
-    for cl in cs.clauses:
-        h.update(" ".join(str(l) for l in cl).encode())
-        h.update(b";")
-    return h.hexdigest()[:16]
-
-
-def check_sat(
-    cs: ClauseSet,
-    assumptions: Sequence[Literal] = (),
-    conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
-) -> SatOutcome:
-    """Decide satisfiability under assumptions; sound, complete, deterministic."""
-    solver = _load_solver(cs)
-    ints = [cs.lit_to_int(l) for l in assumptions]
-    return _outcome(solver, cs, ints, conflict_budget)
-
-
-def _outcome(solver, cs: ClauseSet, int_assumptions, budget) -> SatOutcome:
-    res = solver.solve(int_assumptions, budget)
-    if res == _satcore.UNKNOWN:
-        raise SolverBudgetExceeded(
-            f"conflict budget of {budget} exceeded"
-        )
-    if res == _satcore.UNSAT:
-        return SatOutcome("unsatisfiable")
-    model = {
-        atom: solver.model_value(v)
-        for atom, v in cs.var_map.items()
-    }
-    return SatOutcome("satisfiable", model)
 
 
 def compute_backbone(
@@ -140,7 +95,7 @@ def compute_backbone(
     lits = frozenset(
         Literal(cs.atom_of(abs(i)), i > 0) for i in backbone_ints
     )
-    return Backbone(lits, _snapshot_id(cs))
+    return Backbone(lits)
 
 
 class SatSession:
@@ -161,8 +116,6 @@ class SatSession:
         self._query_only: set[int] = set()
 
     def add_formulas(self, formulas: Iterable[Formula]) -> None:
-        from .logic import iter_atoms
-
         for f in formulas:
             self.builder.assert_formula(f)
             if self._query_only:
@@ -227,15 +180,6 @@ class SatSession:
         except SolverBudgetExceeded:
             return SatConclusion(UNKNOWN, budget_exceeded=True), None
         return SatConclusion(verdict), backbone
-
-
-def consistent(premises: Iterable[Formula], commonsense: Iterable = ()) -> bool:
-    """True iff the premises plus commonsense are jointly satisfiable."""
-    session = SatSession()
-    session.add_formulas(premises)
-    session.add_commonsense(commonsense)
-    conclusion, _ = session.decide(with_backbone=False)
-    return conclusion.verdict != INCONSISTENT
 
 
 def sat_solve(

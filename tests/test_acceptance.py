@@ -6,17 +6,17 @@ by criteria 4, 5 and 9 is built once per session and reused.
 
 import dataclasses
 import itertools
-import json
 import random
 import time
 from pathlib import Path
 
 import pytest
 
+from argos import _satcore
 from argos.backends import OracleBackend, OracleKB
 from argos.cnf import ClauseSet
 from argos.corpus import load_problem_file
-from argos.engine import CommonsenseClause, Engine, EngineConfig
+from argos.engine import CommonsenseClause, Engine, EngineConfig, trace_jsonl
 from argos.harness import (
     cost_histogram_csv,
     records_csv,
@@ -29,9 +29,8 @@ from argos.parser import parse_formula
 from argos.sat import (
     ENTAILS_NOT_QUERY,
     ENTAILS_QUERY,
-    check_sat,
+    INCONSISTENT,
     compute_backbone,
-    consistent,
     sat_solve,
 )
 
@@ -78,7 +77,10 @@ def test_criterion_1_backbone_oracle_equivalence():
         clauses = random_3cnf(rng, n, m)
         want_sat = brute_force_sat(clauses, n)
         cs = _cs_from_ints(clauses, n)
-        got_sat = check_sat(cs).status == "satisfiable"
+        solver = _satcore.Solver(n)
+        for cl in cs.clauses:
+            solver.add_clause(cl)
+        got_sat = solver.solve() == _satcore.SAT
         assert got_sat == want_sat
         if not want_sat:
             continue
@@ -135,7 +137,7 @@ def test_criterion_3_winter_fox_golden_trace():
         result.verdict is False
         and result.decided_by == "sat"
         and clauses == expected
-        and result.trace_jsonl().encode() == golden
+        and trace_jsonl(result.trace).encode() == golden
     )
     report(3, "winter-fox golden trace", ok, "verdict False via sat, 3 clauses, bytes equal")
 
@@ -167,10 +169,7 @@ def _run_criterion4_suite(problems, kb):
         "cost_histogram.csv": cost_histogram_csv(metrics),
     }
     for pid in sorted(metrics.traces):
-        bundle[f"traces/{pid}.jsonl"] = "".join(
-            json.dumps(e, sort_keys=True, separators=(", ", ": ")) + "\n"
-            for e in metrics.traces[pid]
-        )
+        bundle[f"traces/{pid}.jsonl"] = trace_jsonl(metrics.traces[pid])
     return metrics, bundle
 
 
@@ -311,7 +310,8 @@ def test_criterion_7_well_definedness():
             )
             for _ in range(rng.randint(2, 4))
         ]
-        if not consistent(premises, pool):
+        joint, _ = sat_solve(premises, pool, None, with_backbone=False)
+        if joint.verdict == INCONSISTENT:
             continue
         query = parse_formula(str(rng.choice(atoms)))
         decided = []

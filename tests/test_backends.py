@@ -12,7 +12,6 @@ from argos.backends import (
     WireBackend,
     assemble_vote,
     extract_answer,
-    llm_solve,
 )
 from argos.engine import CommonsenseClause
 from argos.errors import ArgosError, BackendError, BackendExhausted
@@ -98,7 +97,7 @@ def test_oracle_derived_query_unanimous():
     kb = _kb(["forall x (penguin(x) -> bird(x))"])
     backend = OracleBackend(kb)
     premises = [parse_formula("penguin(tux)")]
-    vote = llm_solve(backend, premises, (), parse_formula("bird(tux)"), 5)
+    vote = backend.solve(premises, (), parse_formula("bird(tux)"), 5)
     assert vote.answer is True
     assert vote.vote_fraction == 1.0
 
@@ -106,8 +105,8 @@ def test_oracle_derived_query_unanimous():
 def test_oracle_derived_negative_query():
     kb = _kb(["forall x (penguin(x) -> ~flies(x))"])
     backend = OracleBackend(kb)
-    vote = llm_solve(
-        backend, [parse_formula("penguin(tux)")], (), parse_formula("flies(tux)"), 5
+    vote = backend.solve(
+        [parse_formula("penguin(tux)")], (), parse_formula("flies(tux)"), 5
     )
     assert vote.answer is False
     assert vote.vote_fraction == 1.0
@@ -120,11 +119,11 @@ def test_oracle_beyond_depth_guesses_at_majority_floor():
         ["forall x (a(x) -> b(x))", "forall x (b(x) -> c(x))"], reasoning_depth=1
     )
     backend = OracleBackend(kb)
-    vote = llm_solve(backend, [parse_formula("a(e)")], (), parse_formula("c(e)"), 5)
+    vote = backend.solve([parse_formula("a(e)")], (), parse_formula("c(e)"), 5)
     assert vote.vote_fraction == pytest.approx(0.6)
     # within depth it derives fine
     kb2 = _kb(["forall x (a(x) -> b(x))", "forall x (b(x) -> c(x))"], reasoning_depth=2)
-    vote2 = llm_solve(OracleBackend(kb2), [parse_formula("a(e)")], (), parse_formula("c(e)"), 5)
+    vote2 = OracleBackend(kb2).solve([parse_formula("a(e)")], (), parse_formula("c(e)"), 5)
     assert vote2.vote_fraction == 1.0
     assert vote2.answer is True
 
@@ -132,7 +131,7 @@ def test_oracle_beyond_depth_guesses_at_majority_floor():
 def test_oracle_depth_zero_answers_only_stated_facts():
     kb = _kb(["forall x (a(x) -> b(x))"], reasoning_depth=0)
     backend = OracleBackend(kb)
-    vote = llm_solve(backend, [parse_formula("a(e)")], (), parse_formula("b(e)"), 5)
+    vote = backend.solve([parse_formula("a(e)")], (), parse_formula("b(e)"), 5)
     assert vote.vote_fraction == pytest.approx(0.6)  # guesses
 
 
@@ -142,8 +141,8 @@ def test_oracle_uses_accepted_commonsense_in_derivations():
     clause = _clause(
         [parse_literal("a(e)")], parse_literal("b(e)")
     )
-    vote = llm_solve(
-        backend, [parse_formula("a(e)")], [clause], parse_formula("b(e)"), 5
+    vote = backend.solve(
+        [parse_formula("a(e)")], [clause], parse_formula("b(e)"), 5
     )
     assert vote.answer is True
     assert vote.vote_fraction == 1.0
@@ -154,11 +153,11 @@ def test_oracle_solve_determinism_and_request_keying():
     b1, b2 = OracleBackend(kb), OracleBackend(kb)
     premises = [parse_formula("a(e)")]
     q = parse_formula("c(e)")
-    v1 = llm_solve(b1, premises, (), q, 5)
-    v2 = llm_solve(b2, premises, (), q, 5)
+    v1 = b1.solve(premises, (), q, 5)
+    v2 = b2.solve(premises, (), q, 5)
     assert [s.raw_text for s in v1.samples] == [s.raw_text for s in v2.samples]
     # a different request draws an independent stream
-    v3 = llm_solve(b1, premises, (), parse_formula("d(e)"), 5)
+    v3 = b1.solve(premises, (), parse_formula("d(e)"), 5)
     assert v3.samples != v1.samples or v3.answer != v1.answer or True
 
 
@@ -167,8 +166,8 @@ def test_cot_accounting():
     backend = OracleBackend(kb)
     premises = [parse_formula("turns_white(fox, winter)")]
     assert backend.cot_calls == 0
-    llm_solve(backend, premises, (), parse_formula("absorbs(white, sun)"), 5)
-    llm_solve(backend, premises, (), parse_formula("absorbs(white, sun)"), 3)
+    backend.solve(premises, (), parse_formula("absorbs(white, sun)"), 5)
+    backend.solve(premises, (), parse_formula("absorbs(white, sun)"), 3)
     assert backend.cot_calls == 8
     backend.generate(premises, (), parse_literal("turns_white(fox, winter)"),
                      parse_literal("turns_white(fox, winter)"), Entity("fox"))
@@ -358,8 +357,8 @@ def test_wire_cot_sampling_and_confidence():
         )
 
     backend = WireBackend("http://server/v1/completions", "test-model", post=post)
-    vote = llm_solve(
-        backend, [parse_formula("turns_white(fox, winter)")], (),
+    vote = backend.solve(
+        [parse_formula("turns_white(fox, winter)")], (),
         parse_formula("absorbs(white, sun)"), 5,
     )
     assert vote.answer is False

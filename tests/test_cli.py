@@ -192,3 +192,21 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     )
     assert code == 0
     assert '"tau": 0.99' in err
+
+
+def test_bench_and_solve_write_identical_traces(tmp_path, capsys):
+    fox = FIXTURES / "winter_fox"
+    solved = tmp_path / "solve.jsonl"
+    code, out, err = run_cli(
+        capsys, "solve", str(fox / "problem.json"), "--oracle-kb", str(fox / "kb.json"),
+        "--no-sc", "--trace", str(solved),
+    )
+    assert code == 0
+    code, out, err = run_cli(
+        capsys, "bench", str(fox), "--systems", "argos", "--no-sc",
+        "--out", str(tmp_path / "r"),
+    )
+    assert code == 0
+    benched = tmp_path / "r" / "traces" / "winter-fox.jsonl"
+    assert solved.read_bytes()
+    assert benched.read_bytes() == solved.read_bytes()

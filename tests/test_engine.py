@@ -8,12 +8,13 @@ from argos.backends import (
 )
 from argos.corpus import Problem, load_problem_file
 from argos.engine import (
+    Engine,
     EngineConfig,
-    find_new_commonsense,
     generation_targets,
     pair_order,
     score_literal,
     solve,
+    trace_jsonl,
 )
 from argos.errors import BackendError, BackendExhausted
 from argos.logic import Entity, lit
@@ -277,7 +278,8 @@ def test_find_new_commonsense_first_passing_candidate():
     a = parse_literal("A")
     backend = StubBackend(candidates={frozenset([a]): [parse_literal("B")]})
     _, backbone = sat_solve(problem.premises, (), problem.query)
-    clause = find_new_commonsense(problem.premises, (), backbone, 0.3, backend)
+    engine = Engine(problem, EngineConfig(tau=0.3), backend)
+    clause = engine.find_new_commonsense(backbone)
     assert clause is not None
     assert str(clause) == "A -> B"
     assert clause.commonsense_score == 1.0
@@ -292,7 +294,8 @@ def test_find_new_commonsense_rejects_below_tau():
         relevance=0.2,
     )
     _, backbone = sat_solve(problem.premises, (), problem.query)
-    assert find_new_commonsense(problem.premises, (), backbone, 0.3, backend) is None
+    engine = Engine(problem, EngineConfig(tau=0.3), backend)
+    assert engine.find_new_commonsense(backbone) is None
 
 
 def test_find_new_commonsense_empty_backbone_no_candidates():
@@ -300,7 +303,8 @@ def test_find_new_commonsense_empty_backbone_no_candidates():
     backend = StubBackend()
     _, backbone = sat_solve(problem.premises, (), problem.query)
     assert len(backbone) == 0
-    assert find_new_commonsense(problem.premises, (), backbone, 0.3, backend) is None
+    engine = Engine(problem, EngineConfig(tau=0.3), backend)
+    assert engine.find_new_commonsense(backbone) is None
 
 
 def test_admissibility_rejections():
@@ -312,7 +316,8 @@ def test_admissibility_rejections():
         }
     )
     _, backbone = sat_solve(problem.premises, (), problem.query)
-    assert find_new_commonsense(problem.premises, (), backbone, 0.3, backend) is None
+    engine = Engine(problem, EngineConfig(tau=0.3), backend)
+    assert engine.find_new_commonsense(backbone) is None
 
 
 def test_no_duplicate_clauses_accepted():
@@ -370,7 +375,7 @@ def test_determinism_identical_runs():
     r1 = solve(fox_problem(), EngineConfig(use_sc_solver=False), fox_backend())
     r2 = solve(fox_problem(), EngineConfig(use_sc_solver=False), fox_backend())
     assert r1.trace == r2.trace
-    assert r1.trace_jsonl() == r2.trace_jsonl()
+    assert trace_jsonl(r1.trace) == trace_jsonl(r2.trace)
     assert [str(c) for c in r1.commonsense] == [str(c) for c in r2.commonsense]
 
 

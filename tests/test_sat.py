@@ -11,9 +11,7 @@ from argos.sat import (
     ENTAILS_QUERY,
     INCONSISTENT,
     UNKNOWN,
-    check_sat,
     compute_backbone,
-    consistent,
     sat_solve,
 )
 
@@ -31,24 +29,32 @@ def _cs_from_ints(clauses, n):
     return cs
 
 
+def _kernel(cs):
+    solver = _satcore.Solver(cs.num_vars)
+    for cl in cs.clauses:
+        solver.add_clause(cl)
+    return solver
+
+
 def test_unit_contradiction_unsat():
     cs = _cs_from_ints([[1], [-1]], 1)
-    assert check_sat(cs).status == "unsatisfiable"
+    assert _kernel(cs).solve() == _satcore.UNSAT
 
 
 def test_simple_clause_satisfiable_with_model():
     cs = _cs_from_ints([[1, 2]], 2)
-    out = check_sat(cs)
-    assert out.status == "satisfiable"
-    values = {cs.var_map[a]: truth for a, truth in out.model.items()}
-    assert any(values[abs(l)] == (l > 0) for l in [1, 2])
+    solver = _kernel(cs)
+    assert solver.solve() == _satcore.SAT
+    assert any(solver.model_value(abs(l)) == (l > 0) for l in [1, 2])
 
 
 def test_model_present_iff_satisfiable():
-    sat_out = check_sat(_cs_from_ints([[1]], 1))
-    unsat_out = check_sat(_cs_from_ints([[1], [-1]], 1))
-    assert sat_out.model is not None
-    assert unsat_out.model is None
+    sat_solver = _kernel(_cs_from_ints([[1]], 1))
+    unsat_solver = _kernel(_cs_from_ints([[1], [-1]], 1))
+    assert sat_solver.solve() == _satcore.SAT
+    assert unsat_solver.solve() == _satcore.UNSAT
+    assert sat_solver.model is not None
+    assert unsat_solver.model is None
 
 
 def test_random_3cnf_matches_brute_force():
@@ -58,20 +64,17 @@ def test_random_3cnf_matches_brute_force():
         m = rng.randint(n, 4 * n)
         clauses = random_3cnf(rng, n, m)
         cs = _cs_from_ints(clauses, n)
-        got = check_sat(cs).status == "satisfiable"
+        got = _kernel(cs).solve() == _satcore.SAT
         assert got == brute_force_sat(clauses, n)
 
 
 def test_assumptions():
-    cs = _cs_from_ints([[1, 2]], 2)
-    atoms = sorted(cs.var_map, key=lambda a: cs.var_map[a])
-    from argos.logic import Literal
-
-    l1, l2 = Literal(atoms[0], False), Literal(atoms[1], False)
-    assert check_sat(cs, [l1]).status == "satisfiable"
-    assert check_sat(cs, [l1, l2]).status == "unsatisfiable"
-    # assumptions do not poison later calls on the same clause set
-    assert check_sat(cs, []).status == "satisfiable"
+    solver = _kernel(_cs_from_ints([[1, 2]], 2))
+    assert solver.solve([-1]) == _satcore.SAT
+    assert solver.solve([-1, -2]) == _satcore.UNSAT
+    # assumptions do not poison later calls on the same solver
+    assert solver.solve([]) == _satcore.SAT
+    assert solver.solve([-2]) == _satcore.SAT
 
 
 def test_backbone_unit_clause():
@@ -121,10 +124,21 @@ def test_conflict_budget_degrades_distinctly():
         [-1, -3], [-1, -5], [-3, -5],
         [-2, -4], [-2, -6], [-4, -6],
     ]
+    formulas = [
+        parse_formula(" | ".join(f"v{l}" if l > 0 else f"~v{-l}" for l in cl))
+        for cl in php
+    ]
+    conclusion, backbone = sat_solve(formulas, (), None, conflict_budget=0)
+    assert conclusion.verdict == UNKNOWN
+    assert conclusion.budget_exceeded is True
+    assert backbone is None
+    conclusion, _ = sat_solve(formulas, (), None)
+    assert conclusion.verdict == INCONSISTENT
+    assert conclusion.budget_exceeded is False
     cs = _cs_from_ints(php, 6)
     with pytest.raises(SolverBudgetExceeded):
-        check_sat(cs, conflict_budget=0)
-    assert check_sat(cs).status == "unsatisfiable"
+        compute_backbone(cs, conflict_budget=0)
+    assert _kernel(cs).solve() == _satcore.UNSAT
 
 
 def test_sat_solve_modus_ponens():
@@ -182,12 +196,16 @@ def test_sat_solve_verdict_in_backbone_for_literal_queries():
 
 
 def test_consistent():
+    def verdict(premises, commonsense):
+        conclusion, _ = sat_solve(premises, commonsense, None, with_backbone=False)
+        return conclusion.verdict
+
     a, ab = parse_formula("A"), parse_formula("A -> B")
-    assert consistent([a], [ab])
-    assert consistent([], [])
+    assert verdict([a], [ab]) != INCONSISTENT
+    assert verdict([], []) != INCONSISTENT
     chain = [parse_formula("A -> B"), parse_formula("B -> ~A")]
     # A with A->B and B->~A forces ~A against A (truth-table check by hand)
-    assert not consistent([a], chain)
+    assert verdict([a], chain) == INCONSISTENT
 
 
 def test_determinism_same_inputs_same_outcome():
@@ -195,15 +213,14 @@ def test_determinism_same_inputs_same_outcome():
     clauses = random_3cnf(rng, 10, 30)
     cs1 = _cs_from_ints(clauses, 10)
     cs2 = _cs_from_ints(clauses, 10)
-    out1 = check_sat(cs1)
-    out2 = check_sat(cs2)
-    assert out1.status == out2.status
-    assert out1.model == out2.model
-    if out1.status == "satisfiable":
+    s1, s2 = _kernel(cs1), _kernel(cs2)
+    out1, out2 = s1.solve(), s2.solve()
+    assert out1 == out2
+    assert s1.model == s2.model
+    if out1 == _satcore.SAT:
         bb1 = compute_backbone(cs1)
         bb2 = compute_backbone(cs2)
         assert bb1.literals == bb2.literals
-        assert bb1.origin == bb2.origin
 
 
 def test_backbone_growth_under_new_implication():
@@ -216,6 +233,3 @@ def test_backbone_growth_under_new_implication():
     _, bb2 = sat_solve(grown, (), None)
     assert "R" in {str(l) for l in bb2.literals}
 
-
-def test_kernel_flag_exposed():
-    assert isinstance(_satcore.COMPILED, bool)
