@@ -28,7 +28,17 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ArgosError, BackendError, BackendExhausted
-from .logic import And, Entity, Formula, Implies, Literal, Var, formula_to_literal
+from .logic import (
+    And,
+    Entity,
+    Formula,
+    Implies,
+    Literal,
+    Var,
+    formula_entities,
+    formula_to_literal,
+    iter_atoms,
+)
 
 Target = Union[Entity, tuple, None]
 
@@ -171,10 +181,6 @@ class Backend(ABC):
 
 def _render_formulas(formulas: Iterable) -> str:
     return ". ".join(str(f) for f in formulas)
-
-
-def _render_clause(clause) -> str:
-    return str(clause)
 
 
 def cot_prompt(premises, commonsense, query, exemplars=()) -> str:
@@ -402,19 +408,13 @@ class OracleKB:
         from .sat import INCONSISTENT, sat_solve
 
         formulas = self.formulas()
-        constants = {e for f in formulas for e in _formula_entity_pool(f)}
+        constants = {e for f in formulas for e in formula_entities(f)}
         universe = sorted(constants, key=lambda e: e.name) or [Entity("_e1")]
         extra = [Entity(f"_e{i}") for i in range(1, 4)]
         pool = sorted(set(universe) | set(extra), key=lambda e: e.name)
         grounded = [ground(f, pool) for f in formulas]
         conclusion, _ = sat_solve(grounded, with_backbone=False)
         return conclusion.verdict != INCONSISTENT
-
-
-def _formula_entity_pool(f: Formula) -> frozenset[Entity]:
-    from .logic import formula_entities
-
-    return formula_entities(f)
 
 
 class OracleBackend(Backend):
@@ -846,7 +846,7 @@ class WireBackend(Backend):
             prompt = generate_prompt_pair(antecedent_text, target[0], target[1])
         else:
             known = sorted(
-                {a.predicate.name for f in premises for a in _formula_atoms(f)}
+                {a.predicate.name for f in premises for a in iter_atoms(f)}
                 | {
                     l.atom.predicate.name
                     for c in commonsense
@@ -870,7 +870,7 @@ class WireBackend(Backend):
             return None
         signature: dict[str, int] = {}
         for f in premises:
-            for a in _formula_atoms(f):
+            for a in iter_atoms(f):
                 signature.setdefault(a.predicate.name, a.predicate.arity)
         for c in commonsense:
             for l in tuple(c.antecedent) + (c.consequent,):
@@ -897,9 +897,3 @@ class WireBackend(Backend):
         if not lit.is_ground:
             return None
         return lit
-
-
-def _formula_atoms(f: Formula):
-    from .logic import iter_atoms
-
-    return iter_atoms(f)

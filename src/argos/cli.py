@@ -94,7 +94,7 @@ def _resolve(args, corpus_dir: Path | None) -> dict:
         "jobs": 1,
     }
     corpus_keys = {"gen_style": "generation_style", "score_style": "score_style"}
-    for key in _ENGINE_KEYS + ("max_candidates_per_pair",):
+    for key in _ENGINE_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -165,8 +165,7 @@ def cmd_solve(args) -> int:
     backend = _backend(values, corpus_dir)
     engine = Engine(problem, config, backend)
     if args.dimacs:
-        engine._session._sync()
-        Path(args.dimacs).write_text(engine._session.builder.cs.to_dimacs())
+        Path(args.dimacs).write_text(engine.session.clause_set().to_dimacs())
     result = engine.solve()
     plural = "" if len(result.commonsense) == 1 else "s"
     print(f"{result.verdict} ({result.decided_by}, {len(result.commonsense)} clause{plural})")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import GroundingError
-from .logic import And, Atom, AtomNode, Formula, Iff, Implies, Literal, Not, Or
+from .logic import And, Atom, AtomNode, Formula, Iff, Implies, Not, Or
 
 
 @dataclass
@@ -35,16 +35,6 @@ class ClauseSet:
             rev = {v: a for a, v in self.var_map.items()}
             self._rev = rev
         return rev.get(var)
-
-    def lit_to_int(self, l: Literal) -> int:
-        v = self.var_map[l.atom]
-        return v if l.positive else -v
-
-    def int_to_lit(self, i: int) -> Literal:
-        atom = self.atom_of(abs(i))
-        if atom is None:
-            raise KeyError(f"variable {abs(i)} is auxiliary")
-        return Literal(atom, i > 0)
 
     def to_dimacs(self, comments: bool = True) -> str:
         """Standard DIMACS CNF rendering for cross-checks with external solvers."""
@@ -76,7 +66,7 @@ class CnfBuilder:
             self.cs.var_map[atom] = v
         return v
 
-    def _new_aux(self) -> int:
+    def new_aux(self) -> int:
         self.cs.num_vars += 1
         self.cs.aux_vars.add(self.cs.num_vars)
         return self.cs.num_vars
@@ -100,7 +90,7 @@ class CnfBuilder:
             return cached
         x = self.encode(f.left)
         y = self.encode(f.right)
-        d = self._new_aux()
+        d = self.new_aux()
         if isinstance(f, And):
             self._add([-d, x])
             self._add([-d, y])
@@ -121,21 +111,22 @@ class CnfBuilder:
         self._defs[f] = d
         return d
 
-    def assert_formula(self, f: Formula) -> None:
-        """Constrain the clause set so that f must hold."""
+    def assert_formula(self, f: Formula, guard: Optional[int] = None) -> None:
+        """Constrain the clause set so that f must hold (only while ``guard``
+        is true, when given: every clause asserted for f then holds -guard)."""
+        off = [] if guard is None else [-guard]
         f = _squash(f)
         if isinstance(f, And):
-            self.assert_formula(f.left)
-            self.assert_formula(f.right)
+            self.assert_formula(f.left, guard)
+            self.assert_formula(f.right, guard)
             return
         if isinstance(f, Iff):
             x = self.encode(f.left)
             y = self.encode(f.right)
-            self._add([-x, y])
-            self._add([x, -y])
+            self._add([-x, y] + off)
+            self._add([x, -y] + off)
             return
-        disjuncts = _disjuncts(f)
-        self._add([self.encode(d) for d in disjuncts])
+        self._add([self.encode(d) for d in _disjuncts(f)] + off)
 
 
 def _squash(f: Formula) -> Formula:

@@ -103,11 +103,16 @@ def load_problem_file(path, validate: bool = True) -> Problem:
         withheld_rules=withheld,
     )
     if validate and withheld:
-        _check_restored(problem, path)
+        check_restored(problem, path)
     return problem
 
 
-def _check_restored(problem: Problem, path) -> None:
+def check_restored(problem: Problem, where) -> None:
+    """Fail unless the premises plus the withheld rules decide the query.
+
+    A labelled problem must be decided as labelled. ``where`` (a file path
+    or a problem id) prefixes the error.
+    """
     from .logic import ground
     from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, sat_solve
 
@@ -117,13 +122,13 @@ def _check_restored(problem: Problem, path) -> None:
     conclusion, _ = sat_solve(formulas, (), query, with_backbone=False)
     if conclusion.verdict not in (ENTAILS_QUERY, ENTAILS_NOT_QUERY):
         raise CorpusError(
-            f"{path}: field 'withheld_rules': restoring them does not decide the query"
+            f"{where}: field 'withheld_rules': restoring them does not decide the query"
         )
     if problem.gold_label is not None:
         decided = conclusion.verdict == ENTAILS_QUERY
         if decided != problem.gold_label:
             raise CorpusError(
-                f"{path}: field 'label': restored problem decides "
+                f"{where}: field 'label': restored problem decides "
                 f"{str(decided).lower()}, label says {str(problem.gold_label).lower()}"
             )
 

@@ -33,14 +33,7 @@ from .logic import (
     lit_to_formula,
     related,
 )
-from .sat import (
-    DEFAULT_CONFLICT_BUDGET,
-    ENTAILS_NOT_QUERY,
-    ENTAILS_QUERY,
-    INCONSISTENT,
-    Backbone,
-    SatSession,
-)
+from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, INCONSISTENT, Backbone, SatSession
 
 GENERATION_ENTITY = "entity"
 GENERATION_ENTITY_PAIR = "entity_pair"
@@ -64,8 +57,6 @@ class EngineConfig:
     use_sc_solver: bool = True
     generation_style: str = GENERATION_ENTITY
     score_style: str = CONTRADICTION_STYLE
-    grounding_depth_limit: int = 8
-    conflict_budget: int = DEFAULT_CONFLICT_BUDGET
 
     def __post_init__(self):
         if self.k < 1:
@@ -220,16 +211,11 @@ class Engine:
     # -- plumbing ------------------------------------------------------------
 
     def _reground(self) -> None:
-        limit = self.config.grounding_depth_limit
         members = sorted(self.universe, key=lambda e: e.name)
-        self.ground_premises = [
-            ground(f, members, limit) for f in self.problem.premises
-        ]
-        self.ground_query = ground(self.problem.query, members, limit)
-        self._session = SatSession(self.config.conflict_budget)
-        self._session.add_formulas(self.ground_premises)
-        self._session.set_query(self.ground_query)
-        self._session.add_commonsense(self.accepted)
+        self.ground_premises = [ground(f, members) for f in self.problem.premises]
+        self.ground_query = ground(self.problem.query, members)
+        self.session = SatSession(self.ground_premises, self.ground_query)
+        self.session.add_commonsense(self.accepted)
 
     def _emit(self, event: str, **fields) -> None:
         record = {"event": event, "iteration": self.iteration, "cot": self.cot}
@@ -346,7 +332,7 @@ class Engine:
             gamma = self._gamma()
             if gamma <= 0:
                 return self._fallback("gamma_exhausted")
-            conclusion, backbone = self._session.decide()
+            conclusion, backbone = self.session.decide()
             self._emit(
                 "sat_solve",
                 verdict=conclusion.verdict,
@@ -425,7 +411,7 @@ class Engine:
                     universe_size=len(self.universe),
                 )
             else:
-                self._session.add_commonsense([clause])
+                self.session.add_commonsense([clause])
             self.iteration += 1
 
     # -- the clause search -------------------------------------------------------

@@ -27,7 +27,7 @@ from .engine import (
 )
 from .errors import ArgosError
 from .logic import ground
-from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, INCONSISTENT, UNKNOWN, sat_solve
+from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, INCONSISTENT, UNKNOWN, SatSession, sat_solve
 
 _SC_RE = re.compile(r"^sc(\d+)$")
 
@@ -102,19 +102,23 @@ def _coin(seed: int, problem_id: str) -> bool:
     return digest[0] % 2 == 0
 
 
-def _grounded(problem: Problem, extra: Sequence = ()):
-    universe = sorted(problem.universe(), key=lambda e: e.name)
-    premises = [ground(f, universe) for f in list(problem.premises) + list(extra)]
-    query = ground(problem.query, universe)
+def _grounded(problem: Problem, extra: Sequence = (), accepted: Sequence = ()):
+    """Premises plus ``extra``, and the query, ground over the problem's
+    universe and every entity that the ``accepted`` clauses name."""
+    universe = set(problem.universe())
+    for clause in accepted:
+        for l in tuple(clause.antecedent) + (clause.consequent,):
+            universe |= l.entities()
+    members = sorted(universe, key=lambda e: e.name)
+    premises = [ground(f, members) for f in list(problem.premises) + list(extra)]
+    query = ground(problem.query, members)
     return premises, query
 
 
 def run_sat_baseline(problem: Problem, config: EngineConfig) -> ProblemRecord:
     """Solver only; an undecided problem is answered by a seeded coin flip."""
     premises, query = _grounded(problem)
-    conclusion, _ = sat_solve(
-        premises, (), query, config.conflict_budget, with_backbone=False
-    )
+    conclusion, _ = sat_solve(premises, (), query, with_backbone=False)
     if conclusion.verdict == ENTAILS_QUERY:
         verdict, decided_by, confidence = True, DECIDED_BY_SAT, 1.0
     elif conclusion.verdict == ENTAILS_NOT_QUERY:
@@ -158,7 +162,8 @@ def corruption_check(problem: Problem, accepted_commonsense: Sequence, kb=None) 
 
     The fully informed problem restores the withheld rules (or, failing
     that, the oracle rule base); corruption means the restored-plus-accepted
-    set decides differently or has become inconsistent.
+    set decides differently or has become inconsistent. Both verdicts come
+    from one session, the second after the accepted clauses join it.
     """
     restored = list(problem.withheld_rules)
     if not restored:
@@ -167,33 +172,30 @@ def corruption_check(problem: Problem, accepted_commonsense: Sequence, kb=None) 
                 f"{problem.id}: no withheld rules and no rule base to restore"
             )
         restored = kb.formulas()
-    universe = set(problem.universe())
-    for clause in accepted_commonsense:
-        for l in tuple(clause.antecedent) + (clause.consequent,):
-            universe |= l.entities()
-    members = sorted(universe, key=lambda e: e.name)
-    base_premises = [ground(f, members) for f in list(problem.premises) + restored]
-    query = ground(problem.query, members)
-
-    base, _ = sat_solve(base_premises, (), query, with_backbone=False)
+    session = SatSession(*_grounded(problem, restored, accepted_commonsense))
+    base, _ = session.decide(with_backbone=False)
     if base.verdict not in (ENTAILS_QUERY, ENTAILS_NOT_QUERY):
         raise ArgosError(f"{problem.id}: restored problem is undecided")
-    augmented, _ = sat_solve(
-        base_premises, accepted_commonsense, query, with_backbone=False
-    )
+    session.add_commonsense(accepted_commonsense)
+    augmented, _ = session.decide(with_backbone=False)
     return augmented.verdict != base.verdict
 
 
 def useful_clause_count(problem: Problem, result: SolveResult) -> int:
-    """Clauses whose removal flips the verdict of premises plus commonsense."""
+    """Clauses whose removal flips the verdict of premises plus commonsense.
+
+    Leave-one-out on one session: each clause sits behind a selector, and
+    dropping a clause is dropping its selector from the assumptions.
+    """
     if result.decided_by != DECIDED_BY_SAT or not result.commonsense:
         return 0
-    premises, query = _grounded(problem)
-    full, _ = sat_solve(premises, result.commonsense, query, with_backbone=False)
+    session = SatSession(*_grounded(problem, accepted=result.commonsense))
+    selectors = session.add_guarded(result.commonsense)
+    full, _ = session.decide(with_backbone=False, assumptions=selectors)
     useful = 0
-    for i in range(len(result.commonsense)):
-        rest = result.commonsense[:i] + result.commonsense[i + 1 :]
-        conclusion, _ = sat_solve(premises, rest, query, with_backbone=False)
+    for i in range(len(selectors)):
+        rest = selectors[:i] + selectors[i + 1 :]
+        conclusion, _ = session.decide(with_backbone=False, assumptions=rest)
         if conclusion.verdict != full.verdict:
             useful += 1
     return useful

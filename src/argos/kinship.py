@@ -18,7 +18,7 @@ import random
 from typing import Optional
 
 from .backends import OracleKB
-from .corpus import Problem
+from .corpus import Problem, check_restored
 from .errors import ArgosError
 from .logic import Entity, Formula
 from .parser import parse_formula
@@ -256,22 +256,6 @@ def generate_kinship(
             ],
         )
         if validate:
-            _validate_generated(problem)
+            check_restored(problem, problem.id)
         problems.append(problem)
     return problems, kinship_kb(seed=seed)
-
-
-def _validate_generated(problem: Problem) -> None:
-    from .logic import ground
-    from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, sat_solve
-
-    universe = sorted(problem.universe(), key=lambda e: e.name)
-    formulas = [ground(f, universe) for f in problem.premises + problem.withheld_rules]
-    query = ground(problem.query, universe)
-    conclusion, _ = sat_solve(formulas, (), query, with_backbone=False)
-    expected = ENTAILS_QUERY if problem.gold_label else ENTAILS_NOT_QUERY
-    if conclusion.verdict != expected:
-        raise ArgosError(
-            f"{problem.id}: generated problem is not decided as labelled "
-            f"(got {conclusion.verdict})"
-        )

@@ -4,8 +4,10 @@
 incremental kernel per grounding, decides the query and its negation against
 the premises plus accepted commonsense, and returns the backbone (literals
 true in every model) over the problem's own atoms whenever the set is
-satisfiable. ``sat_solve`` runs the same decision once on a fresh session and
-serves every one-shot query (baselines, harness checks, validation).
+satisfiable. Formulas can also be asserted behind selector variables and
+switched on per decision by assumptions, so one session answers questions
+about several subsets of them. ``sat_solve`` runs the same decision once on
+a fresh session and serves every one-shot query (baselines, validation).
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ def compute_backbone(
     conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
     restrict_vars: Optional[set[int]] = None,
     _solver: Optional[_satcore.Solver] = None,
+    assumptions: Sequence[int] = (),
 ) -> Backbone:
-    """Exactly the literals L with ``cs AND not L`` unsatisfiable.
+    """Exactly the literals L with ``cs AND assumptions AND not L`` unsatisfiable.
 
     Starts from one model; a literal stays a candidate only while it has been
     true in every model seen, and each survivor is settled by one
@@ -66,7 +69,8 @@ def compute_backbone(
     non-auxiliary variables (optionally further via ``restrict_vars``).
     """
     solver = _solver if _solver is not None else _load_solver(cs)
-    res = solver.solve((), conflict_budget)
+    assumed = tuple(assumptions)
+    res = solver.solve(assumed, conflict_budget)
     if res == _satcore.UNKNOWN:
         raise SolverBudgetExceeded(f"conflict budget of {conflict_budget} exceeded")
     if res == _satcore.UNSAT:
@@ -83,7 +87,7 @@ def compute_backbone(
             continue
         want = candidate[v]
         probe = -v if want else v
-        res = solver.solve((probe,), conflict_budget)
+        res = solver.solve(assumed + (probe,), conflict_budget)
         if res == _satcore.UNKNOWN:
             raise SolverBudgetExceeded(f"conflict budget of {conflict_budget} exceeded")
         if res == _satcore.UNSAT:
@@ -98,58 +102,84 @@ def compute_backbone(
     return Backbone(lits)
 
 
+def _formula(clause) -> Formula:
+    return clause.to_formula() if hasattr(clause, "to_formula") else clause
+
+
 class SatSession:
     """Incremental entailment and backbone checks over a growing formula set.
 
     Formulas only accumulate, so learned clauses stay sound across calls and
     the premise encoding is paid once per problem rather than per iteration.
     Query atoms that never occur in the asserted formulas are kept out of
-    the backbone domain.
+    the backbone domain; so are selectors, which are auxiliary variables.
     """
 
-    def __init__(self, conflict_budget: int = DEFAULT_CONFLICT_BUDGET):
+    def __init__(
+        self,
+        premises: Iterable[Formula] = (),
+        query: Optional[Formula] = None,
+        conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
+    ):
         self.builder = CnfBuilder()
         self.solver = _satcore.Solver()
         self.conflict_budget = conflict_budget
         self._loaded = 0
         self._query_lit: Optional[int] = None
         self._query_only: set[int] = set()
+        self.add_formulas(premises)
+        if query is not None:
+            self.set_query(query)
 
-    def add_formulas(self, formulas: Iterable[Formula]) -> None:
+    def add_formulas(self, formulas: Iterable[Formula], guard: Optional[int] = None) -> None:
         for f in formulas:
-            self.builder.assert_formula(f)
+            self.builder.assert_formula(f, guard)
             if self._query_only:
                 for atom in iter_atoms(f):
                     self._query_only.discard(self.builder.cs.var_map.get(atom, 0))
 
     def add_commonsense(self, clauses: Iterable) -> None:
-        self.add_formulas(
-            c.to_formula() if hasattr(c, "to_formula") else c for c in clauses
-        )
+        self.add_formulas(_formula(c) for c in clauses)
 
-    def set_query(self, query: Optional[Formula]) -> None:
-        if query is None:
-            self._query_lit = None
-            return
+    def add_guarded(self, clauses: Iterable) -> list[int]:
+        """Assert each clause behind a fresh selector; return the selectors.
+
+        A clause holds in a decision only when its selector is among the
+        decision's assumptions; left out, it constrains nothing.
+        """
+        selectors = []
+        for c in clauses:
+            selector = self.builder.new_aux()
+            self.add_formulas([_formula(c)], guard=selector)
+            selectors.append(selector)
+        return selectors
+
+    def set_query(self, query: Formula) -> None:
         before = set(self.builder.cs.var_map.values())
         self._query_lit = self.builder.encode(query)
         self._query_only = set(self.builder.cs.var_map.values()) - before
 
-    def _sync(self) -> None:
-        clauses = self.builder.cs.clauses
-        self.solver.ensure_vars(self.builder.cs.num_vars)
-        while self._loaded < len(clauses):
-            self.solver.add_clause(clauses[self._loaded])
+    def clause_set(self) -> ClauseSet:
+        """Every clause asserted so far, all of them loaded into the solver."""
+        cs = self.builder.cs
+        self.solver.ensure_vars(cs.num_vars)
+        while self._loaded < len(cs.clauses):
+            self.solver.add_clause(cs.clauses[self._loaded])
             self._loaded += 1
+        return cs
 
     def _problem_vars(self) -> set[int]:
         return set(self.builder.cs.var_map.values()) - self._query_only
 
-    def decide(self, with_backbone: bool = True) -> tuple[SatConclusion, Optional[Backbone]]:
-        """Check the verdict and (when satisfiable) compute the backbone."""
-        self._sync()
+    def decide(
+        self, with_backbone: bool = True, assumptions: Sequence[int] = ()
+    ) -> tuple[SatConclusion, Optional[Backbone]]:
+        """Check the verdict and (when satisfiable) compute the backbone, with
+        every solve, backbone probes included, under ``assumptions``."""
+        cs = self.clause_set()
         budget = self.conflict_budget
-        base = self.solver.solve((), budget)
+        assumed = tuple(assumptions)
+        base = self.solver.solve(assumed, budget)
         if base == _satcore.UNKNOWN:
             return SatConclusion(UNKNOWN, budget_exceeded=True), None
         if base == _satcore.UNSAT:
@@ -157,13 +187,13 @@ class SatSession:
         verdict = UNKNOWN
         qlit = self._query_lit
         if qlit is not None:
-            not_q = self.solver.solve((-qlit,), budget)
+            not_q = self.solver.solve(assumed + (-qlit,), budget)
             if not_q == _satcore.UNKNOWN:
                 return SatConclusion(UNKNOWN, budget_exceeded=True), None
             if not_q == _satcore.UNSAT:
                 verdict = ENTAILS_QUERY
             else:
-                with_q = self.solver.solve((qlit,), budget)
+                with_q = self.solver.solve(assumed + (qlit,), budget)
                 if with_q == _satcore.UNKNOWN:
                     return SatConclusion(UNKNOWN, budget_exceeded=True), None
                 if with_q == _satcore.UNSAT:
@@ -172,10 +202,11 @@ class SatSession:
             return SatConclusion(verdict), None
         try:
             backbone = compute_backbone(
-                self.builder.cs,
+                cs,
                 budget,
                 restrict_vars=self._problem_vars(),
                 _solver=self.solver,
+                assumptions=assumed,
             )
         except SolverBudgetExceeded:
             return SatConclusion(UNKNOWN, budget_exceeded=True), None
@@ -198,8 +229,6 @@ def sat_solve(
     whenever the set is satisfiable. A blown conflict budget degrades to an
     unknown verdict with no backbone rather than raising.
     """
-    session = SatSession(conflict_budget)
-    session.add_formulas(premises)
+    session = SatSession(premises, query, conflict_budget)
     session.add_commonsense(commonsense)
-    session.set_query(query)
     return session.decide(with_backbone=with_backbone)

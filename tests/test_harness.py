@@ -3,7 +3,8 @@ import dataclasses
 import pytest
 
 from argos.backends import OracleBackend
-from argos.engine import CommonsenseClause, EngineConfig
+from argos.corpus import Problem
+from argos.engine import CommonsenseClause, EngineConfig, SolveResult
 from argos.errors import ArgosError
 from argos.harness import (
     ProblemRecord,
@@ -17,9 +18,11 @@ from argos.harness import (
     run_sc_baseline,
     run_suite,
     summary_csv,
+    useful_clause_count,
 )
 from argos.kinship import generate_kinship
-from argos.parser import parse_literal
+from argos.logic import Entity
+from argos.parser import parse_formula, parse_literal
 
 
 def kinship_setup(count=8, depth=3, seed=7, reasoning_depth=0, noise=0.0):
@@ -143,6 +146,61 @@ def test_corruption_requires_rules():
     problem = dataclasses.replace(problem, withheld_rules=[])
     with pytest.raises(ArgosError):
         corruption_check(problem, [], kb=None)
+
+
+# --- useful clauses ------------------------------------------------------------
+
+
+def _clause(antecedent, consequent):
+    lits = tuple(parse_literal(t) for t in antecedent)
+    return CommonsenseClause(lits, parse_literal(consequent), 1.0, 1.0, 0)
+
+
+def _sat_result(clauses):
+    return SolveResult(
+        verdict=True,
+        decided_by="sat",
+        confidence=1.0,
+        commonsense=list(clauses),
+        iterations=len(clauses),
+        cot_calls=0,
+        trace=[],
+    )
+
+
+def test_useful_clause_count_grounds_over_new_entities():
+    # The problem of test_engine's regrounding test: the query closes only
+    # once the rule is instantiated over the entity the clause introduces.
+    sig = {}
+    problem = Problem(
+        id="rg",
+        entities={Entity("A")},
+        premises=[
+            parse_formula("F(A)", signature=sig),
+            parse_formula("forall x (G(x) -> H(x))", signature=sig),
+        ],
+        query=parse_formula("exists y (H(y))", signature=sig),
+    )
+    result = _sat_result([_clause(["F(A)"], "G(NewGuy)")])
+    assert useful_clause_count(problem, result) == 1
+
+
+def test_useful_clause_count_skips_redundant_clause():
+    sig = {}
+    problem = Problem(
+        id="uc",
+        entities={Entity("A")},
+        premises=[
+            parse_formula("P(A)", signature=sig),
+            parse_formula("forall x (P(x) -> T(x))", signature=sig),
+            parse_formula("forall x (R(x) -> Q(x))", signature=sig),
+        ],
+        query=parse_formula("Q(A)", signature=sig),
+    )
+    necessary = _clause(["P(A)"], "R(A)")
+    redundant = _clause(["P(A)"], "T(A)")  # already entailed by the premises
+    assert useful_clause_count(problem, _sat_result([necessary, redundant])) == 1
+    assert useful_clause_count(problem, _sat_result([redundant, necessary])) == 1
 
 
 # --- flips ---------------------------------------------------------------------

@@ -1,16 +1,21 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from argos import _satcore
 from argos.cnf import ClauseSet
 from argos.errors import SolverBudgetExceeded
+from argos.logic import And, AtomNode, Iff, Implies, Not, Or, make_atom
 from argos.parser import parse_formula
 from argos.sat import (
     ENTAILS_NOT_QUERY,
     ENTAILS_QUERY,
     INCONSISTENT,
     UNKNOWN,
+    SatSession,
     compute_backbone,
     sat_solve,
 )
@@ -233,3 +238,46 @@ def test_backbone_growth_under_new_implication():
     _, bb2 = sat_solve(grown, (), None)
     assert "R" in {str(l) for l in bb2.literals}
 
+
+# --- guarded clauses -----------------------------------------------------------
+
+_ATOMS = [AtomNode(make_atom(f"p{i}")) for i in range(4)]
+_FORMULAS = st.recursive(
+    st.sampled_from(_ATOMS),
+    lambda sub: st.one_of(
+        sub.map(Not),
+        st.builds(
+            lambda op, left, right: op(left, right),
+            st.sampled_from([And, Or, Implies, Iff]),
+            sub,
+            sub,
+        ),
+    ),
+    max_leaves=4,
+)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    st.lists(_FORMULAS, max_size=3),
+    st.lists(_FORMULAS, min_size=1, max_size=3),
+    _FORMULAS,
+)
+def test_guarded_clauses_match_fresh_sessions(premises, clauses, query):
+    # One session, every clause behind a selector: each subset of selectors
+    # must decide exactly as a fresh session holding only that subset.
+    session = SatSession(premises, query)
+    selectors = session.add_guarded(clauses)
+    atom_vars = set(session.clause_set().var_map.values())
+    assert not atom_vars & set(selectors)
+    for mask in itertools.product((False, True), repeat=len(clauses)):
+        chosen = [s for s, on in zip(selectors, mask) if on]
+        subset = [c for c, on in zip(clauses, mask) if on]
+        got, got_backbone = session.decide(assumptions=chosen)
+        want, want_backbone = sat_solve(premises, subset, query)
+        assert got.verdict == want.verdict
+        if want_backbone is None:
+            assert got_backbone is None
+        else:
+            assert all(l.atom is not None for l in got_backbone.literals)
+            assert got_backbone.literals == want_backbone.literals
