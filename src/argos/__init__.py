@@ -7,8 +7,6 @@ __version__ = "0.1.0"
 from .backends import (
     Backend,
     CotSample,
-    GenerationBudget,
-    HornRule,
     OracleBackend,
     OracleKB,
     SolveVote,
@@ -38,6 +36,7 @@ from .logic import (
     Atom,
     Entity,
     Formula,
+    HornRule,
     Literal,
     Predicate,
     ground,
@@ -64,7 +63,6 @@ __all__ = [
     "EngineConfig",
     "Entity",
     "Formula",
-    "GenerationBudget",
     "HornRule",
     "Literal",
     "LiteralScore",

@@ -16,6 +16,7 @@ samples adds k; generation and scoring calls never touch it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -29,10 +30,10 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ArgosError, BackendError, BackendExhausted
 from .logic import (
-    And,
+    Atom,
     Entity,
     Formula,
-    Implies,
+    HornRule,
     Literal,
     Var,
     formula_entities,
@@ -46,13 +47,10 @@ CONTRADICTION_STYLE = "contradiction"
 TRUTH_STYLE = "truth"
 
 
-@dataclass(frozen=True)
-class GenerationBudget:
-    """Per-request token ceilings enforced on the wire backend."""
-
-    max_generate_tokens: int = 25
-    max_score_tokens: int = 1
-    max_cot_tokens: int = 300
+# per-request token ceilings on the wire backend
+MAX_GENERATE_TOKENS = 25
+MAX_SCORE_TOKENS = 1
+MAX_COT_TOKENS = 300
 
 
 @dataclass(frozen=True)
@@ -116,8 +114,7 @@ def assemble_vote(samples: Sequence[CotSample], k: int) -> SolveVote:
 class Backend(ABC):
     """Uniform interface for solve, generate, and the two scorers."""
 
-    def __init__(self, budget: Optional[GenerationBudget] = None):
-        self.budget = budget or GenerationBudget()
+    def __init__(self):
         self._cot_lock = threading.Lock()
         self._cot_calls = 0
 
@@ -238,55 +235,6 @@ def relevance_prompt(premises, commonsense, clause_text: str) -> str:
 # --- the deterministic knowledge-base oracle ---------------------------------
 
 
-@dataclass(frozen=True)
-class HornRule:
-    """Pattern rule: up to two antecedent literals, one consequent literal."""
-
-    antecedent: tuple[Literal, ...]
-    consequent: Literal
-
-    def __str__(self) -> str:
-        if not self.antecedent:
-            return str(self.consequent)
-        return " & ".join(str(l) for l in self.antecedent) + f" -> {self.consequent}"
-
-
-def _strip_quantifiers(f: Formula) -> Formula:
-    from .logic import Exists, ForAll
-
-    while isinstance(f, ForAll):
-        f = f.body
-    if isinstance(f, Exists):
-        raise ArgosError("existential rules are not Horn rules")
-    return f
-
-
-def _conjunct_literals(f: Formula) -> Optional[list[Literal]]:
-    if isinstance(f, And):
-        left = _conjunct_literals(f.left)
-        right = _conjunct_literals(f.right)
-        if left is None or right is None:
-            return None
-        return left + right
-    l = formula_to_literal(f)
-    return None if l is None else [l]
-
-
-def horn_rule_from_formula(f: Formula) -> Optional[HornRule]:
-    """Horn reading of a formula, or None when it does not fit the shape."""
-    body = _strip_quantifiers(f)
-    if isinstance(body, Implies):
-        ante = _conjunct_literals(body.left)
-        cons = formula_to_literal(body.right)
-        if ante is None or cons is None or len(ante) > 2:
-            return None
-        return HornRule(tuple(ante), cons)
-    l = formula_to_literal(body)
-    if l is None:
-        return None
-    return HornRule((), l)
-
-
 def _unify(pattern: Literal, fact: Literal, theta: dict) -> Optional[dict]:
     if pattern.positive != fact.positive:
         return None
@@ -305,6 +253,15 @@ def _unify(pattern: Literal, fact: Literal, theta: dict) -> Optional[dict]:
     return th
 
 
+def _bind(patterns: Sequence[Literal], facts: Sequence[Literal], theta: dict) -> Optional[dict]:
+    """Extend ``theta`` so each pattern unifies with the fact beside it, or None."""
+    for pattern, fact in zip(patterns, facts):
+        theta = _unify(pattern, fact, theta)
+        if theta is None:
+            return None
+    return theta
+
+
 def _instantiate(pattern: Literal, theta: dict) -> Optional[Literal]:
     args = []
     for a in pattern.atom.args:
@@ -315,8 +272,6 @@ def _instantiate(pattern: Literal, theta: dict) -> Optional[Literal]:
             args.append(value)
         else:
             args.append(a)
-    from .logic import Atom
-
     return Literal(Atom(pattern.atom.predicate, tuple(args)), pattern.positive)
 
 
@@ -353,7 +308,7 @@ class OracleKB:
     ) -> "OracleKB":
         rules = []
         for f in formulas:
-            r = horn_rule_from_formula(f)
+            r = HornRule.from_formula(f)
             if r is None:
                 raise ArgosError(f"not a Horn rule: {f}")
             rules.append(r)
@@ -382,26 +337,13 @@ class OracleKB:
         return cls.from_formulas(formulas, **params)
 
     def to_file(self, path) -> None:
-        payload = {"rules": [self.rule_text(r) for r in self.rules]}
+        payload = {"rules": [str(f) for f in self.formulas()]}
         if self.reasoning_depth is not None:
             payload["reasoning_depth"] = self.reasoning_depth
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
-    @staticmethod
-    def rule_text(rule: HornRule) -> str:
-        vars_ = sorted(
-            {a.name for l in rule.antecedent + (rule.consequent,)
-             for a in l.atom.args if isinstance(a, Var)}
-        )
-        body = str(rule)
-        prefix = "".join(f"forall {v} " for v in vars_)
-        return f"{prefix}({body})" if vars_ else body
-
     def formulas(self) -> list[Formula]:
-        from .parser import parse_formula
-
-        signature: dict[str, int] = {}
-        return [parse_formula(self.rule_text(r), signature=signature) for r in self.rules]
+        return [r.to_formula() for r in self.rules]
 
     def is_consistent(self) -> bool:
         from .logic import ground
@@ -424,8 +366,8 @@ class OracleBackend(Backend):
     call order, so concurrent suites reproduce serial runs exactly.
     """
 
-    def __init__(self, kb: OracleKB, budget: Optional[GenerationBudget] = None):
-        super().__init__(budget)
+    def __init__(self, kb: OracleKB):
+        super().__init__()
         self.kb = kb
         # rules keyed by the signature of their antecedent predicates, so
         # generation lookups touch only plausibly matching rules
@@ -458,11 +400,10 @@ class OracleBackend(Backend):
                 facts[l] = 0
                 continue
             if isinstance(f, Formula):
-                r = horn_rule_from_formula(f)
+                r = HornRule.from_formula(f)
                 if r is not None and r.antecedent:
                     rules.append(r)
-        for c in commonsense:
-            rules.append(HornRule(tuple(c.antecedent), c.consequent))
+        rules.extend(commonsense)
         limit = self.kb.reasoning_depth
         if limit is not None and limit <= 0:
             return facts
@@ -473,11 +414,11 @@ class OracleBackend(Backend):
 
         for l in facts:
             index(l)
+        # Runs to a fixpoint: finitely many ground literals are derivable and
+        # a literal's cost only falls, so some round changes nothing.
         changed = True
-        rounds = 0
-        while changed and rounds < 100:
+        while changed:
             changed = False
-            rounds += 1
             for rule in rules:
                 if not rule.antecedent:
                     derived = rule.consequent
@@ -583,11 +524,7 @@ class OracleBackend(Backend):
             else:
                 orders = []
             for order in orders:
-                theta: Optional[dict] = {}
-                for pat, fact in zip(rule.antecedent, order):
-                    theta = _unify(pat, fact, theta)
-                    if theta is None:
-                        break
+                theta = _bind(rule.antecedent, order, {})
                 if theta is None:
                     continue
                 derived = _instantiate(rule.consequent, theta)
@@ -617,8 +554,6 @@ class OracleBackend(Backend):
                         if p.arity == c.atom.predicate.arity and p != c.atom.predicate
                     ]
                     if swaps and rng.random() < 0.5:
-                        from .logic import Atom
-
                         c = Literal(Atom(rng.choice(swaps), c.atom.args), c.positive)
                     else:
                         c = c.negate()
@@ -628,11 +563,9 @@ class OracleBackend(Backend):
 
     # -- scoring -------------------------------------------------------------
 
-    def _kb_decision(self, clause) -> Optional[bool]:
+    def _kb_decision(self, clause: HornRule) -> Optional[bool]:
         """True: instantiates a rule; False: contradicts one; None: undecided."""
-        import itertools
-
-        ante = tuple(clause.antecedent)
+        ante = clause.antecedent
         cons = clause.consequent
         for flip, expected in ((False, True), (True, False)):
             want = cons.negate() if flip else cons
@@ -651,14 +584,8 @@ class OracleBackend(Backend):
                 if n > len(pool):
                     continue
                 for order in itertools.permutations(pool, n):
-                    theta = dict(theta0)
-                    ok = True
-                    for pat, fact in zip(rule.antecedent, order):
-                        theta = _unify(pat, fact, theta)
-                        if theta is None:
-                            ok = False
-                            break
-                    if ok and _instantiate(rule.consequent, theta) == want:
+                    theta = _bind(rule.antecedent, order, theta0)
+                    if theta is not None and _instantiate(rule.consequent, theta) == want:
                         return expected
         return None
 
@@ -672,18 +599,12 @@ class OracleBackend(Backend):
         return score
 
     def relevance_score(self, premises, commonsense, clause) -> float:
-        from .logic import formula_entities
-
         known: set[Entity] = set()
         for f in premises:
             known |= formula_entities(f)
         for c in commonsense:
-            for l in tuple(c.antecedent) + (c.consequent,):
-                known |= l.entities()
-        clause_entities = set()
-        for l in tuple(clause.antecedent) + (clause.consequent,):
-            clause_entities |= l.entities()
-        score = 1.0 if clause_entities <= known else 0.0
+            known |= c.entities()
+        score = 1.0 if clause.entities() <= known else 0.0
         if self.kb.noise > 0.0:
             rng = self._rng(
                 "relevance", _render_formulas(premises), len(commonsense), str(clause)
@@ -707,7 +628,9 @@ class WireBackend(Backend):
     ``prompt``, ``max_tokens``, ``temperature`` and ``logprobs`` (top-k count);
     the response must carry ``choices[0].text`` and
     ``choices[0].logprobs.tokens`` / ``token_logprobs`` / ``top_logprobs``.
-    Transport failures retry with exponential backoff before giving up.
+    Transport failures (``OSError``) and 5xx responses retry with exponential
+    backoff before giving up; a 4xx response or any other exception ends the
+    request at once.
     """
 
     def __init__(
@@ -715,7 +638,6 @@ class WireBackend(Backend):
         endpoint: str,
         model: str,
         api_token: Optional[str] = None,
-        budget: Optional[GenerationBudget] = None,
         timeout: float = 60.0,
         retries: int = 3,
         backoff: float = 1.0,
@@ -724,7 +646,7 @@ class WireBackend(Backend):
         post=None,
         sleep=time.sleep,
     ):
-        super().__init__(budget)
+        super().__init__()
         self.endpoint = endpoint
         self.model = model
         self.api_token = api_token
@@ -765,7 +687,7 @@ class WireBackend(Backend):
                 return resp.json()
             except BackendExhausted:
                 raise
-            except Exception as exc:  # transport or server failure: retry
+            except (OSError, BackendError) as exc:  # transport failure or 5xx: retry
                 last_error = exc
                 if attempt + 1 < self.retries:
                     self._sleep(self.backoff * (2**attempt))
@@ -783,7 +705,7 @@ class WireBackend(Backend):
         samples = []
         for _ in range(k):
             data = self._request(
-                prompt, self.budget.max_cot_tokens, self.cot_temperature, 5
+                prompt, MAX_COT_TOKENS, self.cot_temperature, 5
             )
             choice = self._choice(data)
             text = choice.get("text", "")
@@ -809,7 +731,7 @@ class WireBackend(Backend):
         return 0.5
 
     def _yes_no_probability(self, prompt: str, positive: str) -> float:
-        data = self._request(prompt, self.budget.max_score_tokens, 0.0, 20)
+        data = self._request(prompt, MAX_SCORE_TOKENS, 0.0, 20)
         choice = self._choice(data)
         lp = choice.get("logprobs") or {}
         top = lp.get("top_logprobs") or []
@@ -847,16 +769,12 @@ class WireBackend(Backend):
         else:
             known = sorted(
                 {a.predicate.name for f in premises for a in iter_atoms(f)}
-                | {
-                    l.atom.predicate.name
-                    for c in commonsense
-                    for l in tuple(c.antecedent) + (c.consequent,)
-                }
+                | {l.atom.predicate.name for c in commonsense for l in c.literals}
             )
             prompt = generate_prompt_entity(
                 premises, commonsense, antecedent_text, target, known
             )
-        data = self._request(prompt, self.budget.max_generate_tokens, 0.0, 0)
+        data = self._request(prompt, MAX_GENERATE_TOKENS, 0.0, 0)
         text = self._choice(data).get("text", "")
         lit = self._parse_generated(text, target, premises, commonsense)
         return [lit] if lit is not None else []
@@ -873,7 +791,7 @@ class WireBackend(Backend):
             for a in iter_atoms(f):
                 signature.setdefault(a.predicate.name, a.predicate.arity)
         for c in commonsense:
-            for l in tuple(c.antecedent) + (c.consequent,):
+            for l in c.literals:
                 signature.setdefault(l.atom.predicate.name, l.atom.predicate.arity)
         bare = re.fullmatch(r"~?\s*[A-Za-z_][A-Za-z0-9_]*", line)
         if bare:

@@ -18,21 +18,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .backends import CONTRADICTION_STYLE, Backend, SolveVote
 from .errors import BackendError, BackendExhausted
-from .logic import (
-    Entity,
-    Formula,
-    Implies,
-    Literal,
-    conj,
-    formula_entities,
-    ground,
-    lit_to_formula,
-    related,
-)
+from .logic import Entity, HornRule, Literal, formula_entities, ground, related
 from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, INCONSISTENT, Backbone, SatSession
 
 GENERATION_ENTITY = "entity"
@@ -72,30 +62,11 @@ class EngineConfig:
 
 
 @dataclass(frozen=True)
-class CommonsenseClause:
+class CommonsenseClause(HornRule):
     """An accepted implication: 0-2 backbone literals imply one new literal."""
 
-    antecedent: tuple[Literal, ...]
-    consequent: Literal
     commonsense_score: float
     relevance_score: float
-    iteration: int
-
-    def to_formula(self) -> Formula:
-        if not self.antecedent:
-            return lit_to_formula(self.consequent)
-        return Implies(
-            conj([lit_to_formula(l) for l in self.antecedent]),
-            lit_to_formula(self.consequent),
-        )
-
-    def key(self) -> tuple:
-        return (frozenset(self.antecedent), self.consequent)
-
-    def __str__(self) -> str:
-        if not self.antecedent:
-            return str(self.consequent)
-        return " & ".join(str(l) for l in self.antecedent) + f" -> {self.consequent}"
 
 
 @dataclass
@@ -124,7 +95,7 @@ class LiteralScore:
     score: int
 
 
-def score_literal(l: Literal, backbone: Sequence[Literal]) -> LiteralScore:
+def score_literal(l: Literal, backbone: Collection[Literal]) -> LiteralScore:
     """Count of backbone literals sharing an entity with l (self included).
 
     0-ary literals have no entities, so they score 0.
@@ -134,7 +105,7 @@ def score_literal(l: Literal, backbone: Sequence[Literal]) -> LiteralScore:
     return LiteralScore(l, sum(1 for other in backbone if related(l, other)))
 
 
-def pair_order(backbone: Sequence[Literal]) -> list[tuple[Literal, ...]]:
+def pair_order(backbone: Collection[Literal]) -> list[tuple[Literal, ...]]:
     """Deterministic antecedent scan order for the clause search.
 
     Literals sort by descending entity-overlap score, ties broken by text;
@@ -199,7 +170,7 @@ class Engine:
         self.backend = backend
         self.trace: list[dict] = []
         self.accepted: list[CommonsenseClause] = []
-        self.decided: dict[tuple, str] = {}
+        self.decided: set[tuple] = set()
         self.last_vote: Optional[SolveVote] = None
         self.cot = 0
         self.iteration = 0
@@ -215,7 +186,7 @@ class Engine:
         self.ground_premises = [ground(f, members) for f in self.problem.premises]
         self.ground_query = ground(self.problem.query, members)
         self.session = SatSession(self.ground_premises, self.ground_query)
-        self.session.add_commonsense(self.accepted)
+        self.session.add_formulas(c.to_formula() for c in self.accepted)
 
     def _emit(self, event: str, **fields) -> None:
         record = {"event": event, "iteration": self.iteration, "cot": self.cot}
@@ -388,7 +359,7 @@ class Engine:
             if clause is None:
                 return self._fallback("search_exhausted")
             self.accepted.append(clause)
-            self.decided[clause.key()] = "accepted"
+            self.decided.add(clause.key())
             self._emit(
                 "clause_accepted",
                 clause=str(clause),
@@ -397,11 +368,7 @@ class Engine:
                 index=len(self.accepted),
             )
             self._emit("gamma_update", gamma=float(self._gamma()))
-            new_entities = {
-                e
-                for l in clause.antecedent + (clause.consequent,)
-                for e in l.entities()
-            } - self.universe
+            new_entities = clause.entities() - self.universe
             if new_entities:
                 self.universe |= new_entities
                 self._reground()
@@ -411,7 +378,7 @@ class Engine:
                     universe_size=len(self.universe),
                 )
             else:
-                self.session.add_commonsense([clause])
+                self.session.add_formulas([clause.to_formula()])
             self.iteration += 1
 
     # -- the clause search -------------------------------------------------------
@@ -424,9 +391,7 @@ class Engine:
         """
         config = self.config
         backbone_lits = backbone.literals
-        ordered = pair_order(sorted(backbone_lits, key=str))
-        generated_cache: dict[tuple, list[Literal]] = {}
-        for pair in ordered:
+        for pair in pair_order(backbone_lits):
             antecedent = tuple(dict.fromkeys(pair))
             l1 = pair[0] if pair else None
             l2 = pair[1] if len(pair) > 1 else None
@@ -434,24 +399,17 @@ class Engine:
                 antecedent, config.generation_style, config.max_candidates_per_pair
             )
             for target in targets:
-                cache_key = (l1, l2, target)
-                if cache_key in generated_cache:
-                    candidates = generated_cache[cache_key]
-                else:
-                    candidates = self.backend.generate(
-                        self.ground_premises, self.accepted, l1, l2, target
-                    )
-                    generated_cache[cache_key] = candidates
+                candidates = self.backend.generate(
+                    self.ground_premises, self.accepted, l1, l2, target
+                )
                 for cand in candidates:
-                    clause = CommonsenseClause(
-                        antecedent, cand, 0.0, 0.0, self.iteration
-                    )
+                    clause = CommonsenseClause(antecedent, cand, 0.0, 0.0)
                     key = clause.key()
                     if key in self.decided:
                         continue
                     reject = self._admissibility(cand, antecedent, backbone_lits)
                     if reject is not None:
-                        self.decided[key] = reject
+                        self.decided.add(key)
                         self._emit(
                             "candidate",
                             antecedent=[str(l) for l in antecedent],
@@ -482,7 +440,7 @@ class Engine:
                             commonsense_score=cs_score,
                             relevance_score=rel_score,
                         )
-                    self.decided[key] = "below_tau"
+                    self.decided.add(key)
         return None
 
     @staticmethod

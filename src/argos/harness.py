@@ -107,8 +107,7 @@ def _grounded(problem: Problem, extra: Sequence = (), accepted: Sequence = ()):
     universe and every entity that the ``accepted`` clauses name."""
     universe = set(problem.universe())
     for clause in accepted:
-        for l in tuple(clause.antecedent) + (clause.consequent,):
-            universe |= l.entities()
+        universe |= clause.entities()
     members = sorted(universe, key=lambda e: e.name)
     premises = [ground(f, members) for f in list(problem.premises) + list(extra)]
     query = ground(problem.query, members)
@@ -118,7 +117,7 @@ def _grounded(problem: Problem, extra: Sequence = (), accepted: Sequence = ()):
 def run_sat_baseline(problem: Problem, config: EngineConfig) -> ProblemRecord:
     """Solver only; an undecided problem is answered by a seeded coin flip."""
     premises, query = _grounded(problem)
-    conclusion, _ = sat_solve(premises, (), query, with_backbone=False)
+    conclusion, _ = sat_solve(premises, query, with_backbone=False)
     if conclusion.verdict == ENTAILS_QUERY:
         verdict, decided_by, confidence = True, DECIDED_BY_SAT, 1.0
     elif conclusion.verdict == ENTAILS_NOT_QUERY:
@@ -176,7 +175,7 @@ def corruption_check(problem: Problem, accepted_commonsense: Sequence, kb=None) 
     base, _ = session.decide(with_backbone=False)
     if base.verdict not in (ENTAILS_QUERY, ENTAILS_NOT_QUERY):
         raise ArgosError(f"{problem.id}: restored problem is undecided")
-    session.add_commonsense(accepted_commonsense)
+    session.add_formulas([c.to_formula() for c in accepted_commonsense])
     augmented, _ = session.decide(with_backbone=False)
     return augmented.verdict != base.verdict
 
@@ -190,7 +189,7 @@ def useful_clause_count(problem: Problem, result: SolveResult) -> int:
     if result.decided_by != DECIDED_BY_SAT or not result.commonsense:
         return 0
     session = SatSession(*_grounded(problem, accepted=result.commonsense))
-    selectors = session.add_guarded(result.commonsense)
+    selectors = session.add_guarded([c.to_formula() for c in result.commonsense])
     full, _ = session.decide(with_backbone=False, assumptions=selectors)
     useful = 0
     for i in range(len(selectors)):

@@ -1,4 +1,5 @@
-"""Logical structures: entities, predicates, atoms, literals, formula trees.
+"""Logical structures: entities, predicates, atoms, literals, formula trees
+and the Horn rules that the oracle holds and the clause search abduces.
 
 Everything here is immutable and hashable, so values can be shared freely
 across threads. Grounding (quantifier expansion over a finite entity
@@ -10,9 +11,9 @@ clause-form conversion by :mod:`argos.cnf`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
-from .errors import ArityError, GroundingError
+from .errors import ArgosError, ArityError, GroundingError
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,6 +253,72 @@ def _walk(f: Formula) -> Iterator[Formula]:
         yield from _walk(f.right)
     elif isinstance(f, (ForAll, Exists)):
         yield from _walk(f.body)
+
+
+# --- Horn rules --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HornRule:
+    """Up to two antecedent literals imply one consequent literal.
+
+    The one rule shape: the oracle's rule base holds pattern rules over
+    variables, and the clause search abduces ground ones.
+    """
+
+    antecedent: tuple[Literal, ...]
+    consequent: Literal
+
+    @property
+    def literals(self) -> tuple[Literal, ...]:
+        return self.antecedent + (self.consequent,)
+
+    def entities(self) -> frozenset[Entity]:
+        return frozenset(e for l in self.literals for e in l.entities())
+
+    def key(self) -> tuple:
+        return (frozenset(self.antecedent), self.consequent)
+
+    def to_formula(self) -> Formula:
+        """The implication, universally closed over its variables in name order."""
+        body = lit_to_formula(self.consequent)
+        if self.antecedent:
+            body = Implies(conj(lit_to_formula(l) for l in self.antecedent), body)
+        names = {a.name for l in self.literals for a in l.atom.args if isinstance(a, Var)}
+        for name in sorted(names, reverse=True):
+            body = ForAll(Var(name), body)
+        return body
+
+    @classmethod
+    def from_formula(cls, f: Formula) -> Optional["HornRule"]:
+        """Horn reading of a formula, or None when it does not fit the shape."""
+        while isinstance(f, ForAll):
+            f = f.body
+        if isinstance(f, Exists):
+            raise ArgosError("existential rules are not Horn rules")
+        if not isinstance(f, Implies):
+            l = formula_to_literal(f)
+            return None if l is None else cls((), l)
+        antecedent: list[Literal] = []
+        parts = [f.left]
+        while parts:
+            part = parts.pop()
+            if isinstance(part, And):
+                parts += [part.right, part.left]
+                continue
+            l = formula_to_literal(part)
+            if l is None:
+                return None
+            antecedent.append(l)
+        consequent = formula_to_literal(f.right)
+        if consequent is None or len(antecedent) > 2:
+            return None
+        return cls(tuple(antecedent), consequent)
+
+    def __str__(self) -> str:
+        if not self.antecedent:
+            return str(self.consequent)
+        return " & ".join(str(l) for l in self.antecedent) + f" -> {self.consequent}"
 
 
 # --- grounding -------------------------------------------------------------

@@ -102,10 +102,6 @@ def compute_backbone(
     return Backbone(lits)
 
 
-def _formula(clause) -> Formula:
-    return clause.to_formula() if hasattr(clause, "to_formula") else clause
-
-
 class SatSession:
     """Incremental entailment and backbone checks over a growing formula set.
 
@@ -138,19 +134,16 @@ class SatSession:
                 for atom in iter_atoms(f):
                     self._query_only.discard(self.builder.cs.var_map.get(atom, 0))
 
-    def add_commonsense(self, clauses: Iterable) -> None:
-        self.add_formulas(_formula(c) for c in clauses)
+    def add_guarded(self, formulas: Iterable[Formula]) -> list[int]:
+        """Assert each formula behind a fresh selector; return the selectors.
 
-    def add_guarded(self, clauses: Iterable) -> list[int]:
-        """Assert each clause behind a fresh selector; return the selectors.
-
-        A clause holds in a decision only when its selector is among the
+        A formula holds in a decision only when its selector is among the
         decision's assumptions; left out, it constrains nothing.
         """
         selectors = []
-        for c in clauses:
+        for f in formulas:
             selector = self.builder.new_aux()
-            self.add_formulas([_formula(c)], guard=selector)
+            self.add_formulas([f], guard=selector)
             selectors.append(selector)
         return selectors
 
@@ -215,20 +208,17 @@ class SatSession:
 
 def sat_solve(
     premises: Sequence[Formula],
-    commonsense: Sequence = (),
     query: Optional[Formula] = None,
     conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
     with_backbone: bool = True,
 ) -> tuple[SatConclusion, Optional[Backbone]]:
-    """Decide the query against premises plus commonsense, with backbone.
+    """Decide the query against the premises, with backbone.
 
     Verdicts: entails-query iff adding the negated query is unsatisfiable,
     entails-not-query iff adding the query is, inconsistent-premises iff the
     set itself is unsatisfiable, else unknown. The backbone is computed over
-    the atoms of the premises and commonsense (query-only atoms excluded)
-    whenever the set is satisfiable. A blown conflict budget degrades to an
-    unknown verdict with no backbone rather than raising.
+    the atoms of the premises (query-only atoms excluded) whenever the set
+    is satisfiable. A blown conflict budget degrades to an unknown verdict
+    with no backbone rather than raising.
     """
-    session = SatSession(premises, query, conflict_budget)
-    session.add_commonsense(commonsense)
-    return session.decide(with_backbone=with_backbone)
+    return SatSession(premises, query, conflict_budget).decide(with_backbone=with_backbone)

@@ -112,7 +112,7 @@ def test_criterion_2_grounding_normalization_oracle():
         mask, _ = semantic_models_mask(f, universe)
         want = mask != 0
         grounded = ground(f, universe)
-        conclusion, _ = sat_solve([grounded], (), None, with_backbone=False)
+        conclusion, _ = sat_solve([grounded], None, with_backbone=False)
         got = conclusion.verdict != "inconsistent-premises"
         if got != want:
             mismatches += 1
@@ -306,11 +306,12 @@ def test_criterion_7_well_definedness():
                 random_literal(),
                 1.0,
                 1.0,
-                0,
             )
             for _ in range(rng.randint(2, 4))
         ]
-        joint, _ = sat_solve(premises, pool, None, with_backbone=False)
+        joint, _ = sat_solve(
+            premises + [c.to_formula() for c in pool], None, with_backbone=False
+        )
         if joint.verdict == INCONSISTENT:
             continue
         query = parse_formula(str(rng.choice(atoms)))
@@ -318,7 +319,9 @@ def test_criterion_7_well_definedness():
         for size in range(len(pool) + 1):
             for subset in itertools.combinations(pool, size):
                 conclusion, _ = sat_solve(
-                    premises, subset, query, with_backbone=False
+                    premises + [c.to_formula() for c in subset],
+                    query,
+                    with_backbone=False,
                 )
                 if conclusion.verdict in (ENTAILS_QUERY, ENTAILS_NOT_QUERY):
                     decided.append(conclusion.verdict)

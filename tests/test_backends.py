@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,12 +16,15 @@ from argos.backends import (
 )
 from argos.engine import CommonsenseClause
 from argos.errors import ArgosError, BackendError, BackendExhausted
-from argos.logic import Entity
+from argos.kinship import kinship_kb
+from argos.logic import Entity, HornRule
 from argos.parser import parse_formula, parse_literal
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-def _clause(antecedent, consequent, iteration=0):
-    return CommonsenseClause(tuple(antecedent), consequent, 0.0, 0.0, iteration)
+
+def _clause(antecedent, consequent):
+    return CommonsenseClause(tuple(antecedent), consequent, 0.0, 0.0)
 
 
 def _kb(rule_texts, **kwargs):
@@ -133,6 +137,21 @@ def test_oracle_depth_zero_answers_only_stated_facts():
     backend = OracleBackend(kb)
     vote = backend.solve([parse_formula("a(e)")], (), parse_formula("b(e)"), 5)
     assert vote.vote_fraction == pytest.approx(0.6)  # guesses
+
+
+def test_oracle_chains_to_a_fixpoint_past_a_hundred_rounds():
+    # each round of forward chaining extends reach() by one step, so a
+    # 120-step chain needs 120 rounds; an unbounded oracle must finish it
+    kb = _kb(
+        ["forall x forall y (reach(x) & next(x, y) -> reach(y))"], reasoning_depth=None
+    )
+    premises = [parse_formula("reach(n0)")] + [
+        parse_formula(f"next(n{i}, n{i + 1})") for i in range(120)
+    ]
+    vote = OracleBackend(kb).solve(premises, (), parse_formula("reach(n120)"), 5)
+    assert vote.answer is True
+    assert vote.vote_fraction == 1.0
+    assert all(s.raw_text.startswith("Derived after 120 ") for s in vote.samples)
 
 
 def test_oracle_uses_accepted_commonsense_in_derivations():
@@ -309,6 +328,19 @@ def test_kb_file_round_trip(tmp_path):
     assert overridden.noise == 0.1
 
 
+@pytest.mark.parametrize(
+    "kb",
+    [kinship_kb(), OracleKB.from_file(FIXTURES / "winter_fox" / "kb.json")],
+    ids=["kinship", "winter-fox"],
+)
+def test_horn_rule_formula_round_trip(kb):
+    assert kb.rules
+    for r in kb.rules:
+        f = r.to_formula()
+        assert f == parse_formula(str(f))
+        assert HornRule.from_formula(f) == r
+
+
 def test_kb_file_schema_error(tmp_path):
     path = tmp_path / "kb.json"
     path.write_text(json.dumps(["not", "an", "object"]))
@@ -470,6 +502,32 @@ def test_wire_retries_then_exhausts():
         backend.commonsense_score(_clause([], parse_literal("b(x1)")))
     assert len(calls) == 3
     assert sleeps == [0.5, 1.0]
+
+
+def test_wire_programming_error_is_not_retried():
+    calls = []
+
+    def post(url, json=None, headers=None, timeout=None):
+        calls.append(1)
+        raise TypeError("unexpected keyword argument")
+
+    backend = WireBackend("http://server", "m", post=post, sleep=lambda s: None)
+    with pytest.raises(TypeError):
+        backend.commonsense_score(_clause([], parse_literal("b(x1)")))
+    assert len(calls) == 1
+
+
+def test_wire_client_error_is_not_retried():
+    calls = []
+
+    def post(url, json=None, headers=None, timeout=None):
+        calls.append(1)
+        return FakeResponse({}, status=404)
+
+    backend = WireBackend("http://server", "m", post=post, sleep=lambda s: None)
+    with pytest.raises(BackendExhausted):
+        backend.commonsense_score(_clause([], parse_literal("b(x1)")))
+    assert len(calls) == 1
 
 
 def test_wire_retries_server_errors_then_succeeds():

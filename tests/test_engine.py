@@ -277,7 +277,7 @@ def test_find_new_commonsense_first_passing_candidate():
     problem = make_problem(["A"], "Q")
     a = parse_literal("A")
     backend = StubBackend(candidates={frozenset([a]): [parse_literal("B")]})
-    _, backbone = sat_solve(problem.premises, (), problem.query)
+    _, backbone = sat_solve(problem.premises, problem.query)
     engine = Engine(problem, EngineConfig(tau=0.3), backend)
     clause = engine.find_new_commonsense(backbone)
     assert clause is not None
@@ -293,7 +293,7 @@ def test_find_new_commonsense_rejects_below_tau():
         commonsense=0.9,
         relevance=0.2,
     )
-    _, backbone = sat_solve(problem.premises, (), problem.query)
+    _, backbone = sat_solve(problem.premises, problem.query)
     engine = Engine(problem, EngineConfig(tau=0.3), backend)
     assert engine.find_new_commonsense(backbone) is None
 
@@ -301,7 +301,7 @@ def test_find_new_commonsense_rejects_below_tau():
 def test_find_new_commonsense_empty_backbone_no_candidates():
     problem = make_problem(["A | B"], "Q")
     backend = StubBackend()
-    _, backbone = sat_solve(problem.premises, (), problem.query)
+    _, backbone = sat_solve(problem.premises, problem.query)
     assert len(backbone) == 0
     engine = Engine(problem, EngineConfig(tau=0.3), backend)
     assert engine.find_new_commonsense(backbone) is None
@@ -315,7 +315,7 @@ def test_admissibility_rejections():
             frozenset([a]): [a, a.negate(), b],  # vacuous, contradictory, in backbone
         }
     )
-    _, backbone = sat_solve(problem.premises, (), problem.query)
+    _, backbone = sat_solve(problem.premises, problem.query)
     engine = Engine(problem, EngineConfig(tau=0.3), backend)
     assert engine.find_new_commonsense(backbone) is None
 
@@ -367,7 +367,9 @@ def test_growth_guarantee_consequent_enters_backbone():
 def test_sat_path_reproducible_without_backend():
     result = solve(fox_problem(), EngineConfig(use_sc_solver=False), fox_backend())
     problem = fox_problem()
-    conclusion, _ = sat_solve(problem.premises, result.commonsense, problem.query)
+    conclusion, _ = sat_solve(
+        problem.premises + [c.to_formula() for c in result.commonsense], problem.query
+    )
     assert conclusion.verdict == "entails-not-query"
 
 

@@ -136,7 +136,6 @@ def test_corruption_detects_adversarial_clause():
         parse_literal(f"~{rel}({x}, {y})").negate().negate(),
         1.0,
         1.0,
-        0,
     )
     assert corruption_check(problem, [adversarial], kb) is True
 
@@ -153,7 +152,7 @@ def test_corruption_requires_rules():
 
 def _clause(antecedent, consequent):
     lits = tuple(parse_literal(t) for t in antecedent)
-    return CommonsenseClause(lits, parse_literal(consequent), 1.0, 1.0, 0)
+    return CommonsenseClause(lits, parse_literal(consequent), 1.0, 1.0)
 
 
 def _sat_result(clauses):

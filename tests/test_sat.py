@@ -133,11 +133,11 @@ def test_conflict_budget_degrades_distinctly():
         parse_formula(" | ".join(f"v{l}" if l > 0 else f"~v{-l}" for l in cl))
         for cl in php
     ]
-    conclusion, backbone = sat_solve(formulas, (), None, conflict_budget=0)
+    conclusion, backbone = sat_solve(formulas, None, conflict_budget=0)
     assert conclusion.verdict == UNKNOWN
     assert conclusion.budget_exceeded is True
     assert backbone is None
-    conclusion, _ = sat_solve(formulas, (), None)
+    conclusion, _ = sat_solve(formulas, None)
     assert conclusion.verdict == INCONSISTENT
     assert conclusion.budget_exceeded is False
     cs = _cs_from_ints(php, 6)
@@ -148,7 +148,7 @@ def test_conflict_budget_degrades_distinctly():
 
 def test_sat_solve_modus_ponens():
     premises = [parse_formula("A"), parse_formula("A -> B")]
-    conclusion, backbone = sat_solve(premises, (), parse_formula("B"))
+    conclusion, backbone = sat_solve(premises, parse_formula("B"))
     assert conclusion.verdict == ENTAILS_QUERY
     assert backbone is not None
     assert {str(l) for l in backbone.literals} == {"A", "B"}
@@ -156,7 +156,7 @@ def test_sat_solve_modus_ponens():
 
 def test_sat_solve_unknown_with_empty_backbone():
     premises = [parse_formula("A | B")]
-    conclusion, backbone = sat_solve(premises, (), parse_formula("A"))
+    conclusion, backbone = sat_solve(premises, parse_formula("A"))
     assert conclusion.verdict == UNKNOWN
     assert backbone is not None
     assert len(backbone) == 0
@@ -164,20 +164,20 @@ def test_sat_solve_unknown_with_empty_backbone():
 
 def test_sat_solve_entails_negation():
     premises = [parse_formula("~B"), parse_formula("A -> B")]
-    conclusion, _ = sat_solve(premises, (), parse_formula("A"))
+    conclusion, _ = sat_solve(premises, parse_formula("A"))
     assert conclusion.verdict == ENTAILS_NOT_QUERY
 
 
 def test_sat_solve_inconsistent_premises():
     premises = [parse_formula("A"), parse_formula("~A")]
-    conclusion, backbone = sat_solve(premises, (), parse_formula("B"))
+    conclusion, backbone = sat_solve(premises, parse_formula("B"))
     assert conclusion.verdict == INCONSISTENT
     assert backbone is None
 
 
 def test_sat_solve_excludes_query_only_atoms_from_backbone():
     premises = [parse_formula("A")]
-    _, backbone = sat_solve(premises, (), parse_formula("Q | ~Q"))
+    _, backbone = sat_solve(premises, parse_formula("Q | ~Q"))
     assert {str(l) for l in backbone.literals} == {"A"}
 
 
@@ -191,7 +191,7 @@ def test_sat_solve_verdict_in_backbone_for_literal_queries():
             parts = [f"v{abs(l)}" if l > 0 else f"~v{abs(l)}" for l in cl]
             cs_formulas.append(parse_formula(" | ".join(parts)))
         q = parse_formula(f"v{rng.randint(1, n)}")
-        conclusion, backbone = sat_solve(cs_formulas, (), q)
+        conclusion, backbone = sat_solve(cs_formulas, q)
         if conclusion.verdict == ENTAILS_QUERY:
             assert str(q.atom) in {str(l) for l in backbone.literals if l.positive}
         elif conclusion.verdict == ENTAILS_NOT_QUERY:
@@ -202,7 +202,7 @@ def test_sat_solve_verdict_in_backbone_for_literal_queries():
 
 def test_consistent():
     def verdict(premises, commonsense):
-        conclusion, _ = sat_solve(premises, commonsense, None, with_backbone=False)
+        conclusion, _ = sat_solve(premises + commonsense, None, with_backbone=False)
         return conclusion.verdict
 
     a, ab = parse_formula("A"), parse_formula("A -> B")
@@ -232,10 +232,10 @@ def test_backbone_growth_under_new_implication():
     # with L1, L2 entailed and clause L1 & L2 -> R added consistently,
     # R joins the backbone
     premises = [parse_formula("L1"), parse_formula("L2")]
-    _, bb = sat_solve(premises, (), None)
+    _, bb = sat_solve(premises, None)
     assert {str(l) for l in bb.literals} == {"L1", "L2"}
     grown = premises + [parse_formula("L1 & L2 -> R")]
-    _, bb2 = sat_solve(grown, (), None)
+    _, bb2 = sat_solve(grown, None)
     assert "R" in {str(l) for l in bb2.literals}
 
 
@@ -274,7 +274,7 @@ def test_guarded_clauses_match_fresh_sessions(premises, clauses, query):
         chosen = [s for s, on in zip(selectors, mask) if on]
         subset = [c for c, on in zip(clauses, mask) if on]
         got, got_backbone = session.decide(assumptions=chosen)
-        want, want_backbone = sat_solve(premises, subset, query)
+        want, want_backbone = sat_solve(premises + subset, query)
         assert got.verdict == want.verdict
         if want_backbone is None:
             assert got_backbone is None
