@@ -1,8 +1,9 @@
 """Conflict-driven clause-learning SAT kernel with an assumption interface.
 
 MiniSat-style two-watched-literal propagation, first-UIP clause learning,
-activity-based decisions with deterministic tie-breaking, phase saving and
-Luby restarts. There is no randomness anywhere: identical clause streams and
+activity-based decisions taken from an indexed binary heap (highest activity
+first, the lowest variable index among equals), phase saving and Luby
+restarts. There is no randomness anywhere: identical clause streams and
 identical assumption lists always produce identical behaviour.
 
 External literals are signed 1-indexed ints (DIMACS convention); internally
@@ -44,6 +45,8 @@ class Solver:
         self.phase = [0]
         self.activity = [0.0]
         self.seen = [0]
+        self.heap = []  # decision order: every unassigned variable, lazily some assigned
+        self.heap_pos = [-1]  # index of each variable in heap, -1 when absent
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
@@ -62,6 +65,8 @@ class Solver:
             self.phase.append(0)
             self.activity.append(0.0)
             self.seen.append(0)
+            self.heap_pos.append(-1)
+            self._heap_insert(self.num_vars)
             self.watches.append([])
             self.watches.append([])
 
@@ -181,6 +186,9 @@ class Solver:
             for u in range(1, self.num_vars + 1):
                 self.activity[u] *= _INV_RESCALE
             self.var_inc *= _INV_RESCALE
+            self._heap_rebuild()  # rounding can tie activities that differed
+        elif self.heap_pos[v] >= 0:
+            self._heap_up(self.heap_pos[v])
 
     def _analyze(self, confl):
         learnt = [0]
@@ -231,23 +239,92 @@ class Solver:
         if len(self.trail_lim) <= lvl:
             return
         bound = self.trail_lim[lvl]
+        heap_pos = self.heap_pos
         for i in range(len(self.trail) - 1, bound - 1, -1):
             v = self.trail[i] >> 1
             self.phase[v] = self.assigns[v]
             self.assigns[v] = -1
             self.reason[v] = -1
+            if heap_pos[v] < 0:
+                self._heap_insert(v)
         del self.trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = len(self.trail)
 
+    # -- decision heap -----------------------------------------------------------
+    # A variable goes before another when its activity is higher, or equal with
+    # a lower index. That order has no ties, so the heap's top is the variable a
+    # full scan for the most active one (first found among equals) would pick.
+
+    def _heap_up(self, i):
+        heap = self.heap
+        pos = self.heap_pos
+        act = self.activity
+        v = heap[i]
+        a = act[v]
+        while i:
+            parent = (i - 1) >> 1
+            u = heap[parent]
+            au = act[u]
+            if au > a or (au == a and u < v):
+                break
+            heap[i] = u
+            pos[u] = i
+            i = parent
+        heap[i] = v
+        pos[v] = i
+
+    def _heap_down(self, i):
+        heap = self.heap
+        pos = self.heap_pos
+        act = self.activity
+        n = len(heap)
+        v = heap[i]
+        a = act[v]
+        while True:
+            child = 2 * i + 1
+            if child >= n:
+                break
+            c = heap[child]
+            ac = act[c]
+            if child + 1 < n:
+                r = heap[child + 1]
+                ar = act[r]
+                if ar > ac or (ar == ac and r < c):
+                    child += 1
+                    c = r
+                    ac = ar
+            if a > ac or (a == ac and v < c):
+                break
+            heap[i] = c
+            pos[c] = i
+            i = child
+        heap[i] = v
+        pos[v] = i
+
+    def _heap_insert(self, v):
+        self.heap_pos[v] = len(self.heap)
+        self.heap.append(v)
+        self._heap_up(len(self.heap) - 1)
+
+    def _heap_rebuild(self):
+        act = self.activity
+        self.heap.sort(key=lambda v: (-act[v], v))  # a sorted array is a heap
+        for i, v in enumerate(self.heap):
+            self.heap_pos[v] = i
+
     def _pick_branch(self):
-        best = -1
-        best_act = -1.0
-        for v in range(1, self.num_vars + 1):
-            if self.assigns[v] < 0 and self.activity[v] > best_act:
-                best_act = self.activity[v]
-                best = v
-        return best
+        heap = self.heap
+        while heap:
+            v = heap[0]
+            last = heap.pop()
+            self.heap_pos[v] = -1
+            if heap:
+                heap[0] = last
+                self._heap_down(0)
+            if self.assigns[v] < 0:
+                return v
+        return -1
 
     # -- main search -------------------------------------------------------------
 
@@ -329,3 +406,21 @@ class Solver:
     def model_value(self, var):
         """Truth of an external variable in the last satisfying model."""
         return self.model[var] == 1
+
+    def fixed_literals(self):
+        """Signed external literals assigned at decision level 0 by the last solve.
+
+        The clauses alone entail them, so they hold under any assumptions.
+        """
+        bound = self.trail_lim[0] if self.trail_lim else len(self.trail)
+        return [-(l >> 1) if l & 1 else l >> 1 for l in self.trail[:bound]]
+
+    def set_phases(self, lits):
+        """Save each signed external literal as its variable's phase, so the
+        next decision on that variable makes the literal true."""
+        phase = self.phase
+        for l in lits:
+            if l > 0:
+                phase[l] = 1
+            else:
+                phase[-l] = 0

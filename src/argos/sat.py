@@ -60,44 +60,57 @@ def compute_backbone(
     restrict_vars: Optional[set[int]] = None,
     _solver: Optional[_satcore.Solver] = None,
     assumptions: Sequence[int] = (),
+    _model: Optional[list[int]] = None,
 ) -> Backbone:
     """Exactly the literals L with ``cs AND assumptions AND not L`` unsatisfiable.
 
-    Starts from one model; a literal stays a candidate only while it has been
-    true in every model seen, and each survivor is settled by one
-    assumption-based solve whose countermodel prunes the rest. Restricted to
-    non-auxiliary variables (optionally further via ``restrict_vars``).
+    Starts from one model: ``_model``, a ``Solver.model`` of ``cs`` under
+    ``assumptions`` that the caller has just found, or else one solve. The
+    literals fixed at decision level 0 are entailed by the clauses alone, so
+    they join the backbone without a probe. Every other literal stays a
+    candidate only while it has been true in every model seen, and each
+    survivor is settled by one assumption-based solve whose countermodel
+    prunes the rest. Before each probe the saved phases steer the search off
+    every candidate (each gets the complement of its value, every other
+    domain variable its value in the first model), so one countermodel can
+    refute a candidate in each independent part of the formula at once.
+    Restricted to non-auxiliary variables (optionally further via
+    ``restrict_vars``).
     """
     solver = _solver if _solver is not None else _load_solver(cs)
     assumed = tuple(assumptions)
-    res = solver.solve(assumed, conflict_budget)
-    if res == _satcore.UNKNOWN:
-        raise SolverBudgetExceeded(f"conflict budget of {conflict_budget} exceeded")
-    if res == _satcore.UNSAT:
-        raise ValueError("backbone of an unsatisfiable clause set is undefined")
+    if _model is None:
+        res = solver.solve(assumed, conflict_budget)
+        if res == _satcore.UNKNOWN:
+            raise SolverBudgetExceeded(f"conflict budget of {conflict_budget} exceeded")
+        if res == _satcore.UNSAT:
+            raise ValueError("backbone of an unsatisfiable clause set is undefined")
+        _model = solver.model
 
     domain = sorted(
         v for v in cs.var_map.values()
         if restrict_vars is None or v in restrict_vars
     )
-    candidate = {v: solver.model_value(v) for v in domain}
-    backbone_ints: list[int] = []
+    first = {v: v if _model[v] == 1 else -v for v in domain}
+    backbone = {abs(l): l for l in solver.fixed_literals() if abs(l) in first}
+    candidate = {v: l for v, l in first.items() if v not in backbone}
     for v in domain:
         if v not in candidate:
             continue
-        want = candidate[v]
-        probe = -v if want else v
-        res = solver.solve(assumed + (probe,), conflict_budget)
+        lit = candidate[v]
+        solver.set_phases([-l if u in candidate else l for u, l in first.items()])
+        res = solver.solve(assumed + (-lit,), conflict_budget)
         if res == _satcore.UNKNOWN:
             raise SolverBudgetExceeded(f"conflict budget of {conflict_budget} exceeded")
         if res == _satcore.UNSAT:
-            backbone_ints.append(v if want else -v)
+            backbone[v] = lit
+            del candidate[v]
         else:
-            for u in list(candidate):
-                if solver.model_value(u) != candidate[u]:
+            for u, l in list(candidate.items()):
+                if solver.model_value(u) != (l > 0):
                     del candidate[u]
     lits = frozenset(
-        Literal(cs.atom_of(abs(i)), i > 0) for i in backbone_ints
+        Literal(cs.atom_of(v), backbone[v] > 0) for v in domain if v in backbone
     )
     return Backbone(lits)
 
@@ -168,7 +181,11 @@ class SatSession:
         self, with_backbone: bool = True, assumptions: Sequence[int] = ()
     ) -> tuple[SatConclusion, Optional[Backbone]]:
         """Check the verdict and (when satisfiable) compute the backbone, with
-        every solve, backbone probes included, under ``assumptions``."""
+        every solve, backbone probes included, under ``assumptions``.
+
+        The backbone starts from the last model a verdict solve found: each
+        of them is a model under ``assumptions``, so it needs no solve of its
+        own."""
         cs = self.clause_set()
         budget = self.conflict_budget
         assumed = tuple(assumptions)
@@ -177,6 +194,7 @@ class SatSession:
             return SatConclusion(UNKNOWN, budget_exceeded=True), None
         if base == _satcore.UNSAT:
             return SatConclusion(INCONSISTENT), None
+        model = self.solver.model
         verdict = UNKNOWN
         qlit = self._query_lit
         if qlit is not None:
@@ -186,11 +204,14 @@ class SatSession:
             if not_q == _satcore.UNSAT:
                 verdict = ENTAILS_QUERY
             else:
+                model = self.solver.model
                 with_q = self.solver.solve(assumed + (qlit,), budget)
                 if with_q == _satcore.UNKNOWN:
                     return SatConclusion(UNKNOWN, budget_exceeded=True), None
                 if with_q == _satcore.UNSAT:
                     verdict = ENTAILS_NOT_QUERY
+                else:
+                    model = self.solver.model
         if not with_backbone:
             return SatConclusion(verdict), None
         try:
@@ -200,6 +221,7 @@ class SatSession:
                 restrict_vars=self._problem_vars(),
                 _solver=self.solver,
                 assumptions=assumed,
+                _model=model,
             )
         except SolverBudgetExceeded:
             return SatConclusion(UNKNOWN, budget_exceeded=True), None

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from argos import _satcore
 from argos.cnf import ClauseSet
 from argos.errors import SolverBudgetExceeded
-from argos.logic import And, AtomNode, Iff, Implies, Not, Or, make_atom
+from argos.kinship import generate_kinship
+from argos.logic import And, AtomNode, Iff, Implies, Not, Or, ground, make_atom
 from argos.parser import parse_formula
 from argos.sat import (
     ENTAILS_NOT_QUERY,
@@ -281,3 +283,172 @@ def test_guarded_clauses_match_fresh_sessions(premises, clauses, query):
         else:
             assert all(l.atom is not None for l in got_backbone.literals)
             assert got_backbone.literals == want_backbone.literals
+
+
+# --- decision heap -------------------------------------------------------------
+
+
+class _ScanSolver(_satcore.Solver):
+    """The kernel deciding by the O(n) scan that the activity heap replaced."""
+
+    def _pick_branch(self):
+        best = -1
+        best_act = -1.0
+        for v in range(1, self.num_vars + 1):
+            if self.assigns[v] < 0 and self.activity[v] > best_act:
+                best_act = self.activity[v]
+                best = v
+        return best
+
+
+def _pair(clauses, n):
+    heap, scan = _satcore.Solver(n), _ScanSolver(n)
+    for solver in (heap, scan):
+        for cl in clauses:
+            solver.add_clause(cl)
+    return heap, scan
+
+
+def _solve_alike(heap, scan, rng, solves):
+    for _ in range(solves):
+        picked = rng.sample(range(1, heap.num_vars + 1), rng.randint(0, 4))
+        assumed = [v if rng.random() < 0.5 else -v for v in picked]
+        assert heap.solve(assumed) == scan.solve(assumed)
+        assert heap.model == scan.model
+        assert heap.conflict_count == scan.conflict_count
+        assert heap.phase == scan.phase
+        assert heap.activity == scan.activity
+
+
+def test_decision_heap_matches_scan():
+    # One reused solver per side, threshold-density 3-CNF so that conflicts
+    # bump activities, and repeated solves under random assumptions.
+    rng = random.Random(4242)
+    conflicts = 0
+    for _ in range(20):
+        n = rng.randint(40, 80)
+        heap, scan = _pair(random_3cnf(rng, n, round(4.26 * n)), n)
+        _solve_alike(heap, scan, rng, solves=6)
+        conflicts += heap.conflict_count
+    assert conflicts > 1000
+
+
+def test_decision_heap_matches_scan_across_rescale():
+    rng = random.Random(77)
+    near = _satcore._RESCALE * 0.6
+    rescaled = 0
+    for _ in range(8):
+        heap, scan = _pair(random_3cnf(rng, 50, 210), 50)
+        heap.var_inc = scan.var_inc = near
+        _solve_alike(heap, scan, rng, solves=4)
+        rescaled += heap.var_inc < near
+    assert rescaled >= 4
+
+
+def test_decision_heap_reorders_ties_made_by_a_rescale():
+    # Tiny activities underflow to equal zeros when a bump past _RESCALE
+    # rescales them; the lowest index must then go first again.
+    solver = _satcore.Solver(8)
+    solver.var_inc = 1e-300
+    for v in range(2, 9):
+        solver._bump(v)  # the higher the index, the higher the activity
+        solver.var_inc *= 2
+    solver.var_inc = _satcore._RESCALE * 0.6
+    solver._bump(1)
+    solver._bump(1)
+    assert solver.activity[2:] == [0.0] * 7
+    assert [solver._pick_branch() for _ in range(8)] == list(range(1, 9))
+
+
+# --- backbone against brute force -----------------------------------------------
+
+
+def _literal(n):
+    return st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@st.composite
+def _kinship_shaped_clauses(draw, n):
+    """Unit facts, at-most-one groups of negative binary clauses, and 3-clauses."""
+    clauses = [[l] for l in draw(st.lists(_literal(n), max_size=3))]
+    group = st.lists(st.integers(1, n), min_size=2, max_size=4, unique=True)
+    for members in draw(st.lists(group, max_size=3)):
+        clauses += [[-a, -b] for a, b in itertools.combinations(members, 2)]
+    clauses += draw(st.lists(st.lists(_literal(n), min_size=3, max_size=3), max_size=2 * n))
+    return clauses
+
+
+_CNF = st.integers(3, 10).flatmap(lambda n: st.tuples(st.just(n), _kinship_shaped_clauses(n)))
+
+
+def _clause_formula(clause):
+    atoms = [AtomNode(make_atom(f"v{abs(l)}")) for l in clause]
+    return functools.reduce(Or, [a if l > 0 else Not(a) for a, l in zip(atoms, clause)])
+
+
+def _signed(backbone):
+    return {int(l.atom.predicate.name[1:]) * (1 if l.positive else -1) for l in backbone.literals}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_CNF)
+def test_backbone_matches_brute_force_property(case):
+    n, clauses = case
+    cs = _cs_from_ints(clauses, n)
+    if not brute_force_sat(clauses, n):
+        with pytest.raises(ValueError):
+            compute_backbone(cs)
+        return
+    assert _signed(compute_backbone(cs)) == brute_force_backbone(clauses, n)
+
+
+@st.composite
+def _guarded_case(draw):
+    n, premises = draw(_CNF)
+    guarded = draw(st.lists(_kinship_shaped_clauses(n).filter(bool), min_size=1, max_size=3))
+    width = len(guarded)
+    mask = st.lists(st.booleans(), min_size=width, max_size=width)
+    masks = draw(st.lists(mask, min_size=2, max_size=5))
+    return n, premises, guarded, masks
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_guarded_case())
+def test_guarded_backbones_match_brute_force(case):
+    # Several decisions on one session, so each starts from the phases and
+    # learned clauses that the earlier ones left behind.
+    n, premises, guarded, masks = case
+    session = SatSession([_clause_formula(c) for c in premises])
+    selectors = session.add_guarded(
+        functools.reduce(And, [_clause_formula(c) for c in clauses]) for clauses in guarded
+    )
+    for mask in masks:
+        chosen = [s for s, on in zip(selectors, mask) if on]
+        clauses = premises + [c for g, on in zip(guarded, mask) if on for c in g]
+        conclusion, backbone = session.decide(assumptions=chosen)
+        if brute_force_sat(clauses, n):
+            assert _signed(backbone) == brute_force_backbone(clauses, n)
+        else:
+            assert conclusion.verdict == INCONSISTENT and backbone is None
+
+
+def test_kinship_backbone_probe_count(monkeypatch):
+    # Level-0 literals and steered countermodels settle this decision in 15
+    # solves; probing its 108 domain variables one at a time took 111.
+    problems, _ = generate_kinship(18, 4, seed=404)
+    problem = problems[0]
+    members = sorted(problem.universe(), key=lambda e: e.name)
+    session = SatSession(
+        [ground(f, members) for f in problem.premises], ground(problem.query, members)
+    )
+    solve = _satcore.Solver.solve
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(_satcore.Solver, "solve", counted)
+    _, backbone = session.decide()
+    assert backbone is not None and len(backbone) > 0
+    assert len(calls) <= 20
