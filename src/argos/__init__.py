@@ -12,7 +12,7 @@ from .backends import (
     SolveVote,
     WireBackend,
 )
-from .cnf import ClauseSet, to_clause_set
+from .cnf import ClauseSet
 from .corpus import Problem, load_corpus, load_problem_file, save_problem
 from .engine import (
     CommonsenseClause,
@@ -92,5 +92,4 @@ __all__ = [
     "save_problem",
     "score_literal",
     "solve",
-    "to_clause_set",
 ]

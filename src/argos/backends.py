@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import ArgosError, BackendError, BackendExhausted
+from .errors import ArgosError, BackendError, BackendExhausted, CorpusError
 from .logic import (
     Atom,
     Entity,
@@ -253,6 +253,10 @@ def _unify(pattern: Literal, fact: Literal, theta: dict) -> Optional[dict]:
     return th
 
 
+def _pred_key(l: Literal) -> tuple:
+    return (l.atom.predicate, l.positive)
+
+
 def _bind(patterns: Sequence[Literal], facts: Sequence[Literal], theta: dict) -> Optional[dict]:
     """Extend ``theta`` so each pattern unifies with the fact beside it, or None."""
     for pattern, fact in zip(patterns, facts):
@@ -323,11 +327,15 @@ class OracleKB:
         """Load rules from JSON; None-valued overrides leave the file values."""
         from .parser import parse_formula
 
-        data = json.loads(Path(path).read_text())
-        if not isinstance(data, dict) or "rules" not in data:
-            raise ArgosError(f"{path}: expected an object with a 'rules' array")
+        try:
+            data = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:
+            raise CorpusError(f"{path}: unreadable rule base: {exc}") from exc
+        rules = data.get("rules") if isinstance(data, dict) else None
+        if not isinstance(rules, list) or not all(isinstance(t, str) for t in rules):
+            raise CorpusError(f"{path}: expected an object with a 'rules' array of strings")
         signature: dict[str, int] = {}
-        formulas = [parse_formula(t, signature=signature) for t in data["rules"]]
+        formulas = [parse_formula(t, signature=signature) for t in rules]
         params = {
             "reasoning_depth": data.get("reasoning_depth"),
             "noise": data.get("noise", 0.0),
@@ -391,7 +399,13 @@ class OracleBackend(Backend):
     # -- solve: depth-bounded forward chaining ------------------------------
 
     def _chain(self, premises, commonsense) -> dict[Literal, int]:
-        """Least rule-application counts for every derivable ground literal."""
+        """Least rule-application counts for every derivable ground literal.
+
+        Semi-naive forward chaining: each round joins the rules only against
+        the facts that are new, or whose cost fell, in the round before.
+        Every other match was already made with the same costs, so it can
+        derive nothing cheaper.
+        """
         facts: dict[Literal, int] = {}
         rules: list[HornRule] = list(self.kb.rules)
         for f in premises:
@@ -400,61 +414,68 @@ class OracleBackend(Backend):
                 facts[l] = 0
                 continue
             if isinstance(f, Formula):
-                r = HornRule.from_formula(f)
+                try:
+                    r = HornRule.from_formula(f)
+                except ArgosError:  # an existential premise is no Horn rule
+                    r = None
                 if r is not None and r.antecedent:
                     rules.append(r)
         rules.extend(commonsense)
         limit = self.kb.reasoning_depth
         if limit is not None and limit <= 0:
             return facts
+        for rule in rules:
+            if not rule.antecedent and rule.consequent.is_ground:
+                facts[rule.consequent] = 0
+        rules = [r for r in rules if r.antecedent]
         by_pred: dict[tuple, list[Literal]] = {}
-
-        def index(l: Literal):
-            by_pred.setdefault((l.atom.predicate, l.positive), []).append(l)
-
         for l in facts:
-            index(l)
+            by_pred.setdefault(_pred_key(l), []).append(l)
         # Runs to a fixpoint: finitely many ground literals are derivable and
         # a literal's cost only falls, so some round changes nothing.
-        changed = True
-        while changed:
-            changed = False
+        delta = list(facts)
+        while delta:
+            fresh: dict[tuple, list[Literal]] = {}
+            for l in delta:
+                fresh.setdefault(_pred_key(l), []).append(l)
+            changed: dict[Literal, None] = {}
             for rule in rules:
-                if not rule.antecedent:
-                    derived = rule.consequent
-                    if derived.is_ground and facts.get(derived, 10**9) > 0:
-                        facts[derived] = 0
-                        index(derived)
-                        changed = True
-                    continue
                 first = rule.antecedent[0]
-                for f1 in list(by_pred.get((first.atom.predicate, first.positive), ())):
-                    th1 = _unify(first, f1, {})
-                    if th1 is None:
-                        continue
-                    if len(rule.antecedent) == 1:
-                        matches = [((f1,), th1)]
-                    else:
-                        second = rule.antecedent[1]
-                        matches = []
-                        for f2 in list(
-                            by_pred.get((second.atom.predicate, second.positive), ())
-                        ):
-                            th2 = _unify(second, f2, th1)
+                key1 = _pred_key(first)
+                if len(rule.antecedent) == 1:
+                    pools = [(fresh.get(key1, ()), None)]
+                else:
+                    key2 = _pred_key(rule.antecedent[1])
+                    pools = [
+                        (fresh.get(key1, ()), list(by_pred.get(key2, ()))),
+                        (list(by_pred.get(key1, ())), fresh.get(key2, ())),
+                    ]
+                matches = []
+                for pool1, pool2 in pools:
+                    for f1 in pool1:
+                        th1 = _unify(first, f1, {})
+                        if th1 is None:
+                            continue
+                        if pool2 is None:
+                            matches.append(((f1,), th1))
+                            continue
+                        for f2 in pool2:
+                            th2 = _unify(rule.antecedent[1], f2, th1)
                             if th2 is not None:
                                 matches.append(((f1, f2), th2))
-                    for used, theta in matches:
-                        derived = _instantiate(rule.consequent, theta)
-                        if derived is None or not derived.is_ground:
-                            continue
-                        cost = sum(facts[u] for u in used) + 1
-                        if limit is not None and cost > limit:
-                            continue
-                        if cost < facts.get(derived, 10**9):
-                            if derived not in facts:
-                                index(derived)
-                            facts[derived] = cost
-                            changed = True
+                for used, theta in matches:
+                    derived = _instantiate(rule.consequent, theta)
+                    if derived is None or not derived.is_ground:
+                        continue
+                    cost = sum(facts[u] for u in used) + 1
+                    if limit is not None and cost > limit:
+                        continue
+                    if cost < facts.get(derived, 10**9):
+                        if derived not in facts:
+                            by_pred.setdefault(_pred_key(derived), []).append(derived)
+                        facts[derived] = cost
+                        changed[derived] = None
+            delta = list(changed)
         return facts
 
     def _cot_samples(self, premises, commonsense, query, k) -> list[CotSample]:
@@ -599,6 +620,10 @@ class OracleBackend(Backend):
         return score
 
     def relevance_score(self, premises, commonsense, clause) -> float:
+        """1 iff every entity of ``clause`` is named by the premises or by an
+        accepted clause, the context the wire prompt shows. An entity that
+        the problem declares but never names is unknown here: the problem's
+        whole universe would take one more parameter in every backend."""
         known: set[Entity] = set()
         for f in premises:
             known |= formula_entities(f)

@@ -261,9 +261,15 @@ def cmd_trace(args) -> int:
         print(f"error: {path} does not exist", file=sys.stderr)
         return EXIT_USAGE
     events = []
-    for line in path.read_text().splitlines():
+    for number, line in enumerate(path.read_text().splitlines(), 1):
         if line.strip():
-            events.append(json.loads(line))
+            try:
+                event = json.loads(line)
+            except ValueError as exc:
+                raise CorpusError(f"{path}: line {number} is not JSON: {exc}") from exc
+            if not isinstance(event, dict):
+                raise CorpusError(f"{path}: line {number} is not a JSON object")
+            events.append(event)
     if args.summary:
         counts: dict[str, int] = {}
         for e in events:

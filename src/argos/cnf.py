@@ -9,7 +9,7 @@ the backbone and the abduction search never see them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import GroundingError
 from .logic import And, Atom, AtomNode, Formula, Iff, Implies, Not, Or
@@ -143,10 +143,3 @@ def _disjuncts(f: Formula) -> list[Formula]:
         return _disjuncts(Not(f.left)) + _disjuncts(f.right)
     return [f]
 
-
-def to_clause_set(formulas: Iterable[Formula]) -> ClauseSet:
-    """Convert ground formulas into one equisatisfiable clause set."""
-    b = CnfBuilder()
-    for f in formulas:
-        b.assert_formula(f)
-    return b.cs

@@ -180,7 +180,10 @@ def load_exemplars(path) -> list[dict]:
     f = Path(path) / "exemplars.json"
     if not f.exists():
         return []
-    data = json.loads(f.read_text())
-    if not isinstance(data, list):
-        raise CorpusError(f"{f}: expected a JSON array")
+    try:
+        data = json.loads(f.read_text())
+    except (OSError, ValueError) as exc:
+        raise CorpusError(f"{f}: unreadable exemplars: {exc}") from exc
+    if not isinstance(data, list) or not all(isinstance(e, dict) for e in data):
+        raise CorpusError(f"{f}: expected a JSON array of objects")
     return data

@@ -170,6 +170,7 @@ class Engine:
         self.backend = backend
         self.trace: list[dict] = []
         self.accepted: list[CommonsenseClause] = []
+        self.selectors: list[int] = []  # one per accepted clause, in order
         self.decided: set[tuple] = set()
         self.last_vote: Optional[SolveVote] = None
         self.cot = 0
@@ -182,11 +183,14 @@ class Engine:
     # -- plumbing ------------------------------------------------------------
 
     def _reground(self) -> None:
+        """The problem's one grounding: a session over the current universe,
+        with every accepted clause behind its own selector."""
         members = sorted(self.universe, key=lambda e: e.name)
-        self.ground_premises = [ground(f, members) for f in self.problem.premises]
-        self.ground_query = ground(self.problem.query, members)
-        self.session = SatSession(self.ground_premises, self.ground_query)
-        self.session.add_formulas(c.to_formula() for c in self.accepted)
+        self.session = SatSession(
+            [ground(f, members) for f in self.problem.premises],
+            ground(self.problem.query, members),
+        )
+        self.selectors = self.session.add_guarded(c.to_formula() for c in self.accepted)
 
     def _emit(self, event: str, **fields) -> None:
         record = {"event": event, "iteration": self.iteration, "cot": self.cot}
@@ -211,7 +215,7 @@ class Engine:
 
     def _vote(self) -> SolveVote:
         vote = self.backend.solve(
-            self.ground_premises, self.accepted, self.ground_query, self.config.k
+            self.problem.premises, self.accepted, self.problem.query, self.config.k
         )
         self.cot += self.config.k
         self.last_vote = vote
@@ -303,7 +307,7 @@ class Engine:
             gamma = self._gamma()
             if gamma <= 0:
                 return self._fallback("gamma_exhausted")
-            conclusion, backbone = self.session.decide()
+            conclusion, backbone = self.session.decide(assumptions=self.selectors)
             self._emit(
                 "sat_solve",
                 verdict=conclusion.verdict,
@@ -358,28 +362,33 @@ class Engine:
             clause = self.find_new_commonsense(backbone)
             if clause is None:
                 return self._fallback("search_exhausted")
-            self.accepted.append(clause)
-            self.decided.add(clause.key())
-            self._emit(
-                "clause_accepted",
-                clause=str(clause),
-                commonsense_score=round(clause.commonsense_score, 9),
-                relevance_score=round(clause.relevance_score, 9),
-                index=len(self.accepted),
-            )
-            self._emit("gamma_update", gamma=float(self._gamma()))
-            new_entities = clause.entities() - self.universe
-            if new_entities:
-                self.universe |= new_entities
-                self._reground()
-                self._emit(
-                    "reground",
-                    new_entities=sorted(e.name for e in new_entities),
-                    universe_size=len(self.universe),
-                )
-            else:
-                self.session.add_formulas([clause.to_formula()])
+            self.accept(clause)
             self.iteration += 1
+
+    def accept(self, clause: CommonsenseClause) -> None:
+        """Add ``clause`` to the accepted set and to the session, behind a new
+        selector; a clause naming a new entity regrounds the problem first."""
+        self.accepted.append(clause)
+        self.decided.add(clause.key())
+        self._emit(
+            "clause_accepted",
+            clause=str(clause),
+            commonsense_score=round(clause.commonsense_score, 9),
+            relevance_score=round(clause.relevance_score, 9),
+            index=len(self.accepted),
+        )
+        self._emit("gamma_update", gamma=float(self._gamma()))
+        new_entities = clause.entities() - self.universe
+        if new_entities:
+            self.universe |= new_entities
+            self._reground()
+            self._emit(
+                "reground",
+                new_entities=sorted(e.name for e in new_entities),
+                universe_size=len(self.universe),
+            )
+        else:
+            self.selectors += self.session.add_guarded([clause.to_formula()])
 
     # -- the clause search -------------------------------------------------------
 
@@ -400,7 +409,7 @@ class Engine:
             )
             for target in targets:
                 candidates = self.backend.generate(
-                    self.ground_premises, self.accepted, l1, l2, target
+                    self.problem.premises, self.accepted, l1, l2, target
                 )
                 for cand in candidates:
                     clause = CommonsenseClause(antecedent, cand, 0.0, 0.0)
@@ -422,7 +431,7 @@ class Engine:
                         clause, config.score_style
                     )
                     rel_score = self.backend.relevance_score(
-                        self.ground_premises, self.accepted, clause
+                        self.problem.premises, self.accepted, clause
                     )
                     accepted = cs_score > config.tau and rel_score > config.tau
                     self._emit(

@@ -26,8 +26,8 @@ from .engine import (
     SolveResult,
 )
 from .errors import ArgosError
-from .logic import ground
-from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, INCONSISTENT, UNKNOWN, SatSession, sat_solve
+from .logic import conj, ground
+from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, INCONSISTENT, UNKNOWN, sat_solve
 
 _SC_RE = re.compile(r"^sc(\d+)$")
 
@@ -102,22 +102,11 @@ def _coin(seed: int, problem_id: str) -> bool:
     return digest[0] % 2 == 0
 
 
-def _grounded(problem: Problem, extra: Sequence = (), accepted: Sequence = ()):
-    """Premises plus ``extra``, and the query, ground over the problem's
-    universe and every entity that the ``accepted`` clauses name."""
-    universe = set(problem.universe())
-    for clause in accepted:
-        universe |= clause.entities()
-    members = sorted(universe, key=lambda e: e.name)
-    premises = [ground(f, members) for f in list(problem.premises) + list(extra)]
-    query = ground(problem.query, members)
-    return premises, query
-
-
 def run_sat_baseline(problem: Problem, config: EngineConfig) -> ProblemRecord:
     """Solver only; an undecided problem is answered by a seeded coin flip."""
-    premises, query = _grounded(problem)
-    conclusion, _ = sat_solve(premises, query, with_backbone=False)
+    members = sorted(problem.universe(), key=lambda e: e.name)
+    premises = [ground(f, members) for f in problem.premises]
+    conclusion, _ = sat_solve(premises, ground(problem.query, members), with_backbone=False)
     if conclusion.verdict == ENTAILS_QUERY:
         verdict, decided_by, confidence = True, DECIDED_BY_SAT, 1.0
     elif conclusion.verdict == ENTAILS_NOT_QUERY:
@@ -142,8 +131,7 @@ def run_sc_baseline(
     problem: Problem, config: EngineConfig, backend: Backend, n: int
 ) -> ProblemRecord:
     """One n-sample vote on the bare premises; exactly n chain-of-thought calls."""
-    premises, query = _grounded(problem)
-    vote = backend.solve(premises, (), query, n)
+    vote = backend.solve(problem.premises, (), problem.query, n)
     return ProblemRecord(
         problem_id=problem.id,
         system=f"sc{n}",
@@ -156,40 +144,44 @@ def run_sc_baseline(
     )
 
 
-def corruption_check(problem: Problem, accepted_commonsense: Sequence, kb=None) -> bool:
-    """True iff the accepted clauses change the fully informed verdict.
+def corruption_check(engine: Engine, kb=None) -> bool:
+    """True iff the engine's accepted clauses change the fully informed verdict.
 
     The fully informed problem restores the withheld rules (or, failing
     that, the oracle rule base); corruption means the restored-plus-accepted
-    set decides differently or has become inconsistent. Both verdicts come
-    from one session, the second after the accepted clauses join it.
+    set decides differently or has become inconsistent. The restored rules
+    join the engine's own session behind one selector, ground over its
+    universe, so both verdicts are decisions under assumptions: that
+    selector alone, then with the accepted clauses' selectors too.
     """
+    problem = engine.problem
     restored = list(problem.withheld_rules)
-    if not restored:
-        if kb is None:
-            raise ArgosError(
-                f"{problem.id}: no withheld rules and no rule base to restore"
-            )
+    if not restored and kb is not None:
         restored = kb.formulas()
-    session = SatSession(*_grounded(problem, restored, accepted_commonsense))
-    base, _ = session.decide(with_backbone=False)
+    if not restored:
+        raise ArgosError(f"{problem.id}: no withheld rules and no rule base to restore")
+    members = sorted(engine.universe, key=lambda e: e.name)
+    session = engine.session
+    informed = session.add_guarded([conj([ground(f, members) for f in restored])])
+    base, _ = session.decide(with_backbone=False, assumptions=informed)
     if base.verdict not in (ENTAILS_QUERY, ENTAILS_NOT_QUERY):
         raise ArgosError(f"{problem.id}: restored problem is undecided")
-    session.add_formulas([c.to_formula() for c in accepted_commonsense])
-    augmented, _ = session.decide(with_backbone=False)
+    augmented, _ = session.decide(
+        with_backbone=False, assumptions=informed + engine.selectors
+    )
     return augmented.verdict != base.verdict
 
 
-def useful_clause_count(problem: Problem, result: SolveResult) -> int:
+def useful_clause_count(engine: Engine, result: SolveResult) -> int:
     """Clauses whose removal flips the verdict of premises plus commonsense.
 
-    Leave-one-out on one session: each clause sits behind a selector, and
-    dropping a clause is dropping its selector from the assumptions.
+    Leave-one-out on the engine's session: each accepted clause sits behind
+    its selector, and dropping a clause is dropping its selector from the
+    assumptions.
     """
     if result.decided_by != DECIDED_BY_SAT or not result.commonsense:
         return 0
-    session = SatSession(*_grounded(problem, accepted=result.commonsense))
-    selectors = session.add_guarded([c.to_formula() for c in result.commonsense])
+    session, selectors = engine.session, engine.selectors
     full, _ = session.decide(with_backbone=False, assumptions=selectors)
     useful = 0
     for i in range(len(selectors)):
@@ -207,10 +199,11 @@ def run_argos(
     kb=None,
     check_corruption: bool = True,
 ) -> tuple[ProblemRecord, list[dict]]:
-    result = Engine(problem, config, backend).solve()
+    engine = Engine(problem, config, backend)
+    result = engine.solve()
     corrupted: Optional[bool] = None
     if check_corruption and (problem.withheld_rules or kb is not None):
-        corrupted = corruption_check(problem, result.commonsense, kb)
+        corrupted = corruption_check(engine, kb)
     record = ProblemRecord(
         problem_id=problem.id,
         system="argos",
@@ -222,7 +215,7 @@ def run_argos(
         confidence=result.confidence,
         inconsistent=result.inconsistent,
         corrupted=corrupted,
-        useful_clauses=useful_clause_count(problem, result),
+        useful_clauses=useful_clause_count(engine, result),
     )
     return record, result.trace
 

@@ -1,14 +1,20 @@
-"""Independent brute-force oracles used to check the real implementations.
+"""Independent reference implementations used to check the real ones.
 
-Everything here works by exhaustive truth-table enumeration, bit-parallel
-over Python bigints: assignment index i has variable v true iff bit v of i
-is set, and a formula evaluates to a 2**n-bit mask of its models. None of
-this shares any code path with the CDCL kernel or the clause-form builder.
+The truth-table oracles work by exhaustive enumeration, bit-parallel over
+Python bigints: assignment index i has variable v true iff bit v of i is
+set, and a formula evaluates to a 2**n-bit mask of its models. None of them
+shares any code path with the CDCL kernel or the clause-form builder.
+
+The other references are the plain forms of optimised code: the harness
+checks, each on a fresh grounding and fresh one-shot solves, and the naive
+forward-chaining loop of the oracle backend.
 """
 
 from __future__ import annotations
 
 import random
+from argos.backends import _instantiate, _unify
+from argos.errors import ArgosError
 from argos.logic import (
     And,
     Atom,
@@ -17,12 +23,16 @@ from argos.logic import (
     Exists,
     ForAll,
     Formula,
+    HornRule,
     Iff,
     Implies,
     Not,
     Or,
     Var,
+    formula_to_literal,
+    ground,
 )
+from argos.sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, sat_solve
 
 
 def var_column(v: int, n: int) -> int:
@@ -223,3 +233,115 @@ def random_ground_formula(rng: random.Random, num_atoms: int = 6) -> Formula:
         return cls(build(depth + 1), build(depth + 1))
 
     return build(0)
+
+
+# --- the harness checks, each on a fresh grounding -----------------------------
+
+
+def fresh_grounding(problem, extra=(), accepted=()):
+    """Premises plus ``extra``, and the query, ground over the problem's
+    universe and every entity that the ``accepted`` clauses name."""
+    universe = set(problem.universe())
+    for clause in accepted:
+        universe |= clause.entities()
+    members = sorted(universe, key=lambda e: e.name)
+    premises = [ground(f, members) for f in list(problem.premises) + list(extra)]
+    return premises, ground(problem.query, members)
+
+
+def reference_corruption(problem, accepted, kb=None) -> bool:
+    """Whether ``accepted`` changes the verdict once the withheld rules (or
+    the rule base) are restored, from two one-shot solves."""
+    restored = list(problem.withheld_rules) or kb.formulas()
+    premises, query = fresh_grounding(problem, restored, accepted)
+    base, _ = sat_solve(premises, query, with_backbone=False)
+    assert base.verdict in (ENTAILS_QUERY, ENTAILS_NOT_QUERY)
+    clauses = [c.to_formula() for c in accepted]
+    augmented, _ = sat_solve(premises + clauses, query, with_backbone=False)
+    return augmented.verdict != base.verdict
+
+
+def reference_useful_count(problem, result) -> int:
+    """Leave-one-out over the accepted clauses, one one-shot solve each."""
+    if result.decided_by != "sat" or not result.commonsense:
+        return 0
+    premises, query = fresh_grounding(problem, accepted=result.commonsense)
+    clauses = [c.to_formula() for c in result.commonsense]
+
+    def verdict(kept):
+        return sat_solve(premises + kept, query, with_backbone=False)[0].verdict
+
+    full = verdict(clauses)
+    return sum(
+        1 for i in range(len(clauses)) if verdict(clauses[:i] + clauses[i + 1 :]) != full
+    )
+
+
+# --- naive forward chaining ------------------------------------------------------
+
+
+def naive_chain(kb, premises, commonsense) -> dict:
+    """Least rule-application counts, by joining every rule against every
+    fact each round until a round changes nothing."""
+    facts = {}
+    rules = list(kb.rules)
+    for f in premises:
+        l = formula_to_literal(f)
+        if l is not None and l.is_ground:
+            facts[l] = 0
+            continue
+        try:
+            r = HornRule.from_formula(f)
+        except ArgosError:
+            r = None
+        if r is not None and r.antecedent:
+            rules.append(r)
+    rules.extend(commonsense)
+    limit = kb.reasoning_depth
+    if limit is not None and limit <= 0:
+        return facts
+    by_pred = {}
+
+    def index(l):
+        by_pred.setdefault((l.atom.predicate, l.positive), []).append(l)
+
+    for l in facts:
+        index(l)
+    changed = True
+    while changed:
+        changed = False
+        for rule in rules:
+            if not rule.antecedent:
+                derived = rule.consequent
+                if derived.is_ground and facts.get(derived, 10**9) > 0:
+                    facts[derived] = 0
+                    index(derived)
+                    changed = True
+                continue
+            first = rule.antecedent[0]
+            for f1 in list(by_pred.get((first.atom.predicate, first.positive), ())):
+                th1 = _unify(first, f1, {})
+                if th1 is None:
+                    continue
+                if len(rule.antecedent) == 1:
+                    matches = [((f1,), th1)]
+                else:
+                    second = rule.antecedent[1]
+                    matches = []
+                    for f2 in list(by_pred.get((second.atom.predicate, second.positive), ())):
+                        th2 = _unify(second, f2, th1)
+                        if th2 is not None:
+                            matches.append(((f1, f2), th2))
+                for used, theta in matches:
+                    derived = _instantiate(rule.consequent, theta)
+                    if derived is None or not derived.is_ground:
+                        continue
+                    cost = sum(facts[u] for u in used) + 1
+                    if limit is not None and cost > limit:
+                        continue
+                    if cost < facts.get(derived, 10**9):
+                        if derived not in facts:
+                            index(derived)
+                        facts[derived] = cost
+                        changed = True
+    return facts

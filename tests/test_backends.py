@@ -14,11 +14,14 @@ from argos.backends import (
     assemble_vote,
     extract_answer,
 )
+from argos.corpus import Problem, load_problem_file
 from argos.engine import CommonsenseClause
 from argos.errors import ArgosError, BackendError, BackendExhausted
-from argos.kinship import kinship_kb
+from argos.kinship import generate_kinship, kinship_kb
 from argos.logic import Entity, HornRule
 from argos.parser import parse_formula, parse_literal
+
+from _oracles import naive_chain
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -154,6 +157,48 @@ def test_oracle_chains_to_a_fixpoint_past_a_hundred_rounds():
     assert all(s.raw_text.startswith("Derived after 120 ") for s in vote.samples)
 
 
+def _chains_agree(backend, premises, commonsense=()):
+    fast = backend._chain(premises, commonsense)
+    assert fast == naive_chain(backend.kb, premises, commonsense)
+    return fast
+
+
+def test_semi_naive_chain_matches_naive_on_the_long_chain():
+    kb = _kb(
+        ["forall x forall y (reach(x) & next(x, y) -> reach(y))"], reasoning_depth=None
+    )
+    premises = [parse_formula("reach(n0)")] + [
+        parse_formula(f"next(n{i}, n{i + 1})") for i in range(120)
+    ]
+    facts = _chains_agree(OracleBackend(kb), premises)
+    assert facts[parse_literal("reach(n120)")] == 120
+
+
+def test_semi_naive_chain_matches_naive_on_winter_fox():
+    problem = load_problem_file(FIXTURES / "winter_fox" / "problem.json")
+    backend = OracleBackend(OracleKB.from_file(FIXTURES / "winter_fox" / "kb.json"))
+    facts = _chains_agree(backend, problem.premises)
+    assert facts[parse_literal("~absorbs(white, sun)")] == 3
+    lit = parse_literal
+    accepted = [
+        _clause([lit("turns_white(fox, winter)")], lit("reflects(fox, sun)")),
+        _clause([lit("reflects(fox, sun)")], lit("~absorbs(fox, sun)")),
+    ]
+    facts = _chains_agree(backend, problem.premises, accepted)
+    assert facts[parse_literal("~absorbs(white, sun)")] == 3
+
+
+def test_semi_naive_chain_matches_naive_on_the_flip_suite():
+    # the criterion-6 setting: kinship problems under a depth-2 oracle
+    problems, kb = generate_kinship(100, 4, seed=606, validate=False)
+    backend = OracleBackend(dataclasses.replace(kb, reasoning_depth=2, seed=606))
+    derived = 0
+    for problem in problems:
+        facts = _chains_agree(backend, problem.premises)
+        derived += sum(1 for cost in facts.values() if cost > 0)
+    assert derived > 0
+
+
 def test_oracle_uses_accepted_commonsense_in_derivations():
     kb = _kb(["forall x (never_fires(x) -> never_fires(x))"], reasoning_depth=1)
     backend = OracleBackend(kb)
@@ -283,6 +328,25 @@ def test_oracle_relevance_accepts_entities_from_prior_clauses():
     clause = _clause([parse_literal("mom(A, B)")], parse_literal("mom(D, B)"))
     assert backend.relevance_score(premises, (), clause) == 0.0
     assert backend.relevance_score(premises, [prior], clause) == 1.0
+
+
+def test_oracle_relevance_knows_only_named_entities():
+    backend = OracleBackend(_kb(FOX_RULES))
+    sig = {}
+    problem = Problem(
+        id="rel",
+        entities={Entity("A"), Entity("B"), Entity("Z")},  # Z is declared, never named
+        premises=[parse_formula("mom(A, B)", signature=sig)],
+        query=parse_formula("mom(B, A)", signature=sig),
+    )
+    lit = parse_literal
+    introduced = _clause([lit("mom(A, B)")], lit("knows(A, New)"))
+    assert backend.relevance_score(problem.premises, [introduced], _clause(
+        [lit("mom(A, B)")], lit("mom(New, B)"))) == 1.0
+    assert backend.relevance_score(problem.premises, [introduced], _clause(
+        [lit("mom(A, B)")], lit("mom(Nobody, B)"))) == 0.0
+    assert backend.relevance_score(problem.premises, [introduced], _clause(
+        [lit("mom(A, B)")], lit("mom(Z, B)"))) == 0.0
 
 
 def test_oracle_score_noise_flips_deterministically():

@@ -176,6 +176,37 @@ def test_trace_inspection(tmp_path, capsys):
     assert code == 2
 
 
+def test_bad_oracle_kb_exits_2_naming_the_file(tmp_path, capsys):
+    problem = str(FIXTURES / "winter_fox" / "problem.json")
+    malformed = tmp_path / "kb.json"
+    malformed.write_text("{not json")
+    for kb in (malformed, tmp_path / "missing.json"):
+        code, out, err = run_cli(capsys, "solve", problem, "--oracle-kb", str(kb))
+        assert code == 2
+        assert str(kb) in err
+
+
+def test_bad_exemplars_exit_2_naming_the_file(tmp_path, capsys):
+    problem = tmp_path / "problem.json"
+    problem.write_bytes((FIXTURES / "winter_fox" / "problem.json").read_bytes())
+    exemplars = tmp_path / "exemplars.json"
+    wire = ("--backend", "wire", "--endpoint", "http://localhost:9", "--model", "m")
+    for text in ("[{", "[1, 2]"):
+        exemplars.write_text(text)
+        code, out, err = run_cli(capsys, "solve", str(problem), *wire)
+        assert code == 2
+        assert str(exemplars) in err
+
+
+def test_trace_with_a_non_json_line_exits_2(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    for bad in ("not json", "[1, 2]"):
+        trace.write_text('{"event": "result"}\n' + bad + "\n")
+        code, out, err = run_cli(capsys, "trace", str(trace))
+        assert code == 2
+        assert str(trace) in err and "line 2" in err
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"no_sc": True, "oracle_kb": str(FIXTURES / "winter_fox" / "kb.json")}))

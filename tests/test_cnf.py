@@ -2,7 +2,7 @@ import itertools
 import random
 
 from argos import _satcore
-from argos.cnf import to_clause_set
+from argos.cnf import CnfBuilder
 from argos.logic import Entity, ground
 from argos.parser import parse_formula
 
@@ -13,6 +13,13 @@ from _oracles import (
 )
 
 
+def _clauses(formulas):
+    builder = CnfBuilder()
+    for f in formulas:
+        builder.assert_formula(f)
+    return builder.cs
+
+
 def _satisfiable(cs) -> bool:
     solver = _satcore.Solver(cs.num_vars)
     for cl in cs.clauses:
@@ -21,7 +28,7 @@ def _satisfiable(cs) -> bool:
 
 
 def test_implication_becomes_single_clause():
-    cs = to_clause_set([parse_formula("A -> B")])
+    cs = _clauses([parse_formula("A -> B")])
     a = cs.var_map[parse_formula("A").atom]
     b = cs.var_map[parse_formula("B").atom]
     assert cs.clauses == [[-a, b]]
@@ -29,13 +36,13 @@ def test_implication_becomes_single_clause():
 
 
 def test_contradiction_unsatisfiable():
-    cs = to_clause_set([parse_formula("A & ~A")])
+    cs = _clauses([parse_formula("A & ~A")])
     assert not _satisfiable(cs)
 
 
 def test_biconditional_models_match_truth_table():
     # models restricted to {a,b,c} must equal the truth table of (A|B) <-> C
-    cs = to_clause_set([parse_formula("(A | B) <-> C")])
+    cs = _clauses([parse_formula("(A | B) <-> C")])
     names = ["A", "B", "C"]
     vars_ = {n: cs.var_map[parse_formula(n).atom] for n in names}
     projected = set()
@@ -54,13 +61,13 @@ def test_biconditional_models_match_truth_table():
 
 def test_var_map_covers_every_atom():
     f = parse_formula("~(P(a) & Q(a, b)) | (R <-> P(b))")
-    cs = to_clause_set([f])
+    cs = _clauses([f])
     names = {str(atom) for atom in cs.var_map}
     assert names == {"P(a)", "Q(a, b)", "R", "P(b)"}
 
 
 def test_aux_vars_flagged_and_disjoint():
-    cs = to_clause_set([parse_formula("(A & B) | (C & D)")])
+    cs = _clauses([parse_formula("(A & B) | (C & D)")])
     assert cs.aux_vars
     assert cs.aux_vars.isdisjoint(set(cs.var_map.values()))
     assert len(set(cs.var_map.values())) == len(cs.var_map)
@@ -70,7 +77,7 @@ def test_equisatisfiable_random_ground_formulas():
     rng = random.Random(31)
     for _ in range(200):
         f = random_ground_formula(rng, num_atoms=6)
-        cs = to_clause_set([f])
+        cs = _clauses([f])
         got = _satisfiable(cs)
         want = semantically_satisfiable(f, [])
         assert got == want
@@ -82,14 +89,14 @@ def test_equisatisfiable_random_quantified_formulas():
     for _ in range(100):
         f = random_quantified_formula(rng, universe, max_quantifiers=2, max_atoms=7)
         g = ground(f, universe)
-        cs = to_clause_set([g])
+        cs = _clauses([g])
         got = _satisfiable(cs)
         want = semantically_satisfiable(f, universe)
         assert got == want
 
 
 def test_dimacs_export():
-    cs = to_clause_set([parse_formula("A -> B"), parse_formula("A")])
+    cs = _clauses([parse_formula("A -> B"), parse_formula("A")])
     text = cs.to_dimacs()
     lines = text.strip().splitlines()
     header = [l for l in lines if l.startswith("p cnf")]

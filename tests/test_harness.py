@@ -2,9 +2,9 @@ import dataclasses
 
 import pytest
 
-from argos.backends import OracleBackend
+from argos.backends import OracleBackend, OracleKB
 from argos.corpus import Problem
-from argos.engine import CommonsenseClause, EngineConfig, SolveResult
+from argos.engine import CommonsenseClause, Engine, EngineConfig, SolveResult
 from argos.errors import ArgosError
 from argos.harness import (
     ProblemRecord,
@@ -14,6 +14,7 @@ from argos.harness import (
     flips_csv,
     parse_system_names,
     records_csv,
+    run_argos,
     run_sat_baseline,
     run_sc_baseline,
     run_suite,
@@ -21,8 +22,11 @@ from argos.harness import (
     useful_clause_count,
 )
 from argos.kinship import generate_kinship
-from argos.logic import Entity
+from argos.logic import Entity, formula_to_literal
 from argos.parser import parse_formula, parse_literal
+from argos.sat import SatSession
+
+from _oracles import reference_corruption, reference_useful_count
 
 
 def kinship_setup(count=8, depth=3, seed=7, reasoning_depth=0, noise=0.0):
@@ -112,9 +116,17 @@ def _kinship_problem():
     return problems[0], kb
 
 
+def _engine(problem, accepted=()):
+    """An engine on ``problem`` that has accepted ``accepted``, never solved."""
+    engine = Engine(problem, EngineConfig(), OracleBackend(OracleKB(())))
+    for clause in accepted:
+        engine.accept(clause)
+    return engine
+
+
 def test_corruption_empty_accepted_is_clean():
     problem, kb = _kinship_problem()
-    assert corruption_check(problem, [], kb) is False
+    assert corruption_check(_engine(problem), kb) is False
 
 
 def test_corruption_kb_instances_are_clean():
@@ -137,14 +149,60 @@ def test_corruption_detects_adversarial_clause():
         1.0,
         1.0,
     )
-    assert corruption_check(problem, [adversarial], kb) is True
+    assert corruption_check(_engine(problem, [adversarial]), kb) is True
+
+
+def _abduce_suite():
+    """The criterion-4 suite's first 18 problems at oracle depth 0."""
+    problems, kb = generate_kinship(18, 4, seed=404)
+    kb = dataclasses.replace(kb, reasoning_depth=0, seed=404)
+    config = EngineConfig(seed=404, generation_style="entity_pair", score_style="truth")
+    return problems, kb, config, OracleBackend(kb)
+
+
+def test_shared_session_checks_match_fresh_references():
+    problems, kb, config, backend = _abduce_suite()
+    for problem in problems:
+        engine = Engine(problem, config, backend)
+        result = engine.solve()
+        assert result.commonsense
+        assert corruption_check(engine, kb) == reference_corruption(
+            problem, result.commonsense, kb
+        )
+        assert useful_clause_count(engine, result) == reference_useful_count(problem, result)
+        # a clause that contradicts a stated fact must read as corruption too
+        fact = next(f for f in problem.premises if formula_to_literal(f) is not None)
+        stated = formula_to_literal(fact)
+        adversarial = CommonsenseClause((stated,), stated.negate(), 1.0, 1.0)
+        engine.accept(adversarial)
+        accepted = result.commonsense + [adversarial]
+        want = reference_corruption(problem, accepted, kb)
+        assert want is True
+        assert corruption_check(engine, kb) is want
+
+
+def test_run_argos_builds_one_session_per_problem(monkeypatch):
+    problems, kb, config, backend = _abduce_suite()
+    built = []
+    init = SatSession.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SatSession, "__init__", counting_init)
+    for problem in problems:
+        before = len(built)
+        record, _ = run_argos(problem, config, backend, kb)
+        assert record.corrupted is False and record.useful_clauses >= 1
+        assert len(built) - before == 1
 
 
 def test_corruption_requires_rules():
     problem, _ = _kinship_problem()
     problem = dataclasses.replace(problem, withheld_rules=[])
     with pytest.raises(ArgosError):
-        corruption_check(problem, [], kb=None)
+        corruption_check(_engine(problem), kb=None)
 
 
 # --- useful clauses ------------------------------------------------------------
@@ -181,7 +239,7 @@ def test_useful_clause_count_grounds_over_new_entities():
         query=parse_formula("exists y (H(y))", signature=sig),
     )
     result = _sat_result([_clause(["F(A)"], "G(NewGuy)")])
-    assert useful_clause_count(problem, result) == 1
+    assert useful_clause_count(_engine(problem, result.commonsense), result) == 1
 
 
 def test_useful_clause_count_skips_redundant_clause():
@@ -198,8 +256,9 @@ def test_useful_clause_count_skips_redundant_clause():
     )
     necessary = _clause(["P(A)"], "R(A)")
     redundant = _clause(["P(A)"], "T(A)")  # already entailed by the premises
-    assert useful_clause_count(problem, _sat_result([necessary, redundant])) == 1
-    assert useful_clause_count(problem, _sat_result([redundant, necessary])) == 1
+    for order in ([necessary, redundant], [redundant, necessary]):
+        result = _sat_result(order)
+        assert useful_clause_count(_engine(problem, order), result) == 1
 
 
 # --- flips ---------------------------------------------------------------------
