@@ -129,11 +129,16 @@ class Solver:
     # -- propagation ---------------------------------------------------------
 
     def _propagate(self):
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
+        # _lit_value is inlined: this loop makes most of the kernel's calls.
+        assigns = self.assigns
+        clauses = self.clauses
+        watches = self.watches
+        trail = self.trail
+        while self.qhead < len(trail):
+            p = trail[self.qhead]
             self.qhead += 1
             false_lit = p ^ 1
-            ws = self.watches[false_lit]
+            ws = watches[false_lit]
             new_ws = []
             n = len(ws)
             i = 0
@@ -141,12 +146,13 @@ class Solver:
             while i < n:
                 ci = ws[i]
                 i += 1
-                clause = self.clauses[ci]
+                clause = clauses[ci]
                 if clause[0] == false_lit:
                     clause[0] = clause[1]
                     clause[1] = false_lit
                 first = clause[0]
-                v0 = self._lit_value(first)
+                va = assigns[first >> 1]
+                v0 = -1 if va < 0 else va ^ (first & 1)
                 if v0 == 1:
                     new_ws.append(ci)
                     continue
@@ -155,10 +161,11 @@ class Solver:
                 m = len(clause)
                 while k < m:
                     lk = clause[k]
-                    if self._lit_value(lk) != 0:
+                    va = assigns[lk >> 1]
+                    if va < 0 or va ^ (lk & 1):
                         clause[1] = lk
                         clause[k] = false_lit
-                        self.watches[lk].append(ci)
+                        watches[lk].append(ci)
                         found = 1
                         break
                     k += 1
@@ -170,10 +177,10 @@ class Solver:
                     while i < n:
                         new_ws.append(ws[i])
                         i += 1
-                    self.qhead = len(self.trail)
+                    self.qhead = len(trail)
                     break
                 self._enqueue(first, ci)
-            self.watches[false_lit] = new_ws
+            watches[false_lit] = new_ws
             if confl >= 0:
                 return confl
         return -1
@@ -407,13 +414,40 @@ class Solver:
         """Truth of an external variable in the last satisfying model."""
         return self.model[var] == 1
 
-    def fixed_literals(self):
-        """Signed external literals assigned at decision level 0 by the last solve.
+    def propagated(self, assumptions=()):
+        """Signed external literals that unit propagation sets from the
+        clauses and ``assumptions``, each assumption on its own level, or
+        None when propagation meets a conflict.
 
-        The clauses alone entail them, so they hold under any assumptions.
+        The clauses and the assumptions entail every one of them; with no
+        assumptions they are the literals fixed at decision level 0.
         """
-        bound = self.trail_lim[0] if self.trail_lim else len(self.trail)
-        return [-(l >> 1) if l & 1 else l >> 1 for l in self.trail[:bound]]
+        if not self.ok:
+            return None
+        self._cancel_until(0)
+        confl = self._propagate()
+        for l in assumptions:
+            if confl >= 0:
+                break
+            v = l if l > 0 else -l
+            self.ensure_vars(v)
+            p = (l << 1) if l > 0 else ((v << 1) | 1)
+            val = self._lit_value(p)
+            if val == 0:
+                self._cancel_until(0)
+                return None
+            self.trail_lim.append(len(self.trail))
+            if val < 0:
+                self._enqueue(p, -1)
+                confl = self._propagate()
+        if confl >= 0:
+            if not self.trail_lim:
+                self.ok = False
+            self._cancel_until(0)
+            return None
+        out = [-(l >> 1) if l & 1 else l >> 1 for l in self.trail]
+        self._cancel_until(0)
+        return out
 
     def set_phases(self, lits):
         """Save each signed external literal as its variable's phase, so the

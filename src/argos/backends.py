@@ -354,7 +354,6 @@ class OracleKB:
         return [r.to_formula() for r in self.rules]
 
     def is_consistent(self) -> bool:
-        from .logic import ground
         from .sat import INCONSISTENT, sat_solve
 
         formulas = self.formulas()
@@ -362,8 +361,7 @@ class OracleKB:
         universe = sorted(constants, key=lambda e: e.name) or [Entity("_e1")]
         extra = [Entity(f"_e{i}") for i in range(1, 4)]
         pool = sorted(set(universe) | set(extra), key=lambda e: e.name)
-        grounded = [ground(f, pool) for f in formulas]
-        conclusion, _ = sat_solve(grounded, with_backbone=False)
+        conclusion, _ = sat_solve(formulas, with_backbone=False, universe=pool)
         return conclusion.verdict != INCONSISTENT
 
 

@@ -1,18 +1,34 @@
-"""Equisatisfiable clause-form conversion for ground formulas.
+"""Clause-form conversion: quantified clauses as literal templates, and a
+definitional (Tseitin) encoding for every other formula.
 
-Complex subformulas get definitional auxiliary variables with full
-biconditional encodings, so models of the clause set project exactly onto
-models of the source formulas. Auxiliary variables are tracked separately:
-the backbone and the abduction search never see them.
+A universally quantified clause is a ``forall`` prefix over a disjunction of
+literals, reached through Or, Implies, Not and negated And, as in
+``forall x forall y (aunt(x, y) -> ~brother(x, y))``. It compiles once into a
+literal template, and its instances over the universe go straight into
+integer clauses: no ground formula tree is built, and an atom already seen
+is found by its predicate and entity ids without building it again. An
+instance already asserted under the same guard is dropped. A
+quantifier-free clause becomes one clause, literals in written order, with
+no auxiliary variable and no deduplication.
+
+Every other formula (an ``Exists``, an ``Iff``, a non-clausal body) is
+grounded by :func:`argos.logic.ground`, with its errors, and encoded with
+definitional auxiliary variables whose full biconditional encodings make
+models of the clause set project exactly onto models of the source
+formulas. Auxiliary variables are tracked separately: the backbone and the
+abduction search never see them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import product
+from operator import itemgetter
+from typing import Optional, Sequence
 
+from . import logic
 from .errors import GroundingError
-from .logic import And, Atom, AtomNode, Formula, Iff, Implies, Not, Or
+from .logic import And, Atom, AtomNode, Entity, ForAll, Formula, Iff, Implies, Not, Or, Var
 
 
 @dataclass
@@ -52,18 +68,35 @@ class ClauseSet:
 
 
 class CnfBuilder:
-    """Incrementally encode ground formulas into one ClauseSet."""
+    """Incrementally encode formulas into one ClauseSet."""
 
     def __init__(self):
         self.cs = ClauseSet()
         self._defs: dict[Formula, int] = {}
+        self._ids: dict[object, int] = {}  # predicate or term -> symbol id
+        self._symbols: list = []  # symbol id -> predicate or term
+        self._atom_vars: dict[tuple[int, ...], int] = {}  # (predicate id, *term ids) -> var
+        self._instances: set[frozenset[int]] = set()  # template instances asserted so far
+
+    def _intern(self, symbol) -> int:
+        i = self._ids.get(symbol)
+        if i is None:
+            i = self._ids[symbol] = len(self._symbols)
+            self._symbols.append(symbol)
+        return i
 
     def atom_var(self, atom: Atom) -> int:
         v = self.cs.var_map.get(atom)
         if v is None:
-            self.cs.num_vars += 1
-            v = self.cs.num_vars
-            self.cs.var_map[atom] = v
+            key = tuple(map(self._intern, (atom.predicate,) + atom.args))
+            v = self._new_atom_var(atom, key)
+        return v
+
+    def _new_atom_var(self, atom: Atom, key: tuple[int, ...]) -> int:
+        self.cs.num_vars += 1
+        v = self.cs.num_vars
+        self.cs.var_map[atom] = v
+        self._atom_vars[key] = v
         return v
 
     def new_aux(self) -> int:
@@ -75,7 +108,8 @@ class CnfBuilder:
         self.cs.clauses.append(clause)
 
     def encode(self, f: Formula) -> int:
-        """Return a literal equivalent to f, adding definitional clauses."""
+        """Return a literal equivalent to the ground formula f, adding
+        definitional clauses."""
         f = _squash(f)
         if isinstance(f, AtomNode):
             return self.atom_var(f.atom)
@@ -111,14 +145,84 @@ class CnfBuilder:
         self._defs[f] = d
         return d
 
-    def assert_formula(self, f: Formula, guard: Optional[int] = None) -> None:
-        """Constrain the clause set so that f must hold (only while ``guard``
-        is true, when given: every clause asserted for f then holds -guard)."""
+    def assert_formula(
+        self,
+        f: Formula,
+        guard: Optional[int] = None,
+        members: Sequence[Entity] = (),
+    ) -> None:
+        """Constrain the clause set so that f holds over the universe
+        ``members`` (sorted by name), only while ``guard`` is true when one is
+        given: every clause asserted for f then holds -guard."""
         off = [] if guard is None else [-guard]
+        parts = [f]
+        while parts:
+            g = _squash(parts.pop())
+            if isinstance(g, And):
+                parts += [g.right, g.left]
+                continue
+            template = _template(g)
+            if template is None or (template[0] and not members):
+                self._assert_ground(logic.ground(g, members), off)
+                continue
+            names, literals = template
+            if names:
+                self._assert_instances(names, literals, members, off)
+            else:
+                clause = [self.atom_var(a) if pos else -self.atom_var(a) for a, pos in literals]
+                self._add(clause + off)
+
+    def _assert_instances(self, names, literals, members, off) -> None:
+        """One clause per assignment of ``members`` to ``names`` (the first
+        name outermost, as :func:`argos.logic.ground` expands them), unless
+        the same clause was asserted before."""
+        k = len(names)
+        slot = {name: i for i, name in enumerate(names)}
+        # Each literal reads its atom's key out of ``combo + tail``: the
+        # entity ids of one assignment, then the predicate and constant ids.
+        tail: list[int] = []
+        compiled = []
+        for atom, positive in literals:
+            positions = [k + len(tail)]
+            tail.append(self._intern(atom.predicate))
+            for a in atom.args:
+                if isinstance(a, Var):
+                    positions.append(slot[a.name])
+                else:
+                    positions.append(k + len(tail))
+                    tail.append(self._intern(a))
+            if len(positions) == 1:
+                key = (tail[-1],)
+                read = lambda vals, key=key: key  # noqa: E731
+            else:
+                read = itemgetter(*positions)
+            compiled.append((read, positive, atom.predicate))
+        tail_ids = tuple(tail)
+        ids = [self._intern(e) for e in members]
+        atom_vars, instances, clauses = self._atom_vars, self._instances, self.cs.clauses
+        symbols = self._symbols
+        for combo in product(ids, repeat=k):
+            vals = combo + tail_ids
+            clause = []
+            for read, positive, predicate in compiled:
+                key = read(vals)
+                v = atom_vars.get(key)
+                if v is None:
+                    atom = Atom(predicate, tuple(symbols[i] for i in key[1:]))
+                    v = self._new_atom_var(atom, key)
+                clause.append(v if positive else -v)
+            clause += off
+            mark = frozenset(clause)
+            if mark not in instances:
+                instances.add(mark)
+                clauses.append(clause)
+
+    def _assert_ground(self, f: Formula, off: list[int]) -> None:
+        """The tree encoding of a ground formula."""
         f = _squash(f)
         if isinstance(f, And):
-            self.assert_formula(f.left, guard)
-            self.assert_formula(f.right, guard)
+            self._assert_ground(f.left, off)
+            self._assert_ground(f.right, off)
             return
         if isinstance(f, Iff):
             x = self.encode(f.left)
@@ -127,6 +231,48 @@ class CnfBuilder:
             self._add([x, -y] + off)
             return
         self._add([self.encode(d) for d in _disjuncts(f)] + off)
+
+
+def _template(f: Formula) -> Optional[tuple[list[str], list[tuple[Atom, bool]]]]:
+    """The bound variable names and the signed atoms of a universally
+    quantified clause, or None when f is not one that the template path
+    takes: a repeated or unbound variable name, or more than
+    :data:`argos.logic.DEPTH_LIMIT` quantifiers, go to ``ground``."""
+    names = []
+    while isinstance(f, ForAll):
+        names.append(f.var.name)
+        f = f.body
+    if len(names) > logic.DEPTH_LIMIT or len(set(names)) < len(names):
+        return None
+    literals = _clause_literals(f, True)
+    if literals is None:
+        return None
+    bound = set(names)
+    for atom, _ in literals:
+        for a in atom.args:
+            if isinstance(a, Var) and a.name not in bound:
+                return None
+    return names, literals
+
+
+def _clause_literals(f: Formula, positive: bool) -> Optional[list[tuple[Atom, bool]]]:
+    """The literals of the disjunction equivalent to f (to ~f when not
+    ``positive``), left to right, or None when there is none."""
+    if isinstance(f, AtomNode):
+        return [(f.atom, positive)]
+    if isinstance(f, Not):
+        return _clause_literals(f.operand, not positive)
+    if positive and isinstance(f, Or):
+        left, right = _clause_literals(f.left, True), _clause_literals(f.right, True)
+    elif positive and isinstance(f, Implies):
+        left, right = _clause_literals(f.left, False), _clause_literals(f.right, True)
+    elif not positive and isinstance(f, And):
+        left, right = _clause_literals(f.left, False), _clause_literals(f.right, False)
+    else:
+        return None
+    if left is None or right is None:
+        return None
+    return left + right
 
 
 def _squash(f: Formula) -> Formula:

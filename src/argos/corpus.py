@@ -117,9 +117,9 @@ def check_restored(problem: Problem, where) -> None:
     from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, sat_solve
 
     universe = sorted(problem.universe(), key=lambda e: e.name)
-    formulas = [ground(f, universe) for f in problem.premises + problem.withheld_rules]
     query = ground(problem.query, universe)
-    conclusion, _ = sat_solve(formulas, query, with_backbone=False)
+    formulas = problem.premises + problem.withheld_rules
+    conclusion, _ = sat_solve(formulas, query, with_backbone=False, universe=universe)
     if conclusion.verdict not in (ENTAILS_QUERY, ENTAILS_NOT_QUERY):
         raise CorpusError(
             f"{where}: field 'withheld_rules': restoring them does not decide the query"

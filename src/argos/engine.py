@@ -187,8 +187,7 @@ class Engine:
         with every accepted clause behind its own selector."""
         members = sorted(self.universe, key=lambda e: e.name)
         self.session = SatSession(
-            [ground(f, members) for f in self.problem.premises],
-            ground(self.problem.query, members),
+            self.problem.premises, ground(self.problem.query, members), universe=members
         )
         self.selectors = self.session.add_guarded(c.to_formula() for c in self.accepted)
 

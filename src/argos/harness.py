@@ -105,8 +105,9 @@ def _coin(seed: int, problem_id: str) -> bool:
 def run_sat_baseline(problem: Problem, config: EngineConfig) -> ProblemRecord:
     """Solver only; an undecided problem is answered by a seeded coin flip."""
     members = sorted(problem.universe(), key=lambda e: e.name)
-    premises = [ground(f, members) for f in problem.premises]
-    conclusion, _ = sat_solve(premises, ground(problem.query, members), with_backbone=False)
+    conclusion, _ = sat_solve(
+        problem.premises, ground(problem.query, members), with_backbone=False, universe=members
+    )
     if conclusion.verdict == ENTAILS_QUERY:
         verdict, decided_by, confidence = True, DECIDED_BY_SAT, 1.0
     elif conclusion.verdict == ENTAILS_NOT_QUERY:
@@ -150,8 +151,8 @@ def corruption_check(engine: Engine, kb=None) -> bool:
     The fully informed problem restores the withheld rules (or, failing
     that, the oracle rule base); corruption means the restored-plus-accepted
     set decides differently or has become inconsistent. The restored rules
-    join the engine's own session behind one selector, ground over its
-    universe, so both verdicts are decisions under assumptions: that
+    join the engine's own session behind one selector, over its universe,
+    so both verdicts are decisions under assumptions: that
     selector alone, then with the accepted clauses' selectors too.
     """
     problem = engine.problem
@@ -160,9 +161,8 @@ def corruption_check(engine: Engine, kb=None) -> bool:
         restored = kb.formulas()
     if not restored:
         raise ArgosError(f"{problem.id}: no withheld rules and no rule base to restore")
-    members = sorted(engine.universe, key=lambda e: e.name)
     session = engine.session
-    informed = session.add_guarded([conj([ground(f, members) for f in restored])])
+    informed = session.add_guarded([conj(restored)])
     base, _ = session.decide(with_backbone=False, assumptions=informed)
     if base.verdict not in (ENTAILS_QUERY, ENTAILS_NOT_QUERY):
         raise ArgosError(f"{problem.id}: restored problem is undecided")

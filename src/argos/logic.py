@@ -323,8 +323,10 @@ class HornRule:
 
 # --- grounding -------------------------------------------------------------
 
+DEPTH_LIMIT = 8  # quantifier nesting that grounding expands
 
-def ground(f: Formula, universe: Iterable[Entity], depth_limit: int = 8) -> Formula:
+
+def ground(f: Formula, universe: Iterable[Entity], depth_limit: int = DEPTH_LIMIT) -> Formula:
     """Expand quantifiers over a finite universe.
 
     Every ``forall x phi`` becomes a conjunction over the universe and every

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 from . import _satcore
 from .cnf import ClauseSet, CnfBuilder
 from .errors import SolverBudgetExceeded
-from .logic import Formula, Literal, iter_atoms
+from .logic import Entity, Formula, Literal, ground, is_quantifier_free, iter_atoms
 
 DEFAULT_CONFLICT_BUDGET = 10**6
 
@@ -66,14 +66,15 @@ def compute_backbone(
 
     Starts from one model: ``_model``, a ``Solver.model`` of ``cs`` under
     ``assumptions`` that the caller has just found, or else one solve. The
-    literals fixed at decision level 0 are entailed by the clauses alone, so
-    they join the backbone without a probe. Every other literal stays a
-    candidate only while it has been true in every model seen, and each
-    survivor is settled by one assumption-based solve whose countermodel
-    prunes the rest. Before each probe the saved phases steer the search off
-    every candidate (each gets the complement of its value, every other
-    domain variable its value in the first model), so one countermodel can
-    refute a candidate in each independent part of the formula at once.
+    literals that unit propagation sets from the clauses and the assumptions
+    are entailed, so they join the backbone without a probe. Every other
+    literal stays a candidate only while it has been true in every model
+    seen, and each survivor is settled by one assumption-based solve whose
+    countermodel prunes the rest. Before each probe the saved phases steer
+    the search off every candidate (each gets the complement of its value,
+    every other domain variable its value in the first model), so one
+    countermodel can refute a candidate in each independent part of the
+    formula at once.
     Restricted to non-auxiliary variables (optionally further via
     ``restrict_vars``).
     """
@@ -92,7 +93,8 @@ def compute_backbone(
         if restrict_vars is None or v in restrict_vars
     )
     first = {v: v if _model[v] == 1 else -v for v in domain}
-    backbone = {abs(l): l for l in solver.fixed_literals() if abs(l) in first}
+    implied = solver.propagated(assumed) or ()
+    backbone = {abs(l): l for l in implied if abs(l) in first}
     candidate = {v: l for v, l in first.items() if v not in backbone}
     for v in domain:
         if v not in candidate:
@@ -120,6 +122,8 @@ class SatSession:
 
     Formulas only accumulate, so learned clauses stay sound across calls and
     the premise encoding is paid once per problem rather than per iteration.
+    Quantified formulas range over ``universe``; each universally quantified
+    clause goes straight from its literal template into clauses.
     Query atoms that never occur in the asserted formulas are kept out of
     the backbone domain; so are selectors, which are auxiliary variables.
     """
@@ -129,8 +133,10 @@ class SatSession:
         premises: Iterable[Formula] = (),
         query: Optional[Formula] = None,
         conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
+        universe: Iterable[Entity] = (),
     ):
         self.builder = CnfBuilder()
+        self.members = sorted(set(universe), key=lambda e: e.name)
         self.solver = _satcore.Solver()
         self.conflict_budget = conflict_budget
         self._loaded = 0
@@ -142,9 +148,10 @@ class SatSession:
 
     def add_formulas(self, formulas: Iterable[Formula], guard: Optional[int] = None) -> None:
         for f in formulas:
-            self.builder.assert_formula(f, guard)
+            self.builder.assert_formula(f, guard, self.members)
             if self._query_only:
-                for atom in iter_atoms(f):
+                instances = f if is_quantifier_free(f) else ground(f, self.members)
+                for atom in iter_atoms(instances):
                     self._query_only.discard(self.builder.cs.var_map.get(atom, 0))
 
     def add_guarded(self, formulas: Iterable[Formula]) -> list[int]:
@@ -233,8 +240,10 @@ def sat_solve(
     query: Optional[Formula] = None,
     conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
     with_backbone: bool = True,
+    universe: Iterable[Entity] = (),
 ) -> tuple[SatConclusion, Optional[Backbone]]:
-    """Decide the query against the premises, with backbone.
+    """Decide the query against the premises, quantified over ``universe``,
+    with backbone.
 
     Verdicts: entails-query iff adding the negated query is unsatisfiable,
     entails-not-query iff adding the query is, inconsistent-premises iff the
@@ -243,4 +252,5 @@ def sat_solve(
     is satisfiable. A blown conflict budget degrades to an unknown verdict
     with no backbone rather than raising.
     """
-    return SatSession(premises, query, conflict_budget).decide(with_backbone=with_backbone)
+    session = SatSession(premises, query, conflict_budget, universe)
+    return session.decide(with_backbone=with_backbone)

@@ -1,14 +1,34 @@
 import itertools
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from argos import _satcore
 from argos.cnf import CnfBuilder
-from argos.logic import Entity, ground
+from argos.errors import GroundingError
+from argos.logic import (
+    And,
+    Atom,
+    AtomNode,
+    Entity,
+    ForAll,
+    Implies,
+    Not,
+    Or,
+    Predicate,
+    Var,
+    ground,
+)
 from argos.parser import parse_formula
+from argos.sat import SatSession
 
 from _oracles import (
+    cnf_models_mask,
     random_ground_formula,
     random_quantified_formula,
+    semantic_models_mask,
     semantically_satisfiable,
 )
 
@@ -104,3 +124,165 @@ def test_dimacs_export():
     for line in lines:
         if not line.startswith(("c", "p")):
             assert line.endswith(" 0")
+
+
+# --- quantified clauses as literal templates ---------------------------------
+
+_ENTITIES = [Entity("A"), Entity("B"), Entity("C")]
+_PREDICATES = [Predicate("p", 0), Predicate("q", 1), Predicate("r", 2)]
+
+
+def _lit(atom, positive):
+    node = AtomNode(atom)
+    return node if positive else Not(node)
+
+
+def _negated(lits):
+    return [(atom, not positive) for atom, positive in lits]
+
+
+@st.composite
+def _disjunction(draw, lits):
+    """A formula equivalent to the disjunction of ``lits``, written through
+    Or, Implies, negated And and double negation."""
+    if len(lits) == 1:
+        atom, positive = lits[0]
+        node = _lit(atom, positive)
+        return Not(Not(node)) if draw(st.booleans()) else node
+    cut = draw(st.integers(1, len(lits) - 1))
+    left, right = lits[:cut], lits[cut:]
+    shape = draw(st.sampled_from(["or", "implies", "not-and"]))
+    if shape == "or":
+        return Or(draw(_disjunction(left)), draw(_disjunction(right)))
+    if shape == "implies":
+        return Implies(draw(_conjunction(_negated(left))), draw(_disjunction(right)))
+    return Not(draw(_conjunction(_negated(lits))))
+
+
+@st.composite
+def _conjunction(draw, lits):
+    """A formula equivalent to the conjunction of ``lits``."""
+    if len(lits) == 1:
+        atom, positive = lits[0]
+        return _lit(atom, positive)
+    cut = draw(st.integers(1, len(lits) - 1))
+    if draw(st.booleans()):
+        return And(draw(_conjunction(lits[:cut])), draw(_conjunction(lits[cut:])))
+    return Not(draw(_disjunction(_negated(lits))))
+
+
+@st.composite
+def _universal_clause(draw):
+    """A universal clause over 0-3 variables with constants and repeated
+    variables, and a universe of 1-3 entities."""
+    members = _ENTITIES[: draw(st.integers(1, 3))]
+    names = ["x", "y", "z"][: draw(st.integers(0, 3))]
+    terms = st.sampled_from([Var(n) for n in names] + members)
+    lits = []
+    for _ in range(draw(st.integers(1, 3))):
+        predicate = draw(st.sampled_from(_PREDICATES))
+        args = tuple(draw(terms) for _ in range(predicate.arity))
+        lits.append((Atom(predicate, args), draw(st.booleans())))
+    f = draw(_disjunction(lits))
+    for name in reversed(names):
+        f = ForAll(Var(name), f)
+    return f, members
+
+
+def _projected_models(cs, atoms):
+    """The semantic_models_mask-style mask of cs's models projected onto atoms."""
+    n = cs.num_vars
+    mask = cnf_models_mask(cs.clauses, n)
+    index = [cs.var_map[a] - 1 for a in atoms]
+    out = 0
+    for i in range(1 << n):
+        if mask >> i & 1:
+            out |= 1 << sum(1 << j for j, bit in enumerate(index) if i >> bit & 1)
+    return out
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_universal_clause())
+def test_template_models_match_semantics(case):
+    f, members = case
+    cs = SatSession([f], universe=members).clause_set()
+    want, atoms = semantic_models_mask(f, members)
+    assert set(cs.var_map) == set(atoms)
+    assert not cs.aux_vars
+    assert _projected_models(cs, atoms) == want
+
+
+def _atom(name, *args):
+    return AtomNode(Atom(Predicate(name, len(args)), args))
+
+
+def _depth_nine():
+    f = _atom("F", Var("x0"))
+    for i in range(9):
+        f = ForAll(Var(f"x{i}"), f)
+    return f
+
+
+_ERRORS = {
+    "empty universe": (parse_formula("forall x (F(x))"), []),
+    "unbound variable": (
+        ForAll(Var("x"), Implies(_atom("F", Var("x"), Var("y")), _atom("G", Var("x")))),
+        [Entity("A")],
+    ),
+    "unbound without quantifier": (
+        Or(_atom("F", Var("x")), _atom("G", Entity("A"))),
+        [Entity("A")],
+    ),
+    "depth above limit": (_depth_nine(), [Entity("A")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ERRORS))
+def test_template_errors_match_ground(case):
+    f, members = _ERRORS[case]
+    with pytest.raises(GroundingError) as want:
+        ground(f, members)
+    with pytest.raises(GroundingError) as got:
+        SatSession([f], universe=members)
+    assert str(got.value) == str(want.value)
+
+
+def test_shadowed_variable_falls_back_to_ground():
+    # The inner x shadows the outer one, as ground() reads it.
+    f = parse_formula("forall x forall x (F(x) -> G(x))")
+    members = [Entity("A"), Entity("B")]
+    cs = SatSession([f], universe=members).clause_set()
+    want = SatSession([ground(f, members)]).clause_set()
+    assert cs.clauses == want.clauses and cs.var_map == want.var_map
+
+
+def test_mirrored_disjointness_pair_emits_each_instance_once():
+    members = [Entity(name) for name in "ABC"]
+    pair = [
+        parse_formula("forall x forall y (aunt(x, y) -> ~brother(x, y))"),
+        parse_formula("forall x forall y (brother(x, y) -> ~aunt(x, y))"),
+    ]
+    cs = SatSession(pair, universe=members).clause_set()
+    assert len(cs.clauses) == len(members) ** 2
+    assert len({frozenset(c) for c in cs.clauses}) == len(members) ** 2
+
+
+def test_duplicate_instances_kept_apart_by_guard():
+    f = parse_formula("forall x (F(x) -> G(x))")
+    session = SatSession([f], universe=[Entity("A")])
+    session.add_guarded([f, f])
+    assert len(session.clause_set().clauses) == 3
+
+
+def test_quantifier_free_duplicates_keep_order():
+    formulas = [parse_formula(t) for t in ["A | ~B", "B | C", "A | ~B", "~C | A | ~C"]]
+    cs = _clauses(formulas)
+    a, b, c = (cs.var_map[parse_formula(n).atom] for n in "ABC")
+    assert cs.clauses == [[a, -b], [b, c], [a, -b], [-c, a, -c]]
+
+
+def test_ground_horn_rule_is_one_clause():
+    cs = _clauses([parse_formula("A & B -> C")])
+    a, b, c = (cs.var_map[parse_formula(n).atom] for n in "ABC")
+    assert cs.clauses == [[-a, -b, c]]
+    assert not cs.aux_vars and cs.num_vars == 3

@@ -452,3 +452,66 @@ def test_kinship_backbone_probe_count(monkeypatch):
     _, backbone = session.decide()
     assert backbone is not None and len(backbone) > 0
     assert len(calls) <= 20
+
+
+# --- literals that the assumptions propagate ---------------------------------------
+
+
+def test_propagated_returns_the_trail_or_none():
+    solver = _kernel(_cs_from_ints([[1], [-1, 2], [-3, 4], [-4, -5]], 5))
+    assert set(solver.propagated()) == {1, 2}
+    assert set(solver.propagated([3])) == {1, 2, 3, 4, -5}
+    assert solver.propagated([3, 5]) is None
+    assert solver.propagated([-2]) is None
+    assert solver.solve() == _satcore.SAT  # a conflict under assumptions is not global
+
+
+@st.composite
+def _selected_case(draw):
+    n, clauses = draw(_CNF)
+    selectors = list(range(n + 1, n + 4))
+    for s in selectors:
+        for clause in draw(st.lists(st.lists(_literal(n), min_size=1, max_size=3), max_size=3)):
+            clauses.append(clause + [-s])
+    chosen = draw(st.lists(st.sampled_from(selectors), unique=True, max_size=3))
+    return n + 3, clauses, chosen
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_selected_case())
+def test_backbone_under_selectors_matches_brute_force(case):
+    n, clauses, chosen = case
+    units = [[s] for s in chosen]
+    if not brute_force_sat(clauses + units, n):
+        return
+    backbone = compute_backbone(_cs_from_ints(clauses, n), assumptions=chosen)
+    assert _signed(backbone) == brute_force_backbone(clauses + units, n)
+
+
+def test_selector_propagated_literals_get_no_probe(monkeypatch):
+    session = SatSession([parse_formula("C | D")])
+    selectors = session.add_guarded([parse_formula("A"), parse_formula("A -> B")])
+    var_map = session.clause_set().var_map
+    forced = {var_map[parse_formula(n).atom] for n in "AB"}
+    solve = _satcore.Solver.solve
+    probed = []
+
+    def counted(self, assumptions=(), *args, **kwargs):
+        if len(assumptions) > len(selectors):
+            probed.append(abs(assumptions[-1]))
+        return solve(self, assumptions, *args, **kwargs)
+
+    monkeypatch.setattr(_satcore.Solver, "solve", counted)
+    _, backbone = session.decide(assumptions=selectors)
+    assert {str(l) for l in backbone.literals} == {"A", "B"}
+    assert probed and not forced & set(probed)
+
+
+def test_query_atom_joins_backbone_once_a_quantified_formula_names_it():
+    from argos.logic import Entity
+
+    session = SatSession([parse_formula("P(A)")], parse_formula("Q(A)"), universe=[Entity("A")])
+    selectors = session.add_guarded([parse_formula("forall x (P(x) -> Q(x))")])
+    conclusion, backbone = session.decide(assumptions=selectors)
+    assert conclusion.verdict == ENTAILS_QUERY
+    assert {str(l) for l in backbone.literals} == {"P(A)", "Q(A)"}
