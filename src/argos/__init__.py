@@ -18,10 +18,9 @@ from .engine import (
     CommonsenseClause,
     Engine,
     EngineConfig,
-    LiteralScore,
     SolveResult,
+    entity_scores,
     pair_order,
-    score_literal,
     solve,
 )
 from .errors import ArgosError
@@ -65,7 +64,6 @@ __all__ = [
     "Formula",
     "HornRule",
     "Literal",
-    "LiteralScore",
     "OracleBackend",
     "OracleKB",
     "Predicate",
@@ -78,6 +76,7 @@ __all__ = [
     "WireBackend",
     "compute_backbone",
     "corruption_check",
+    "entity_scores",
     "flip_analysis",
     "generate_kinship",
     "ground",
@@ -90,6 +89,5 @@ __all__ = [
     "run_suite",
     "sat_solve",
     "save_problem",
-    "score_literal",
     "solve",
 ]

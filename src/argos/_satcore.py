@@ -1,14 +1,16 @@
 """Conflict-driven clause-learning SAT kernel with an assumption interface.
 
 MiniSat-style two-watched-literal propagation, first-UIP clause learning,
-activity-based decisions taken from an indexed binary heap (highest activity
-first, the lowest variable index among equals), phase saving and Luby
-restarts. There is no randomness anywhere: identical clause streams and
-identical assumption lists always produce identical behaviour.
+activity-based decisions taken from a heapq decision order with lazy deletion
+(highest activity first, the lowest variable index among equals), phase
+saving and Luby restarts. There is no randomness anywhere: identical clause
+streams and identical assumption lists always produce identical behaviour.
 
 External literals are signed 1-indexed ints (DIMACS convention); internally
 a literal is ``2*v`` (positive) or ``2*v + 1`` (negative).
 """
+
+from heapq import heapify, heappop, heappush
 
 SAT = 1
 UNSAT = 0
@@ -18,6 +20,7 @@ _RESCALE = 1e100
 _INV_RESCALE = 1e-100
 _VAR_DECAY = 1.0 / 0.95
 _RESTART_BASE = 100
+_HEAP_SLACK = 4  # rebuild the heap once it holds more entries than this per variable
 
 
 def _luby(i):
@@ -45,8 +48,8 @@ class Solver:
         self.phase = [0]
         self.activity = [0.0]
         self.seen = [0]
-        self.heap = []  # decision order: every unassigned variable, lazily some assigned
-        self.heap_pos = [-1]  # index of each variable in heap, -1 when absent
+        self.heap = []  # (-activity, variable) entries, some of them stale
+        self.in_heap = [False]  # whether the variable's current entry is in heap
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
@@ -65,8 +68,8 @@ class Solver:
             self.phase.append(0)
             self.activity.append(0.0)
             self.seen.append(0)
-            self.heap_pos.append(-1)
-            self._heap_insert(self.num_vars)
+            self.in_heap.append(True)
+            heappush(self.heap, (-0.0, self.num_vars))
             self.watches.append([])
             self.watches.append([])
 
@@ -194,8 +197,8 @@ class Solver:
                 self.activity[u] *= _INV_RESCALE
             self.var_inc *= _INV_RESCALE
             self._heap_rebuild()  # rounding can tie activities that differed
-        elif self.heap_pos[v] >= 0:
-            self._heap_up(self.heap_pos[v])
+        elif self.in_heap[v]:
+            heappush(self.heap, (-self.activity[v], v))
 
     def _analyze(self, confl):
         learnt = [0]
@@ -246,90 +249,48 @@ class Solver:
         if len(self.trail_lim) <= lvl:
             return
         bound = self.trail_lim[lvl]
-        heap_pos = self.heap_pos
+        heap = self.heap
+        in_heap = self.in_heap
+        activity = self.activity
         for i in range(len(self.trail) - 1, bound - 1, -1):
             v = self.trail[i] >> 1
             self.phase[v] = self.assigns[v]
             self.assigns[v] = -1
             self.reason[v] = -1
-            if heap_pos[v] < 0:
-                self._heap_insert(v)
+            if not in_heap[v]:
+                in_heap[v] = True
+                heappush(heap, (-activity[v], v))
         del self.trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = len(self.trail)
+        if len(heap) > _HEAP_SLACK * self.num_vars:
+            self._heap_rebuild()
 
-    # -- decision heap -----------------------------------------------------------
-    # A variable goes before another when its activity is higher, or equal with
-    # a lower index. That order has no ties, so the heap's top is the variable a
-    # full scan for the most active one (first found among equals) would pick.
-
-    def _heap_up(self, i):
-        heap = self.heap
-        pos = self.heap_pos
-        act = self.activity
-        v = heap[i]
-        a = act[v]
-        while i:
-            parent = (i - 1) >> 1
-            u = heap[parent]
-            au = act[u]
-            if au > a or (au == a and u < v):
-                break
-            heap[i] = u
-            pos[u] = i
-            i = parent
-        heap[i] = v
-        pos[v] = i
-
-    def _heap_down(self, i):
-        heap = self.heap
-        pos = self.heap_pos
-        act = self.activity
-        n = len(heap)
-        v = heap[i]
-        a = act[v]
-        while True:
-            child = 2 * i + 1
-            if child >= n:
-                break
-            c = heap[child]
-            ac = act[c]
-            if child + 1 < n:
-                r = heap[child + 1]
-                ar = act[r]
-                if ar > ac or (ar == ac and r < c):
-                    child += 1
-                    c = r
-                    ac = ar
-            if a > ac or (a == ac and v < c):
-                break
-            heap[i] = c
-            pos[c] = i
-            i = child
-        heap[i] = v
-        pos[v] = i
-
-    def _heap_insert(self, v):
-        self.heap_pos[v] = len(self.heap)
-        self.heap.append(v)
-        self._heap_up(len(self.heap) - 1)
+    # -- decision order ------------------------------------------------------------
+    # The smallest entry (-activity[v], v) is the most active variable, the
+    # lowest index among equals: the variable a full scan for the most active
+    # one (first found among equals) would pick. A bump leaves the variable's
+    # older entries behind as stale; a pop clears the flag, so an entry of an
+    # unflagged variable is stale too. Assigned variables are dropped lazily.
 
     def _heap_rebuild(self):
         act = self.activity
-        self.heap.sort(key=lambda v: (-act[v], v))  # a sorted array is a heap
-        for i, v in enumerate(self.heap):
-            self.heap_pos[v] = i
+        in_heap = self.in_heap
+        heap = self.heap
+        heap[:] = [(-act[v], v) for v in range(1, self.num_vars + 1) if in_heap[v]]
+        heapify(heap)
 
     def _pick_branch(self):
         heap = self.heap
+        act = self.activity
+        in_heap = self.in_heap
+        assigns = self.assigns
         while heap:
-            v = heap[0]
-            last = heap.pop()
-            self.heap_pos[v] = -1
-            if heap:
-                heap[0] = last
-                self._heap_down(0)
-            if self.assigns[v] < 0:
+            neg, v = heappop(heap)
+            if -neg != act[v] or not in_heap[v]:
+                continue
+            in_heap[v] = False
+            if assigns[v] < 0:
                 return v
         return -1
 

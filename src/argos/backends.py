@@ -51,6 +51,8 @@ TRUTH_STYLE = "truth"
 MAX_GENERATE_TOKENS = 25
 MAX_SCORE_TOKENS = 1
 MAX_COT_TOKENS = 300
+# The longest Retry-After a 429 may ask for before the request gives up.
+MAX_RETRY_AFTER_S = 60
 
 
 @dataclass(frozen=True)
@@ -644,6 +646,20 @@ _YES_TOKENS = ("yes",)
 _NO_TOKENS = ("no",)
 
 
+def _retry_after(resp, default: float) -> float:
+    """Seconds a 429 response asks to wait: its ``Retry-After`` header when that
+    is a whole number of seconds, else ``default``."""
+    value = str((getattr(resp, "headers", None) or {}).get("Retry-After", "")).strip()
+    if not (value.isascii() and value.isdigit()):
+        return default  # absent, negative, fractional or an HTTP date
+    seconds = int(value)
+    if seconds > MAX_RETRY_AFTER_S:
+        raise BackendExhausted(
+            f"rate limited: Retry-After {seconds} s exceeds {MAX_RETRY_AFTER_S} s"
+        )
+    return seconds
+
+
 class WireBackend(Backend):
     """Client for a completion server exposing per-token log-probabilities.
 
@@ -651,9 +667,11 @@ class WireBackend(Backend):
     ``prompt``, ``max_tokens``, ``temperature`` and ``logprobs`` (top-k count);
     the response must carry ``choices[0].text`` and
     ``choices[0].logprobs.tokens`` / ``token_logprobs`` / ``top_logprobs``.
-    Transport failures (``OSError``) and 5xx responses retry with exponential
-    backoff before giving up; a 4xx response or any other exception ends the
-    request at once.
+    Transport failures (``OSError``), 5xx and 429 responses retry with
+    exponential backoff before giving up. A 429 whose ``Retry-After`` header
+    is a whole number of seconds waits that long instead, and one above
+    ``MAX_RETRY_AFTER_S`` ends the request at once. Any other 4xx response or
+    any other exception ends the request at once.
     """
 
     def __init__(
@@ -698,11 +716,15 @@ class WireBackend(Backend):
         }
         last_error: Optional[Exception] = None
         for attempt in range(self.retries):
+            delay = self.backoff * (2**attempt)
             try:
                 resp = self._post(
                     self.endpoint, json=body, headers=headers, timeout=self.timeout
                 )
                 status = getattr(resp, "status_code", 200)
+                if status == 429:
+                    delay = _retry_after(resp, delay)
+                    raise BackendError("rate limited with status 429")
                 if status >= 500:
                     raise BackendError(f"server error {status}")
                 if status >= 400:
@@ -710,10 +732,10 @@ class WireBackend(Backend):
                 return resp.json()
             except BackendExhausted:
                 raise
-            except (OSError, BackendError) as exc:  # transport failure or 5xx: retry
+            except (OSError, BackendError) as exc:  # transport failure, 5xx or 429: retry
                 last_error = exc
                 if attempt + 1 < self.retries:
-                    self._sleep(self.backoff * (2**attempt))
+                    self._sleep(delay)
         raise BackendExhausted(f"all {self.retries} attempts failed: {last_error}")
 
     @staticmethod

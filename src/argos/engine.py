@@ -22,7 +22,7 @@ from typing import Collection, Optional, Sequence
 
 from .backends import CONTRADICTION_STYLE, Backend, SolveVote
 from .errors import BackendError, BackendExhausted
-from .logic import Entity, HornRule, Literal, formula_entities, ground, related
+from .logic import Entity, HornRule, Literal, formula_entities, ground
 from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, INCONSISTENT, Backbone, SatSession
 
 GENERATION_ENTITY = "entity"
@@ -89,33 +89,29 @@ def trace_jsonl(trace: Sequence[dict]) -> str:
     )
 
 
-@dataclass(frozen=True)
-class LiteralScore:
-    literal: Literal
-    score: int
-
-
-def score_literal(l: Literal, backbone: Collection[Literal]) -> LiteralScore:
-    """Count of backbone literals sharing an entity with l (self included).
-
-    0-ary literals have no entities, so they score 0.
-    """
-    if not l.entities():
-        return LiteralScore(l, 0)
-    return LiteralScore(l, sum(1 for other in backbone if related(l, other)))
+def entity_scores(backbone: Collection[Literal]) -> dict[Literal, int]:
+    """Each backbone literal's count of backbone literals sharing an entity
+    with it (itself included); 0-ary literals have no entities and score 0."""
+    entities = {l: l.entities() for l in set(backbone)}
+    naming: dict[Entity, set[Literal]] = {}
+    for l, es in entities.items():
+        for e in es:
+            naming.setdefault(e, set()).add(l)
+    return {l: len(set().union(*(naming[e] for e in es))) for l, es in entities.items()}
 
 
 def pair_order(backbone: Collection[Literal]) -> list[tuple[Literal, ...]]:
     """Deterministic antecedent scan order for the clause search.
 
-    Literals sort by descending entity-overlap score, ties broken by text;
-    the scan runs the ordered outer-by-inner pair product (the diagonal
-    supplies single-literal antecedents) and ends with the empty antecedent.
+    Literals sort by descending entity-overlap score, ties broken by text.
+    The scores come from one index from each entity to the backbone literals
+    that name it, so each literal's entities are taken once and no pair of
+    literals is compared. The scan runs the ordered outer-by-inner pair
+    product (the diagonal supplies single-literal antecedents) and ends with
+    the empty antecedent.
     """
-    lits = sorted(
-        set(backbone),
-        key=lambda l: (-score_literal(l, backbone).score, str(l)),
-    )
+    scores = entity_scores(backbone)
+    lits = sorted(scores, key=lambda l: (-scores[l], str(l)))
     pairs: list[tuple[Literal, ...]] = [
         (l1, l2) for l1 in lits for l2 in lits
     ]

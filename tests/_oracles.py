@@ -6,8 +6,9 @@ set, and a formula evaluates to a 2**n-bit mask of its models. None of them
 shares any code path with the CDCL kernel or the clause-form builder.
 
 The other references are the plain forms of optimised code: the harness
-checks, each on a fresh grounding and fresh one-shot solves, and the naive
-forward-chaining loop of the oracle backend.
+checks, each on a fresh grounding and fresh one-shot solves, the naive
+forward-chaining loop of the oracle backend, and the clause search's pair
+order scored one literal pair at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from argos.logic import (
     Var,
     formula_to_literal,
     ground,
+    related,
 )
 from argos.sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, sat_solve
 
@@ -275,6 +277,24 @@ def reference_useful_count(problem, result) -> int:
     return sum(
         1 for i in range(len(clauses)) if verdict(clauses[:i] + clauses[i + 1 :]) != full
     )
+
+
+# --- the clause search's pair order, scored pair by pair -------------------------
+
+
+def reference_pair_order(backbone) -> list[tuple]:
+    """``engine.pair_order`` with each literal scored against the whole
+    backbone, one ``related`` test per pair (0-ary literals score 0)."""
+
+    def score(l):
+        if not l.entities():
+            return 0
+        return sum(1 for other in backbone if related(l, other))
+
+    lits = sorted(set(backbone), key=lambda l: (-score(l), str(l)))
+    pairs = [(l1, l2) for l1 in lits for l2 in lits]
+    pairs.append(())
+    return pairs
 
 
 # --- naive forward chaining ------------------------------------------------------

@@ -416,9 +416,10 @@ def test_kb_file_schema_error(tmp_path):
 
 
 class FakeResponse:
-    def __init__(self, payload, status=200):
+    def __init__(self, payload, status=200, headers=None):
         self.payload = payload
         self.status_code = status
+        self.headers = headers or {}
 
     def json(self):
         return self.payload
@@ -592,6 +593,65 @@ def test_wire_client_error_is_not_retried():
     with pytest.raises(BackendExhausted):
         backend.commonsense_score(_clause([], parse_literal("b(x1)")))
     assert len(calls) == 1
+
+
+def _rate_limited(responses):
+    """A transport that answers with ``responses`` in turn, then a score."""
+    calls = []
+
+    def post(url, json=None, headers=None, timeout=None):
+        calls.append(1)
+        if len(calls) <= len(responses):
+            return responses[len(calls) - 1]
+        return FakeResponse(completion("", top=[{"Yes": -0.2, "No": -0.9}]))
+
+    return post, calls
+
+
+def test_wire_rate_limit_retries_after_the_header():
+    post, calls = _rate_limited([FakeResponse({}, 429, {"Retry-After": "7"})])
+    sleeps = []
+    backend = WireBackend("http://server", "m", post=post, backoff=0.5, sleep=sleeps.append)
+    assert backend.relevance_score([], (), _clause([], parse_literal("b(x1)"))) > 0.5
+    assert len(calls) == 2
+    assert sleeps == [7]
+
+
+def test_wire_rate_limit_unparseable_header_backs_off():
+    post, calls = _rate_limited(
+        [FakeResponse({}, 429, {"Retry-After": v}) for v in ("soon", "-3")]
+    )
+    sleeps = []
+    backend = WireBackend("http://server", "m", post=post, backoff=0.5, sleep=sleeps.append)
+    backend.relevance_score([], (), _clause([], parse_literal("b(x1)")))
+    assert len(calls) == 3
+    assert sleeps == [0.5, 1.0]
+
+
+def test_wire_rate_limit_on_every_attempt_exhausts():
+    post, calls = _rate_limited([FakeResponse({}, 429)] * 3)
+    sleeps = []
+    backend = WireBackend(
+        "http://server", "m", api_token="tok-secret", post=post, retries=3, sleep=sleeps.append
+    )
+    with pytest.raises(BackendExhausted) as info:
+        backend.commonsense_score(_clause([], parse_literal("b(x1)")))
+    assert len(calls) == 3
+    assert sleeps == [1.0, 2.0]
+    assert "tok-secret" not in str(info.value)
+
+
+def test_wire_rate_limit_oversized_retry_after_fails_at_once():
+    post, calls = _rate_limited([FakeResponse({}, 429, {"Retry-After": "3600"})])
+    sleeps = []
+    backend = WireBackend(
+        "http://server", "m", api_token="tok-secret", post=post, sleep=sleeps.append
+    )
+    with pytest.raises(BackendExhausted, match="3600") as info:
+        backend.commonsense_score(_clause([], parse_literal("b(x1)")))
+    assert len(calls) == 1
+    assert sleeps == []
+    assert "tok-secret" not in str(info.value)
 
 
 def test_wire_retries_server_errors_then_succeeds():

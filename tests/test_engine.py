@@ -1,5 +1,11 @@
-import pytest
+import dataclasses
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from argos import engine as engine_mod
 from argos.backends import (
     Backend,
     CotSample,
@@ -10,16 +16,19 @@ from argos.corpus import Problem, load_problem_file
 from argos.engine import (
     Engine,
     EngineConfig,
+    entity_scores,
     generation_targets,
     pair_order,
-    score_literal,
     solve,
     trace_jsonl,
 )
 from argos.errors import BackendError, BackendExhausted
-from argos.logic import Entity, lit
+from argos.kinship import RELATIONS, generate_kinship
+from argos.logic import Atom, Entity, Literal, lit, make_atom
 from argos.parser import parse_formula, parse_literal
 from argos.sat import sat_solve
+
+from _oracles import reference_pair_order
 
 
 class StubBackend(Backend):
@@ -93,18 +102,76 @@ def fox_backend():
 # --- scoring and ordering ----------------------------------------------------
 
 
-def test_score_literal_counts_shared_entities():
+def test_entity_scores_counts_shared_entities():
     f_a, g_a, h_b = lit("F", Entity("A")), lit("G", Entity("A")), lit("H", Entity("B"))
     backbone = [f_a, g_a, h_b]
-    assert score_literal(f_a, backbone).score == 2
-    assert score_literal(h_b, backbone).score == 1
+    assert entity_scores(backbone)[f_a] == 2
+    assert entity_scores(backbone)[h_b] == 1
 
 
-def test_score_literal_singleton_and_zero_ary():
+def test_entity_scores_singleton_and_zero_ary():
     f_a = lit("F", Entity("A"))
-    assert score_literal(f_a, [f_a]).score == 1
+    assert entity_scores([f_a])[f_a] == 1
     zero = lit("Z")
-    assert score_literal(zero, [zero, f_a]).score == 0
+    assert entity_scores([zero, f_a])[zero] == 0
+
+
+_ENTITIES = [Entity(name) for name in "abcd"]
+
+
+@st.composite
+def _literal(draw):
+    arity = draw(st.integers(0, 3))
+    name = draw(st.sampled_from(["p", "q"])) + str(arity)
+    args = draw(st.lists(st.sampled_from(_ENTITIES), min_size=arity, max_size=arity))
+    return Literal(make_atom(name, *args), draw(st.booleans()))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.frozensets(_literal(), max_size=24))
+def test_pair_order_matches_pairwise_scoring(backbone):
+    # Four entities and two names per arity make repeated entities such as
+    # p2(a, a), shared entities and both signs of one atom common.
+    assert pair_order(backbone) == reference_pair_order(backbone)
+
+
+def test_pair_order_matches_pairwise_scoring_on_kinship_backbones(monkeypatch):
+    seen = []
+    real = engine_mod.pair_order
+
+    def recording(backbone):
+        seen.append(backbone)
+        return real(backbone)
+
+    monkeypatch.setattr(engine_mod, "pair_order", recording)
+    problems, kb = generate_kinship(18, 4, seed=404)
+    backend = OracleBackend(dataclasses.replace(kb, reasoning_depth=0, seed=404))
+    for problem in problems[:3]:
+        Engine(problem, EngineConfig(use_sc_solver=False), backend).solve()
+    assert seen and max(len(b) for b in seen) > 50
+    for backbone in seen:
+        assert real(backbone) == reference_pair_order(backbone)
+
+
+def test_pair_order_takes_each_literals_entities_once(monkeypatch):
+    people = [Entity(f"person{i}") for i in range(5)]
+    backbone = {
+        Literal(make_atom(name, a, b), positive)
+        for name in sorted(RELATIONS)
+        for a, b in itertools.permutations(people, 2)
+        for positive in (True, False)
+    }
+    assert len(backbone) >= 300
+    calls = []
+    real = Atom.entities
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Atom, "entities", counting)
+    pair_order(backbone)
+    assert len(calls) <= len(backbone)
 
 
 def test_pair_order_first_and_last():

@@ -360,6 +360,33 @@ def test_decision_heap_reorders_ties_made_by_a_rescale():
     assert [solver._pick_branch() for _ in range(8)] == list(range(1, 9))
 
 
+def test_decision_heap_stays_bounded_across_conflict_heavy_solves():
+    # Every conflict leaves stale entries behind; 24 solves of up to 250
+    # conflicts each on one reused solver must not let them pile up. The
+    # budget stops each solve before its third restart, where _luby(4) raises.
+    rng = random.Random(31)
+    n = 150
+    solver = _satcore.Solver(n)
+    for cl in random_3cnf(rng, n, round(4.26 * n)):
+        solver.add_clause(cl)
+    bound = _satcore._HEAP_SLACK * n
+    for _ in range(24):
+        picked = rng.sample(range(1, n + 1), rng.randint(0, 3))
+        solver.solve([v if rng.random() < 0.5 else -v for v in picked], conflict_budget=250)
+        assert len(solver.heap) <= bound
+    assert solver.conflict_count > 5000
+
+
+def test_decision_heap_pops_a_bumped_variable_once_in_activity_order():
+    solver = _satcore.Solver(6)
+    for v, bumps in [(2, 3), (5, 1), (3, 3), (6, 2)]:
+        for _ in range(bumps):
+            solver._bump(v)
+    want = sorted(range(1, 7), key=lambda v: (-solver.activity[v], v))
+    assert want == [2, 3, 6, 5, 1, 4]
+    assert [solver._pick_branch() for _ in range(7)] == want + [-1]
+
+
 # --- backbone against brute force -----------------------------------------------
 
 
