@@ -42,13 +42,7 @@ from .logic import (
     related,
 )
 from .parser import parse_formula, parse_literal
-from .sat import (
-    Backbone,
-    SatConclusion,
-    SatSession,
-    compute_backbone,
-    sat_solve,
-)
+from .sat import Backbone, SatConclusion, SatSession
 
 __all__ = [
     "ArgosError",
@@ -74,7 +68,6 @@ __all__ = [
     "SolveResult",
     "SolveVote",
     "WireBackend",
-    "compute_backbone",
     "corruption_check",
     "entity_scores",
     "flip_analysis",
@@ -87,7 +80,6 @@ __all__ = [
     "parse_literal",
     "related",
     "run_suite",
-    "sat_solve",
     "save_problem",
     "solve",
 ]

@@ -281,6 +281,16 @@ def _instantiate(pattern: Literal, theta: dict) -> Optional[Literal]:
     return Literal(Atom(pattern.atom.predicate, tuple(args)), pattern.positive)
 
 
+# kb.json knob -> (default, check, what the check wants); a bool passes no check
+_KB_FIELDS = {
+    "reasoning_depth": (
+        None, lambda v: v is None or isinstance(v, int) and v >= 0, "null or an integer >= 0"
+    ),
+    "noise": (0.0, lambda v: isinstance(v, (int, float)) and 0.0 <= v < 1.0, "a number in [0, 1)"),
+    "seed": (0, lambda v: isinstance(v, int), "an integer"),
+}
+
+
 @dataclass
 class OracleKB:
     """Rule base plus the knobs that shape the stand-in model's behaviour.
@@ -338,11 +348,12 @@ class OracleKB:
             raise CorpusError(f"{path}: expected an object with a 'rules' array of strings")
         signature: dict[str, int] = {}
         formulas = [parse_formula(t, signature=signature) for t in rules]
-        params = {
-            "reasoning_depth": data.get("reasoning_depth"),
-            "noise": data.get("noise", 0.0),
-            "seed": data.get("seed", 0),
-        }
+        params = {}
+        for key, (default, valid, want) in _KB_FIELDS.items():
+            value = data.get(key, default)
+            if isinstance(value, bool) or not valid(value):
+                raise CorpusError(f"{path}: field {key!r}: expected {want}, got {value!r}")
+            params[key] = value
         params.update({k: v for k, v in overrides.items() if v is not None})
         return cls.from_formulas(formulas, **params)
 
@@ -356,14 +367,12 @@ class OracleKB:
         return [r.to_formula() for r in self.rules]
 
     def is_consistent(self) -> bool:
-        from .sat import INCONSISTENT, sat_solve
+        from .sat import INCONSISTENT, SatSession
 
         formulas = self.formulas()
-        constants = {e for f in formulas for e in formula_entities(f)}
-        universe = sorted(constants, key=lambda e: e.name) or [Entity("_e1")]
-        extra = [Entity(f"_e{i}") for i in range(1, 4)]
-        pool = sorted(set(universe) | set(extra), key=lambda e: e.name)
-        conclusion, _ = sat_solve(formulas, with_backbone=False, universe=pool)
+        pool = {e for f in formulas for e in formula_entities(f)}
+        pool |= {Entity(f"_e{i}") for i in range(1, 4)}
+        conclusion, _ = SatSession(formulas, universe=pool).decide(with_backbone=False)
         return conclusion.verdict != INCONSISTENT
 
 
@@ -377,14 +386,16 @@ class OracleBackend(Backend):
     def __init__(self, kb: OracleKB):
         super().__init__()
         self.kb = kb
-        # rules keyed by the signature of their antecedent predicates, so
-        # generation lookups touch only plausibly matching rules
-        self._rules_by_sig: dict[frozenset, list[HornRule]] = {}
-        for rule in kb.rules:
-            sig = frozenset(
-                (l.atom.predicate, l.positive) for l in rule.antecedent
-            )
-            self._rules_by_sig.setdefault(sig, []).append(rule)
+        # rules with an antecedent, each beside the signature of its antecedent
+        # predicates, in the rule-text order that generation answers in
+        self._rules: list[tuple[frozenset, HornRule]] = sorted(
+            (
+                (frozenset((l.atom.predicate, l.positive) for l in rule.antecedent), rule)
+                for rule in kb.rules
+                if rule.antecedent
+            ),
+            key=lambda entry: str(entry[1]),
+        )
 
     # -- seeded randomness per request ------------------------------------
 
@@ -519,31 +530,24 @@ class OracleBackend(Backend):
         out: list[Literal] = []
         seen = set()
         if l1 is None:
-            for rule in self._rules_by_sig.get(frozenset(), ()):
-                if rule.consequent.is_ground and rule.consequent not in seen:
-                    seen.add(rule.consequent)
-                    out.append(rule.consequent)
+            for rule in self.kb.rules:
+                fact = rule.consequent
+                if not rule.antecedent and fact.is_ground and fact not in seen:
+                    seen.add(fact)
+                    out.append(fact)
             return out
         pair = (l1,) if l2 is None or l2 == l1 else (l1, l2)
         pair_sig = {(l.atom.predicate, l.positive) for l in pair}
-        rules: list[HornRule] = []
-        for sig, group in self._rules_by_sig.items():
-            if sig and sig <= pair_sig:
-                rules.extend(group)
-        rules.sort(key=str)
-        for rule in rules:
-            n = len(rule.antecedent)
-            if n == 0:
+        for sig, rule in self._rules:
+            if not sig <= pair_sig:
                 continue
             orders: list[tuple[Literal, ...]]
-            if n == 1:
+            if len(rule.antecedent) == 1:
                 orders = [(p,) for p in pair]
-            elif n == 2 and len(pair) == 2:
+            elif len(pair) == 2:
                 orders = [(pair[0], pair[1]), (pair[1], pair[0])]
-            elif n == 2 and len(pair) == 1:
-                orders = [(pair[0], pair[0])]
             else:
-                orders = []
+                orders = [(pair[0], pair[0])]
             for order in orders:
                 theta = _bind(rule.antecedent, order, {})
                 if theta is None:

@@ -45,13 +45,6 @@ class ClauseSet:
     aux_vars: set[int] = field(default_factory=set)
     num_vars: int = 0
 
-    def atom_of(self, var: int) -> Optional[Atom]:
-        rev = getattr(self, "_rev", None)
-        if rev is None or len(rev) != len(self.var_map):
-            rev = {v: a for a, v in self.var_map.items()}
-            self._rev = rev
-        return rev.get(var)
-
     def to_dimacs(self, comments: bool = True) -> str:
         """Standard DIMACS CNF rendering for cross-checks with external solvers."""
         lines = []

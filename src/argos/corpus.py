@@ -114,12 +114,12 @@ def check_restored(problem: Problem, where) -> None:
     or a problem id) prefixes the error.
     """
     from .logic import ground
-    from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, sat_solve
+    from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, SatSession
 
-    universe = sorted(problem.universe(), key=lambda e: e.name)
+    universe = problem.universe()
     query = ground(problem.query, universe)
     formulas = problem.premises + problem.withheld_rules
-    conclusion, _ = sat_solve(formulas, query, with_backbone=False, universe=universe)
+    conclusion, _ = SatSession(formulas, query, universe=universe).decide(with_backbone=False)
     if conclusion.verdict not in (ENTAILS_QUERY, ENTAILS_NOT_QUERY):
         raise CorpusError(
             f"{where}: field 'withheld_rules': restoring them does not decide the query"

@@ -181,10 +181,8 @@ class Engine:
     def _reground(self) -> None:
         """The problem's one grounding: a session over the current universe,
         with every accepted clause behind its own selector."""
-        members = sorted(self.universe, key=lambda e: e.name)
-        self.session = SatSession(
-            self.problem.premises, ground(self.problem.query, members), universe=members
-        )
+        query = ground(self.problem.query, self.universe)
+        self.session = SatSession(self.problem.premises, query, universe=self.universe)
         self.selectors = self.session.add_guarded(c.to_formula() for c in self.accepted)
 
     def _emit(self, event: str, **fields) -> None:

@@ -27,7 +27,7 @@ from .engine import (
 )
 from .errors import ArgosError
 from .logic import conj, ground
-from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, INCONSISTENT, UNKNOWN, sat_solve
+from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, INCONSISTENT, UNKNOWN, SatSession
 
 _SC_RE = re.compile(r"^sc(\d+)$")
 
@@ -104,10 +104,9 @@ def _coin(seed: int, problem_id: str) -> bool:
 
 def run_sat_baseline(problem: Problem, config: EngineConfig) -> ProblemRecord:
     """Solver only; an undecided problem is answered by a seeded coin flip."""
-    members = sorted(problem.universe(), key=lambda e: e.name)
-    conclusion, _ = sat_solve(
-        problem.premises, ground(problem.query, members), with_backbone=False, universe=members
-    )
+    members = problem.universe()
+    session = SatSession(problem.premises, ground(problem.query, members), universe=members)
+    conclusion, _ = session.decide(with_backbone=False)
     if conclusion.verdict == ENTAILS_QUERY:
         verdict, decided_by, confidence = True, DECIDED_BY_SAT, 1.0
     elif conclusion.verdict == ENTAILS_NOT_QUERY:

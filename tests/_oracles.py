@@ -34,7 +34,7 @@ from argos.logic import (
     ground,
     related,
 )
-from argos.sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, sat_solve
+from argos.sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, SatSession
 
 
 def var_column(v: int, n: int) -> int:
@@ -246,9 +246,8 @@ def fresh_grounding(problem, extra=(), accepted=()):
     universe = set(problem.universe())
     for clause in accepted:
         universe |= clause.entities()
-    members = sorted(universe, key=lambda e: e.name)
-    premises = [ground(f, members) for f in list(problem.premises) + list(extra)]
-    return premises, ground(problem.query, members)
+    premises = [ground(f, universe) for f in list(problem.premises) + list(extra)]
+    return premises, ground(problem.query, universe)
 
 
 def reference_corruption(problem, accepted, kb=None) -> bool:
@@ -256,10 +255,10 @@ def reference_corruption(problem, accepted, kb=None) -> bool:
     the rule base) are restored, from two one-shot solves."""
     restored = list(problem.withheld_rules) or kb.formulas()
     premises, query = fresh_grounding(problem, restored, accepted)
-    base, _ = sat_solve(premises, query, with_backbone=False)
+    base, _ = SatSession(premises, query).decide(with_backbone=False)
     assert base.verdict in (ENTAILS_QUERY, ENTAILS_NOT_QUERY)
     clauses = [c.to_formula() for c in accepted]
-    augmented, _ = sat_solve(premises + clauses, query, with_backbone=False)
+    augmented, _ = SatSession(premises + clauses, query).decide(with_backbone=False)
     return augmented.verdict != base.verdict
 
 
@@ -271,7 +270,7 @@ def reference_useful_count(problem, result) -> int:
     clauses = [c.to_formula() for c in result.commonsense]
 
     def verdict(kept):
-        return sat_solve(premises + kept, query, with_backbone=False)[0].verdict
+        return SatSession(premises + kept, query).decide(with_backbone=False)[0].verdict
 
     full = verdict(clauses)
     return sum(

@@ -30,8 +30,8 @@ from argos.sat import (
     ENTAILS_NOT_QUERY,
     ENTAILS_QUERY,
     INCONSISTENT,
+    SatSession,
     compute_backbone,
-    sat_solve,
 )
 
 from _oracles import (
@@ -85,7 +85,7 @@ def test_criterion_1_backbone_oracle_equivalence():
         if not want_sat:
             continue
         satisfiable_checked += 1
-        bb = compute_backbone(cs)
+        bb = compute_backbone(solver, cs, solver.model)
         got = {
             cs.var_map[l.atom] if l.positive else -cs.var_map[l.atom]
             for l in bb.literals
@@ -112,7 +112,7 @@ def test_criterion_2_grounding_normalization_oracle():
         mask, _ = semantic_models_mask(f, universe)
         want = mask != 0
         grounded = ground(f, universe)
-        conclusion, _ = sat_solve([grounded], None, with_backbone=False)
+        conclusion, _ = SatSession([grounded]).decide(with_backbone=False)
         got = conclusion.verdict != "inconsistent-premises"
         if got != want:
             mismatches += 1
@@ -309,8 +309,8 @@ def test_criterion_7_well_definedness():
             )
             for _ in range(rng.randint(2, 4))
         ]
-        joint, _ = sat_solve(
-            premises + [c.to_formula() for c in pool], None, with_backbone=False
+        joint, _ = SatSession(premises + [c.to_formula() for c in pool]).decide(
+            with_backbone=False
         )
         if joint.verdict == INCONSISTENT:
             continue
@@ -318,11 +318,10 @@ def test_criterion_7_well_definedness():
         decided = []
         for size in range(len(pool) + 1):
             for subset in itertools.combinations(pool, size):
-                conclusion, _ = sat_solve(
+                conclusion, _ = SatSession(
                     premises + [c.to_formula() for c in subset],
                     query,
-                    with_backbone=False,
-                )
+                ).decide(with_backbone=False)
                 if conclusion.verdict in (ENTAILS_QUERY, ENTAILS_NOT_QUERY):
                     decided.append(conclusion.verdict)
         if decided and len(set(decided)) > 1:

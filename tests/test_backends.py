@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from argos.backends import (
 )
 from argos.corpus import Problem, load_problem_file
 from argos.engine import CommonsenseClause
-from argos.errors import ArgosError, BackendError, BackendExhausted
+from argos.errors import ArgosError, BackendError, BackendExhausted, CorpusError
 from argos.kinship import generate_kinship, kinship_kb
 from argos.logic import Entity, HornRule
 from argos.parser import parse_formula, parse_literal
@@ -263,6 +264,18 @@ def test_oracle_generate_composition_by_pair_target():
     assert [str(c) for c in out2] == ["mom(A, C)"]
 
 
+def test_oracle_generate_answers_in_rule_text_order():
+    kb = _kb([
+        "forall x forall y (mom(x, y) -> ancestor(x, y))",
+        "forall x forall y forall z (mom(x, y) & sister(y, z) -> mom(x, z))",
+    ])
+    # a rule base that lists the two rules against their text order
+    backend = OracleBackend(dataclasses.replace(kb, rules=kb.rules[::-1]))
+    assert str(backend.kb.rules[0]) > str(backend.kb.rules[1])
+    out = backend.generate([], (), parse_literal("mom(A, B)"), parse_literal("sister(B, C)"), None)
+    assert [str(c) for c in out] == ["mom(A, C)", "ancestor(A, B)"]
+
+
 def test_oracle_generate_no_matching_rule_is_empty():
     kb = _kb(FOX_RULES)
     backend = OracleBackend(kb)
@@ -410,6 +423,26 @@ def test_kb_file_schema_error(tmp_path):
     path.write_text(json.dumps(["not", "an", "object"]))
     with pytest.raises(ArgosError):
         OracleKB.from_file(path)
+
+
+@pytest.mark.parametrize(
+    "field, bad, good",
+    [
+        ("reasoning_depth", ["2", -1, 1.5, True], [None, 0, 3]),
+        ("noise", ["0.1", -0.1, 1.0, float("nan"), False], [0, 0.0, 0.5]),
+        ("seed", ["7", 7.0, None, True], [0, 7]),
+    ],
+)
+def test_kb_file_malformed_field_names_file_and_field(tmp_path, field, bad, good):
+    path = tmp_path / "kb.json"
+    rules = ["forall x forall y (mom(x, y) -> parent(x, y))"]
+    for value in bad:
+        path.write_text(json.dumps({"rules": rules, field: value}))
+        with pytest.raises(CorpusError, match=re.escape(f"{path}: field '{field}'")):
+            OracleKB.from_file(path)
+    for value in good:
+        path.write_text(json.dumps({"rules": rules, field: value}))
+        assert getattr(OracleKB.from_file(path), field) == value
 
 
 # --- wire backend ----------------------------------------------------------------

@@ -180,7 +180,9 @@ def test_bad_oracle_kb_exits_2_naming_the_file(tmp_path, capsys):
     problem = str(FIXTURES / "winter_fox" / "problem.json")
     malformed = tmp_path / "kb.json"
     malformed.write_text("{not json")
-    for kb in (malformed, tmp_path / "missing.json"):
+    bad_field = tmp_path / "bad_field.json"
+    bad_field.write_text(json.dumps({"rules": [], "reasoning_depth": "2"}))
+    for kb in (malformed, tmp_path / "missing.json", bad_field):
         code, out, err = run_cli(capsys, "solve", problem, "--oracle-kb", str(kb))
         assert code == 2
         assert str(kb) in err

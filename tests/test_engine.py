@@ -26,7 +26,7 @@ from argos.errors import BackendError, BackendExhausted
 from argos.kinship import RELATIONS, generate_kinship
 from argos.logic import Atom, Entity, Literal, lit, make_atom
 from argos.parser import parse_formula, parse_literal
-from argos.sat import sat_solve
+from argos.sat import SatSession
 
 from _oracles import reference_pair_order
 
@@ -344,7 +344,7 @@ def test_find_new_commonsense_first_passing_candidate():
     problem = make_problem(["A"], "Q")
     a = parse_literal("A")
     backend = StubBackend(candidates={frozenset([a]): [parse_literal("B")]})
-    _, backbone = sat_solve(problem.premises, problem.query)
+    _, backbone = SatSession(problem.premises, problem.query).decide()
     engine = Engine(problem, EngineConfig(tau=0.3), backend)
     clause = engine.find_new_commonsense(backbone)
     assert clause is not None
@@ -360,7 +360,7 @@ def test_find_new_commonsense_rejects_below_tau():
         commonsense=0.9,
         relevance=0.2,
     )
-    _, backbone = sat_solve(problem.premises, problem.query)
+    _, backbone = SatSession(problem.premises, problem.query).decide()
     engine = Engine(problem, EngineConfig(tau=0.3), backend)
     assert engine.find_new_commonsense(backbone) is None
 
@@ -368,7 +368,7 @@ def test_find_new_commonsense_rejects_below_tau():
 def test_find_new_commonsense_empty_backbone_no_candidates():
     problem = make_problem(["A | B"], "Q")
     backend = StubBackend()
-    _, backbone = sat_solve(problem.premises, problem.query)
+    _, backbone = SatSession(problem.premises, problem.query).decide()
     assert len(backbone) == 0
     engine = Engine(problem, EngineConfig(tau=0.3), backend)
     assert engine.find_new_commonsense(backbone) is None
@@ -382,7 +382,7 @@ def test_admissibility_rejections():
             frozenset([a]): [a, a.negate(), b],  # vacuous, contradictory, in backbone
         }
     )
-    _, backbone = sat_solve(problem.premises, problem.query)
+    _, backbone = SatSession(problem.premises, problem.query).decide()
     engine = Engine(problem, EngineConfig(tau=0.3), backend)
     assert engine.find_new_commonsense(backbone) is None
 
@@ -434,9 +434,9 @@ def test_growth_guarantee_consequent_enters_backbone():
 def test_sat_path_reproducible_without_backend():
     result = solve(fox_problem(), EngineConfig(use_sc_solver=False), fox_backend())
     problem = fox_problem()
-    conclusion, _ = sat_solve(
+    conclusion, _ = SatSession(
         problem.premises + [c.to_formula() for c in result.commonsense], problem.query
-    )
+    ).decide()
     assert conclusion.verdict == "entails-not-query"
 
 

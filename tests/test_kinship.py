@@ -13,7 +13,7 @@ from argos.kinship import (
     kinship_kb,
 )
 from argos.logic import ground
-from argos.sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, sat_solve
+from argos.sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, SatSession
 
 
 def test_vocabulary_and_table_sizes():
@@ -93,7 +93,7 @@ def test_generator_soundness_restored_rules_decide_query():
         universe = sorted(p.universe(), key=lambda e: e.name)
         formulas = [ground(f, universe) for f in p.premises + p.withheld_rules]
         query = ground(p.query, universe)
-        conclusion, _ = sat_solve(formulas, query, with_backbone=False)
+        conclusion, _ = SatSession(formulas, query).decide(with_backbone=False)
         expected = ENTAILS_QUERY if p.gold_label else ENTAILS_NOT_QUERY
         assert conclusion.verdict == expected, p.id
 

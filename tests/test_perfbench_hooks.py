@@ -24,3 +24,7 @@ def test_tracer_sees_grounding_and_encoding():
     assert record.correct is True
     assert tracer.total_s["cnf.encode"] > 0 and tracer.counts["cnf.clauses"] > 0
     assert tracer.counts["logic.grounds"] > 0 and tracer.counts["sat.sessions"] > 0
+    # zero if SatSession.decide stopped calling sat.compute_backbone by its
+    # module name, or the backbone stopped probing under assumptions
+    assert tracer.counts["sat.verdict_solves"] > 0
+    assert tracer.counts["sat.backbones"] > 0 and tracer.counts["sat.backbone_probes"] > 0

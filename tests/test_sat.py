@@ -2,15 +2,14 @@ import functools
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from argos import _satcore
 from argos.cnf import ClauseSet
-from argos.errors import SolverBudgetExceeded
 from argos.kinship import generate_kinship
-from argos.logic import And, AtomNode, Iff, Implies, Not, Or, ground, make_atom
+from argos.logic import And, AtomNode, Iff, Implies, Literal, Not, Or, ground, make_atom
+from argos.logic import iter_atoms
 from argos.parser import parse_formula
 from argos.sat import (
     ENTAILS_NOT_QUERY,
@@ -19,10 +18,10 @@ from argos.sat import (
     UNKNOWN,
     SatSession,
     compute_backbone,
-    sat_solve,
 )
 
 from _oracles import brute_force_backbone, brute_force_sat, random_3cnf
+from _oracles import semantic_models_mask, var_column
 
 
 def _cs_from_ints(clauses, n):
@@ -41,6 +40,13 @@ def _kernel(cs):
     for cl in cs.clauses:
         solver.add_clause(cl)
     return solver
+
+
+def _backbone(cs, assumptions=()):
+    """A kernel solve of a satisfiable ``cs``, then ``compute_backbone`` from its model."""
+    solver = _kernel(cs)
+    assert solver.solve(assumptions) == _satcore.SAT
+    return compute_backbone(solver, cs, solver.model, assumptions)
 
 
 def test_unit_contradiction_unsat():
@@ -86,21 +92,21 @@ def test_assumptions():
 
 def test_backbone_unit_clause():
     cs = _cs_from_ints([[1]], 2)
-    bb = compute_backbone(cs)
+    bb = _backbone(cs)
     assert {str(l) for l in bb.literals} == {"v1"}
 
 
 def test_backbone_two_clause_example():
     # {{a,b},{~a,b}}: b true in all four... in all models
     cs = _cs_from_ints([[1, 2], [-1, 2]], 2)
-    bb = compute_backbone(cs)
+    bb = _backbone(cs)
     assert {str(l) for l in bb.literals} == {"v2"}
 
 
 def test_backbone_unsat_rejected():
-    cs = _cs_from_ints([[1], [-1]], 1)
-    with pytest.raises(ValueError):
-        compute_backbone(cs)
+    conclusion, backbone = SatSession([_clause_formula([1]), _clause_formula([-1])]).decide()
+    assert conclusion.verdict == INCONSISTENT
+    assert backbone is None
 
 
 def test_backbone_matches_brute_force_random():
@@ -114,7 +120,7 @@ def test_backbone_matches_brute_force_random():
         if not brute_force_sat(clauses, n):
             continue
         cs = _cs_from_ints(clauses, n)
-        bb = compute_backbone(cs)
+        bb = _backbone(cs)
         got = set()
         for l in bb.literals:
             v = cs.var_map[l.atom]
@@ -131,26 +137,29 @@ def test_conflict_budget_degrades_distinctly():
         [-1, -3], [-1, -5], [-3, -5],
         [-2, -4], [-2, -6], [-4, -6],
     ]
-    formulas = [
-        parse_formula(" | ".join(f"v{l}" if l > 0 else f"~v{-l}" for l in cl))
-        for cl in php
-    ]
-    conclusion, backbone = sat_solve(formulas, None, conflict_budget=0)
+    texts = [" | ".join(f"v{l}" if l > 0 else f"~v{-l}" for l in cl) for cl in php]
+    formulas = [parse_formula(t) for t in texts]
+    conclusion, backbone = SatSession(formulas, conflict_budget=0).decide()
     assert conclusion.verdict == UNKNOWN
     assert conclusion.budget_exceeded is True
     assert backbone is None
-    conclusion, _ = sat_solve(formulas, None)
+    conclusion, _ = SatSession(formulas).decide()
     assert conclusion.verdict == INCONSISTENT
     assert conclusion.budget_exceeded is False
-    cs = _cs_from_ints(php, 6)
-    with pytest.raises(SolverBudgetExceeded):
-        compute_backbone(cs, conflict_budget=0)
-    assert _kernel(cs).solve() == _satcore.UNSAT
+    assert _kernel(_cs_from_ints(php, 6)).solve() == _satcore.UNSAT
+    # ~y satisfies every clause, so the verdict solve needs no conflict, but
+    # the backbone probe that assumes y must refute the pigeonhole instance
+    session = SatSession([parse_formula(f"~y | {t}") for t in texts], conflict_budget=0)
+    assert session.decide(with_backbone=False)[0].budget_exceeded is False
+    conclusion, backbone = session.decide()
+    assert conclusion.verdict == UNKNOWN
+    assert conclusion.budget_exceeded is True
+    assert backbone is None
 
 
 def test_sat_solve_modus_ponens():
     premises = [parse_formula("A"), parse_formula("A -> B")]
-    conclusion, backbone = sat_solve(premises, parse_formula("B"))
+    conclusion, backbone = SatSession(premises, parse_formula("B")).decide()
     assert conclusion.verdict == ENTAILS_QUERY
     assert backbone is not None
     assert {str(l) for l in backbone.literals} == {"A", "B"}
@@ -158,7 +167,7 @@ def test_sat_solve_modus_ponens():
 
 def test_sat_solve_unknown_with_empty_backbone():
     premises = [parse_formula("A | B")]
-    conclusion, backbone = sat_solve(premises, parse_formula("A"))
+    conclusion, backbone = SatSession(premises, parse_formula("A")).decide()
     assert conclusion.verdict == UNKNOWN
     assert backbone is not None
     assert len(backbone) == 0
@@ -166,21 +175,15 @@ def test_sat_solve_unknown_with_empty_backbone():
 
 def test_sat_solve_entails_negation():
     premises = [parse_formula("~B"), parse_formula("A -> B")]
-    conclusion, _ = sat_solve(premises, parse_formula("A"))
+    conclusion, _ = SatSession(premises, parse_formula("A")).decide()
     assert conclusion.verdict == ENTAILS_NOT_QUERY
 
 
 def test_sat_solve_inconsistent_premises():
     premises = [parse_formula("A"), parse_formula("~A")]
-    conclusion, backbone = sat_solve(premises, parse_formula("B"))
+    conclusion, backbone = SatSession(premises, parse_formula("B")).decide()
     assert conclusion.verdict == INCONSISTENT
     assert backbone is None
-
-
-def test_sat_solve_excludes_query_only_atoms_from_backbone():
-    premises = [parse_formula("A")]
-    _, backbone = sat_solve(premises, parse_formula("Q | ~Q"))
-    assert {str(l) for l in backbone.literals} == {"A"}
 
 
 def test_sat_solve_verdict_in_backbone_for_literal_queries():
@@ -193,7 +196,7 @@ def test_sat_solve_verdict_in_backbone_for_literal_queries():
             parts = [f"v{abs(l)}" if l > 0 else f"~v{abs(l)}" for l in cl]
             cs_formulas.append(parse_formula(" | ".join(parts)))
         q = parse_formula(f"v{rng.randint(1, n)}")
-        conclusion, backbone = sat_solve(cs_formulas, q)
+        conclusion, backbone = SatSession(cs_formulas, q).decide()
         if conclusion.verdict == ENTAILS_QUERY:
             assert str(q.atom) in {str(l) for l in backbone.literals if l.positive}
         elif conclusion.verdict == ENTAILS_NOT_QUERY:
@@ -204,7 +207,7 @@ def test_sat_solve_verdict_in_backbone_for_literal_queries():
 
 def test_consistent():
     def verdict(premises, commonsense):
-        conclusion, _ = sat_solve(premises + commonsense, None, with_backbone=False)
+        conclusion, _ = SatSession(premises + commonsense).decide(with_backbone=False)
         return conclusion.verdict
 
     a, ab = parse_formula("A"), parse_formula("A -> B")
@@ -225,8 +228,8 @@ def test_determinism_same_inputs_same_outcome():
     assert out1 == out2
     assert s1.model == s2.model
     if out1 == _satcore.SAT:
-        bb1 = compute_backbone(cs1)
-        bb2 = compute_backbone(cs2)
+        bb1 = compute_backbone(s1, cs1, s1.model)
+        bb2 = compute_backbone(s2, cs2, s2.model)
         assert bb1.literals == bb2.literals
 
 
@@ -234,29 +237,31 @@ def test_backbone_growth_under_new_implication():
     # with L1, L2 entailed and clause L1 & L2 -> R added consistently,
     # R joins the backbone
     premises = [parse_formula("L1"), parse_formula("L2")]
-    _, bb = sat_solve(premises, None)
+    _, bb = SatSession(premises).decide()
     assert {str(l) for l in bb.literals} == {"L1", "L2"}
     grown = premises + [parse_formula("L1 & L2 -> R")]
-    _, bb2 = sat_solve(grown, None)
+    _, bb2 = SatSession(grown).decide()
     assert "R" in {str(l) for l in bb2.literals}
 
 
 # --- guarded clauses -----------------------------------------------------------
 
+def _binary(sub):
+    return st.builds(
+        lambda op, left, right: op(left, right),
+        st.sampled_from([And, Or, Implies, Iff]),
+        sub,
+        sub,
+    )
+
+
 _ATOMS = [AtomNode(make_atom(f"p{i}")) for i in range(4)]
 _FORMULAS = st.recursive(
-    st.sampled_from(_ATOMS),
-    lambda sub: st.one_of(
-        sub.map(Not),
-        st.builds(
-            lambda op, left, right: op(left, right),
-            st.sampled_from([And, Or, Implies, Iff]),
-            sub,
-            sub,
-        ),
-    ),
-    max_leaves=4,
+    st.sampled_from(_ATOMS), lambda sub: st.one_of(sub.map(Not), _binary(sub)), max_leaves=4
 )
+# q0 and q1 occur in no premise or guarded formula, only in queries
+_QUERY_ONLY = st.sampled_from([AtomNode(make_atom(f"q{i}")) for i in range(2)])
+_COMPOUND_QUERIES = _binary(st.one_of(_FORMULAS, _QUERY_ONLY, _QUERY_ONLY.map(Not)))
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -276,13 +281,41 @@ def test_guarded_clauses_match_fresh_sessions(premises, clauses, query):
         chosen = [s for s, on in zip(selectors, mask) if on]
         subset = [c for c, on in zip(clauses, mask) if on]
         got, got_backbone = session.decide(assumptions=chosen)
-        want, want_backbone = sat_solve(premises + subset, query)
+        want, want_backbone = SatSession(premises + subset, query).decide()
         assert got.verdict == want.verdict
         if want_backbone is None:
             assert got_backbone is None
         else:
             assert all(l.atom is not None for l in got_backbone.literals)
             assert got_backbone.literals == want_backbone.literals
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.lists(_FORMULAS, max_size=3),
+    st.lists(st.tuples(_FORMULAS, st.booleans()), max_size=2),
+    _COMPOUND_QUERIES,
+)
+def test_sat_solve_excludes_query_only_atoms_from_backbone(premises, guarded, query):
+    # The backbone domain is every atom, the query's included: an atom that
+    # only the query names is free in the truth table, so never entailed.
+    session = SatSession(premises, query)
+    selectors = session.add_guarded(f for f, _ in guarded)
+    chosen = [s for s, (_, on) in zip(selectors, guarded) if on]
+    held = premises + [f for f, on in guarded if on]
+    tautology = Or(_ATOMS[0], Not(_ATOMS[0]))  # keeps the conjunction of no formulas defined
+    models, atoms = semantic_models_mask(functools.reduce(And, held, tautology), [])
+    conclusion, backbone = session.decide(assumptions=chosen)
+    if models == 0:
+        assert conclusion.verdict == INCONSISTENT and backbone is None
+        return
+    columns = [(atom, var_column(j, len(atoms))) for j, atom in enumerate(atoms)]
+    want = {Literal(a, True) for a, column in columns if models & ~column == 0}
+    want |= {Literal(a, False) for a, column in columns if models & column == 0}
+    assert backbone.literals == want
+    named = {a for f in premises + [f for f, _ in guarded] for a in iter_atoms(f)}
+    query_only = set(iter_atoms(query)) - named
+    assert not query_only & {l.atom for l in backbone.literals}
 
 
 # --- decision heap -------------------------------------------------------------
@@ -421,12 +454,11 @@ def _signed(backbone):
 @given(_CNF)
 def test_backbone_matches_brute_force_property(case):
     n, clauses = case
-    cs = _cs_from_ints(clauses, n)
     if not brute_force_sat(clauses, n):
-        with pytest.raises(ValueError):
-            compute_backbone(cs)
+        conclusion, backbone = SatSession([_clause_formula(c) for c in clauses]).decide()
+        assert conclusion.verdict == INCONSISTENT and backbone is None
         return
-    assert _signed(compute_backbone(cs)) == brute_force_backbone(clauses, n)
+    assert _signed(_backbone(_cs_from_ints(clauses, n))) == brute_force_backbone(clauses, n)
 
 
 @st.composite
@@ -511,7 +543,7 @@ def test_backbone_under_selectors_matches_brute_force(case):
     units = [[s] for s in chosen]
     if not brute_force_sat(clauses + units, n):
         return
-    backbone = compute_backbone(_cs_from_ints(clauses, n), assumptions=chosen)
+    backbone = _backbone(_cs_from_ints(clauses, n), assumptions=chosen)
     assert _signed(backbone) == brute_force_backbone(clauses + units, n)
 
 
