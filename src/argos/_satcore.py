@@ -90,44 +90,52 @@ class Solver:
 
     # -- clause management ---------------------------------------------------
 
-    def add_clause(self, lits):
-        """Add a clause of signed external literals; call only at level 0."""
-        if not self.ok:
-            return False
-        for l in lits:
-            v = l if l > 0 else -l
-            self.ensure_vars(v)
-        internal = []
-        seen_here = set()
-        for l in lits:
-            il = (l << 1) if l > 0 else (((-l) << 1) | 1)
-            if il ^ 1 in seen_here:
-                return True  # tautology
-            if il in seen_here:
-                continue
-            val = self._lit_value(il)
-            if val == 1 and self.level[il >> 1] == 0:
-                return True  # already satisfied forever
-            if val == 0 and self.level[il >> 1] == 0:
-                continue  # falsified forever, drop literal
-            seen_here.add(il)
-            internal.append(il)
-        if not internal:
-            self.ok = False
-            return False
-        if len(internal) == 1:
-            l = internal[0]
-            if self._lit_value(l) == 0:
-                self.ok = False
+    def add_clauses(self, clauses):
+        """Add clauses of signed external literals, in order; call only at
+        level 0, where every assigned literal is fixed for good.
+
+        A tautology, or a clause with a literal already true, is left out; a
+        literal already false or repeated is dropped; a unit is enqueued for
+        the next propagation; an empty clause makes the solver unsatisfiable
+        and ends the load. Returns ``ok``.
+        """
+        assigns = self.assigns
+        watches = self.watches
+        stored = self.clauses
+        for lits in clauses:
+            if not self.ok:
                 return False
-            if self._lit_value(l) == -1:
-                self._enqueue(l, -1)
-            return True
-        ci = len(self.clauses)
-        self.clauses.append(internal)
-        self.watches[internal[0]].append(ci)
-        self.watches[internal[1]].append(ci)
-        return True
+            internal = []
+            for l in lits:
+                v = l if l > 0 else -l
+                if v > self.num_vars:
+                    self.ensure_vars(v)
+                il = (v << 1) | (l < 0)
+                va = assigns[v]
+                if va >= 0:
+                    if va ^ (il & 1):
+                        break  # already true
+                    continue  # already false
+                if il ^ 1 in internal:
+                    break  # tautology
+                if il not in internal:
+                    internal.append(il)
+            else:
+                if len(internal) > 1:
+                    ci = len(stored)
+                    stored.append(internal)
+                    watches[internal[0]].append(ci)
+                    watches[internal[1]].append(ci)
+                elif internal:
+                    self._enqueue(internal[0], -1)
+                else:
+                    self.ok = False
+                continue
+            # a clause left out still declares its variables
+            top = max(l if l > 0 else -l for l in lits)
+            if top > self.num_vars:
+                self.ensure_vars(top)
+        return self.ok
 
     # -- propagation ---------------------------------------------------------
 

@@ -282,7 +282,7 @@ def _instantiate(pattern: Literal, theta: dict) -> Optional[Literal]:
 
 
 # kb.json knob -> (default, check, what the check wants); a bool passes no check
-_KB_FIELDS = {
+KB_FIELDS = {
     "reasoning_depth": (
         None, lambda v: v is None or isinstance(v, int) and v >= 0, "null or an integer >= 0"
     ),
@@ -349,7 +349,7 @@ class OracleKB:
         signature: dict[str, int] = {}
         formulas = [parse_formula(t, signature=signature) for t in rules]
         params = {}
-        for key, (default, valid, want) in _KB_FIELDS.items():
+        for key, (default, valid, want) in KB_FIELDS.items():
             value = data.get(key, default)
             if isinstance(value, bool) or not valid(value):
                 raise CorpusError(f"{path}: field {key!r}: expected {want}, got {value!r}")
@@ -386,16 +386,14 @@ class OracleBackend(Backend):
     def __init__(self, kb: OracleKB):
         super().__init__()
         self.kb = kb
-        # rules with an antecedent, each beside the signature of its antecedent
-        # predicates, in the rule-text order that generation answers in
-        self._rules: list[tuple[frozenset, HornRule]] = sorted(
-            (
-                (frozenset((l.atom.predicate, l.positive) for l in rule.antecedent), rule)
-                for rule in kb.rules
-                if rule.antecedent
-            ),
-            key=lambda entry: str(entry[1]),
-        )
+        # rules with an antecedent, each beside its place in the rule-text
+        # order that generation answers in, keyed by the signed predicates of
+        # the antecedent
+        self._by_signature: dict[frozenset, list[tuple[int, HornRule]]] = {}
+        ordered = sorted((rule for rule in kb.rules if rule.antecedent), key=str)
+        for place, rule in enumerate(ordered):
+            sig = frozenset((l.atom.predicate, l.positive) for l in rule.antecedent)
+            self._by_signature.setdefault(sig, []).append((place, rule))
 
     # -- seeded randomness per request ------------------------------------
 
@@ -538,9 +536,12 @@ class OracleBackend(Backend):
             return out
         pair = (l1,) if l2 is None or l2 == l1 else (l1, l2)
         pair_sig = {(l.atom.predicate, l.positive) for l in pair}
-        for sig, rule in self._rules:
-            if not sig <= pair_sig:
-                continue
+        # the rules whose signature is a subset of the pair's, in text order
+        subsets = [frozenset([s]) for s in pair_sig]
+        if len(pair_sig) == 2:
+            subsets.append(frozenset(pair_sig))
+        matching = sorted(e for sig in subsets for e in self._by_signature.get(sig, ()))
+        for _, rule in matching:
             orders: list[tuple[Literal, ...]]
             if len(rule.antecedent) == 1:
                 orders = [(p,) for p in pair]

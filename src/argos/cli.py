@@ -2,7 +2,9 @@
 
 Configuration precedence is flags, then a JSON config file (--config), then
 environment variables (ARGOS_ENDPOINT, ARGOS_MODEL, ARGOS_API_TOKEN), then
-defaults. The fully resolved configuration is printed to stderr before any
+defaults. An oracle kb.json keeps its own reasoning_depth, noise and seed
+unless a flag or the config file sets oracle_depth, oracle_noise or seed.
+The fully resolved configuration is printed to stderr before any
 engine call so runs can be reproduced.
 
 Exit codes: 0 on a verdict, 2 on usage/load errors, 3 on backend exhaustion.
@@ -16,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .backends import OracleBackend, OracleKB, WireBackend
+from .backends import KB_FIELDS, OracleBackend, OracleKB, WireBackend
 from .corpus import (
     load_corpus,
     load_corpus_config,
@@ -72,8 +74,15 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="oracle noise epsilon in [0,1)")
 
 
-def _resolve(args, corpus_dir: Path | None) -> dict:
+# resolved keys that override a kb.json field, when a flag or --config gives them
+_KB_OVERRIDES = {"oracle_depth": "reasoning_depth", "oracle_noise": "noise", "seed": "seed"}
+
+
+def _resolve(args, corpus_dir: Path | None) -> tuple[dict, set[str]]:
+    """Every engine key's value, and the keys whose value a flag or the
+    --config file gave."""
     values: dict = {}
+    given: set[str] = set()
     file_values: dict = {}
     if args.config:
         try:
@@ -90,7 +99,7 @@ def _resolve(args, corpus_dir: Path | None) -> dict:
         "max_candidates_per_pair": 3, "seed": 0, "no_sc": False,
         "gen_style": "entity", "score_style": "contradiction",
         "backend": "oracle", "endpoint": None, "model": None,
-        "oracle_kb": None, "oracle_depth": None, "oracle_noise": 0.0,
+        "oracle_kb": None, "oracle_depth": None, "oracle_noise": None,
         "jobs": 1,
     }
     corpus_keys = {"gen_style": "generation_style", "score_style": "score_style"}
@@ -98,15 +107,25 @@ def _resolve(args, corpus_dir: Path | None) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
+            given.add(key)
         elif key in file_values:
             values[key] = file_values[key]
+            given.add(key)
         elif key in corpus_keys and corpus_keys[key] in corpus_values:
             values[key] = corpus_values[corpus_keys[key]]
         elif env.get(key) is not None:
             values[key] = env[key]
         else:
             values[key] = defaults[key]
-    return values
+    noise = values["oracle_noise"]
+    _, valid, want = KB_FIELDS["noise"]
+    if noise is not None and (isinstance(noise, bool) or not valid(noise)):
+        if args.oracle_noise is not None:
+            where = "--oracle-noise"
+        else:
+            where = f"--config {args.config}: field 'oracle_noise'"
+        raise CorpusError(f"{where}: expected {want}, got {noise!r}")
+    return values, given
 
 
 def _engine_config(values: dict) -> EngineConfig:
@@ -124,7 +143,7 @@ def _engine_config(values: dict) -> EngineConfig:
     )
 
 
-def _backend(values: dict, corpus_dir: Path | None):
+def _backend(values: dict, given: set[str], corpus_dir: Path | None):
     if values["backend"] == "wire":
         if not values["endpoint"] or not values["model"]:
             raise CorpusError("wire backend needs --endpoint and --model (or environment)")
@@ -142,13 +161,8 @@ def _backend(values: dict, corpus_dir: Path | None):
             kb_path = candidate
     if kb_path is None:
         raise CorpusError("oracle backend needs --oracle-kb (or a kb.json beside the corpus)")
-    kb = OracleKB.from_file(
-        kb_path,
-        reasoning_depth=values["oracle_depth"],
-        noise=values["oracle_noise"],
-        seed=values["seed"],
-    )
-    return OracleBackend(kb)
+    overrides = {field: values[key] for key, field in _KB_OVERRIDES.items() if key in given}
+    return OracleBackend(OracleKB.from_file(kb_path, **overrides))
 
 
 def _log_config(values: dict) -> None:
@@ -158,11 +172,11 @@ def _log_config(values: dict) -> None:
 def cmd_solve(args) -> int:
     path = Path(args.problem)
     corpus_dir = path.parent if path.parent.is_dir() else None
-    values = _resolve(args, corpus_dir)
+    values, given = _resolve(args, corpus_dir)
     _log_config(values)
     problem = load_problem_file(path)
     config = _engine_config(values)
-    backend = _backend(values, corpus_dir)
+    backend = _backend(values, given, corpus_dir)
     engine = Engine(problem, config, backend)
     if args.dimacs:
         Path(args.dimacs).write_text(engine.session.clause_set().to_dimacs())
@@ -181,7 +195,7 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     corpus_dir = Path(args.corpus)
-    values = _resolve(args, corpus_dir)
+    values, given = _resolve(args, corpus_dir)
     _log_config(values)
     problems = load_corpus(corpus_dir)
     systems = parse_system_names(args.systems.split(","))
@@ -192,7 +206,7 @@ def cmd_bench(args) -> int:
         print("empty corpus: wrote an empty report")
         return EXIT_OK
     config = _engine_config(values)
-    backend = _backend(values, corpus_dir)
+    backend = _backend(values, given, corpus_dir)
     kb = backend.kb if isinstance(backend, OracleBackend) else None
     metrics = run_suite(
         problems,

@@ -6,8 +6,12 @@ literals, reached through Or, Implies, Not and negated And, as in
 ``forall x forall y (aunt(x, y) -> ~brother(x, y))``. It compiles once into a
 literal template, and its instances over the universe go straight into
 integer clauses: no ground formula tree is built, and an atom already seen
-is found by its predicate and entity ids without building it again. An
-instance already asserted under the same guard is dropped. A
+is found by its predicate and entity ids without building it again. Each
+template is expanded once per guard and universe: one with the same signed
+literals and bound names as a template expanded before, such as the mirror
+``forall x forall y (brother(x, y) -> ~aunt(x, y))`` of the clause above,
+adds nothing. An instance already asserted under the same guard is dropped,
+which covers templates that overlap only in part. A
 quantifier-free clause becomes one clause, literals in written order, with
 no auxiliary variable and no deduplication.
 
@@ -70,6 +74,7 @@ class CnfBuilder:
         self._symbols: list = []  # symbol id -> predicate or term
         self._atom_vars: dict[tuple[int, ...], int] = {}  # (predicate id, *term ids) -> var
         self._instances: set[frozenset[int]] = set()  # template instances asserted so far
+        self._expanded: set[tuple] = set()  # keys of the templates expanded so far
 
     def _intern(self, symbol) -> int:
         i = self._ids.get(symbol)
@@ -168,7 +173,17 @@ class CnfBuilder:
     def _assert_instances(self, names, literals, members, off) -> None:
         """One clause per assignment of ``members`` to ``names`` (the first
         name outermost, as :func:`argos.logic.ground` expands them), unless
-        the same clause was asserted before."""
+        the same clause was asserted before.
+
+        A template with the same signed literals, bound names, guard and
+        members as one expanded before has only instances asserted before,
+        so it is not expanded again.
+        """
+        ids = tuple(self._intern(e) for e in members)
+        key = (frozenset(literals), frozenset(names), tuple(off), ids)
+        if key in self._expanded:
+            return
+        self._expanded.add(key)
         k = len(names)
         slot = {name: i for i, name in enumerate(names)}
         # Each literal reads its atom's key out of ``combo + tail``: the
@@ -191,7 +206,6 @@ class CnfBuilder:
                 read = itemgetter(*positions)
             compiled.append((read, positive, atom.predicate))
         tail_ids = tuple(tail)
-        ids = [self._intern(e) for e in members]
         atom_vars, instances, clauses = self._atom_vars, self._instances, self.cs.clauses
         symbols = self._symbols
         for combo in product(ids, repeat=k):

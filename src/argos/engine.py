@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from typing import Collection, Optional, Sequence
 
 from .backends import CONTRADICTION_STYLE, Backend, SolveVote
@@ -146,15 +147,10 @@ def generation_targets(
         for a in sorted(s1 - shared, key=lambda e: e.name):
             for b in sorted(s2 - shared, key=lambda e: e.name):
                 primary.extend([(a, b), (b, a)])
+    # the other ordered pairs in name order, made only as far as the cap
     seen = set(primary)
-    rest = [
-        (a, b)
-        for a in entities
-        for b in entities
-        if a != b and (a, b) not in seen
-    ]
-    rest.sort(key=lambda p: (p[0].name, p[1].name))
-    return (primary + rest)[:cap]
+    rest = ((a, b) for a in entities for b in entities if a != b and (a, b) not in seen)
+    return primary[:cap] + list(islice(rest, max(0, cap - len(primary))))
 
 
 class Engine:

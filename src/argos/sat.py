@@ -153,9 +153,8 @@ class SatSession:
         """Every clause asserted so far, all of them loaded into the solver."""
         cs = self.builder.cs
         self.solver.ensure_vars(cs.num_vars)
-        while self._loaded < len(cs.clauses):
-            self.solver.add_clause(cs.clauses[self._loaded])
-            self._loaded += 1
+        self.solver.add_clauses(cs.clauses[self._loaded :])
+        self._loaded = len(cs.clauses)
         return cs
 
     def decide(
@@ -167,7 +166,11 @@ class SatSession:
         Verdicts: entails-query iff adding the negated query is
         unsatisfiable, entails-not-query iff adding the query is,
         inconsistent-premises iff the formulas are, else unknown. The
-        backbone starts from the last model a verdict solve found, so it
+        consistency solve's model already shows one side satisfiable: the
+        query where it holds there, its negation where it does not. So one
+        query solve settles the verdict, the one of the other side; a
+        consistent decide with a query makes two verdict solves, not three.
+        The backbone starts from the last model a verdict solve found, so it
         needs no solve of its own. A blown conflict budget degrades to an
         unknown verdict with no backbone rather than raising.
         """
@@ -182,14 +185,12 @@ class SatSession:
             model = solver.model
             verdict = UNKNOWN
             if qlit is not None:
-                if not _satisfiable(solver, assumed + (-qlit,), budget):
-                    verdict = ENTAILS_QUERY
+                holds = solver.model_value(abs(qlit)) == (qlit > 0)
+                other = -qlit if holds else qlit
+                if not _satisfiable(solver, assumed + (other,), budget):
+                    verdict = ENTAILS_QUERY if holds else ENTAILS_NOT_QUERY
                 else:
                     model = solver.model
-                    if not _satisfiable(solver, assumed + (qlit,), budget):
-                        verdict = ENTAILS_NOT_QUERY
-                    else:
-                        model = solver.model
             if with_backbone:
                 # a module-global lookup, so wrapping sat.compute_backbone reaches it
                 backbone = compute_backbone(solver, cs, model, assumed, budget)

@@ -7,14 +7,16 @@ shares any code path with the CDCL kernel or the clause-form builder.
 
 The other references are the plain forms of optimised code: the harness
 checks, each on a fresh grounding and fresh one-shot solves, the naive
-forward-chaining loop of the oracle backend, and the clause search's pair
-order scored one literal pair at a time.
+forward-chaining loop of the oracle backend, the oracle's rule lookup
+scanning every rule, the clause search's pair order scored one literal pair
+at a time and its generation targets built in full and sorted, and the
+kernel's clause loader taking one clause at a time.
 """
 
 from __future__ import annotations
 
 import random
-from argos.backends import _instantiate, _unify
+from argos.backends import _bind, _instantiate, _unify
 from argos.errors import ArgosError
 from argos.logic import (
     And,
@@ -87,6 +89,49 @@ def random_3cnf(rng: random.Random, n: int, m: int) -> list[list[int]]:
         vs = rng.sample(range(1, n + 1), 3)
         clauses.append([v if rng.random() < 0.5 else -v for v in vs])
     return clauses
+
+
+# --- the kernel's clause loader, one clause at a time ----------------------------
+
+
+def reference_add_clause(solver, lits) -> bool:
+    """Load one clause into a ``_satcore.Solver`` at level 0, as the kernel
+    loaded clauses before ``add_clauses``: every variable declared first,
+    then one value lookup per literal."""
+    if not solver.ok:
+        return False
+    for l in lits:
+        solver.ensure_vars(abs(l))
+    internal, seen_here = [], set()
+    for l in lits:
+        il = (l << 1) if l > 0 else (((-l) << 1) | 1)
+        if il ^ 1 in seen_here:
+            return True  # tautology
+        if il in seen_here:
+            continue
+        val = solver._lit_value(il)
+        if val == 1 and solver.level[il >> 1] == 0:
+            return True  # already satisfied forever
+        if val == 0 and solver.level[il >> 1] == 0:
+            continue  # falsified forever, drop literal
+        seen_here.add(il)
+        internal.append(il)
+    if not internal:
+        solver.ok = False
+        return False
+    if len(internal) == 1:
+        l = internal[0]
+        if solver._lit_value(l) == 0:
+            solver.ok = False
+            return False
+        if solver._lit_value(l) == -1:
+            solver._enqueue(l, -1)
+        return True
+    ci = len(solver.clauses)
+    solver.clauses.append(internal)
+    solver.watches[internal[0]].append(ci)
+    solver.watches[internal[1]].append(ci)
+    return True
 
 
 # --- semantic evaluation of (possibly quantified) formulas -----------------
@@ -294,6 +339,66 @@ def reference_pair_order(backbone) -> list[tuple]:
     pairs = [(l1, l2) for l1 in lits for l2 in lits]
     pairs.append(())
     return pairs
+
+
+def reference_generation_targets(antecedent, style, cap) -> list:
+    """``engine.generation_targets`` building every ordered entity pair,
+    sorting the pairs that are not primary by name, and then cutting at ``cap``."""
+    if not antecedent:
+        return [None]
+    entities = sorted({e for l in antecedent for e in l.entities()}, key=lambda e: e.name)
+    if not entities:
+        return [None]
+    if style == "entity":
+        return entities[:cap]
+    unique = tuple(dict.fromkeys(antecedent))
+    primary = []
+    if len(unique) == 2:
+        s1, s2 = unique[0].entities(), unique[1].entities()
+        shared = s1 & s2
+        for a in sorted(s1 - shared, key=lambda e: e.name):
+            for b in sorted(s2 - shared, key=lambda e: e.name):
+                primary.extend([(a, b), (b, a)])
+    seen = set(primary)
+    rest = [(a, b) for a in entities for b in entities if a != b and (a, b) not in seen]
+    rest.sort(key=lambda p: (p[0].name, p[1].name))
+    return (primary + rest)[:cap]
+
+
+# --- the oracle's rule lookup, one scan over every rule ----------------------------
+
+
+def reference_matching_consequents(kb, l1, l2) -> list:
+    """``OracleBackend._matching_consequents`` testing every rule of ``kb``,
+    in rule-text order, for a signature within the pair's."""
+    out, seen = [], set()
+    if l1 is None:
+        for rule in kb.rules:
+            fact = rule.consequent
+            if not rule.antecedent and fact.is_ground and fact not in seen:
+                seen.add(fact)
+                out.append(fact)
+        return out
+    pair = (l1,) if l2 is None or l2 == l1 else (l1, l2)
+    pair_sig = {(l.atom.predicate, l.positive) for l in pair}
+    for rule in sorted((r for r in kb.rules if r.antecedent), key=str):
+        if not {(l.atom.predicate, l.positive) for l in rule.antecedent} <= pair_sig:
+            continue
+        if len(rule.antecedent) == 1:
+            orders = [(p,) for p in pair]
+        elif len(pair) == 2:
+            orders = [(pair[0], pair[1]), (pair[1], pair[0])]
+        else:
+            orders = [(pair[0], pair[0])]
+        for order in orders:
+            theta = _bind(rule.antecedent, order, {})
+            if theta is None:
+                continue
+            derived = _instantiate(rule.consequent, theta)
+            if derived is not None and derived.is_ground and derived not in seen:
+                seen.add(derived)
+                out.append(derived)
+    return out
 
 
 # --- naive forward chaining ------------------------------------------------------

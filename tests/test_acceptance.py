@@ -78,8 +78,7 @@ def test_criterion_1_backbone_oracle_equivalence():
         want_sat = brute_force_sat(clauses, n)
         cs = _cs_from_ints(clauses, n)
         solver = _satcore.Solver(n)
-        for cl in cs.clauses:
-            solver.add_clause(cl)
+        solver.add_clauses(cs.clauses)
         got_sat = solver.solve() == _satcore.SAT
         assert got_sat == want_sat
         if not want_sat:

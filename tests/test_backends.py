@@ -19,10 +19,10 @@ from argos.corpus import Problem, load_problem_file
 from argos.engine import CommonsenseClause
 from argos.errors import ArgosError, BackendError, BackendExhausted, CorpusError
 from argos.kinship import generate_kinship, kinship_kb
-from argos.logic import Entity, HornRule
+from argos.logic import Atom, Entity, HornRule, Literal
 from argos.parser import parse_formula, parse_literal
 
-from _oracles import naive_chain
+from _oracles import naive_chain, reference_matching_consequents
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -274,6 +274,44 @@ def test_oracle_generate_answers_in_rule_text_order():
     assert str(backend.kb.rules[0]) > str(backend.kb.rules[1])
     out = backend.generate([], (), parse_literal("mom(A, B)"), parse_literal("sister(B, C)"), None)
     assert [str(c) for c in out] == ["mom(A, C)", "ancestor(A, B)"]
+
+
+def test_rule_lookup_by_signature_matches_the_full_scan():
+    # Random literal pairs over the kinship rule base, the same with rules
+    # of one antecedent literal whose text sorts between its own, and the
+    # winter-fox one, against a scan of every rule in text order.
+    _, kinship = generate_kinship(3, 4, seed=404)
+    texts = [str(f) for f in kinship.formulas()]
+    mixed = texts + [
+        f"forall x forall y ({name}(x, y) -> relative(x, y))"
+        for name in ("aunt", "brother", "mother", "sister")
+    ]
+    mixed.append("forall x forall y (~father(x, y) -> ~grandfather(x, y))")
+    rng = random.Random(17)
+    for kb in (kinship, _kb(mixed), _kb(FOX_RULES)):
+        backend = OracleBackend(kb)
+        named = sorted({e for r in kb.rules for e in r.entities()}, key=lambda e: e.name)
+        people = named or [Entity(n) for n in ("Ann", "Bob", "Cy", "Dee")]
+        predicates = sorted(
+            {l.atom.predicate for r in kb.rules for l in r.literals}, key=lambda p: p.name
+        )
+
+        def literal():
+            p = rng.choice(predicates)
+            args = tuple(rng.choice(people) for _ in range(p.arity))
+            return Literal(Atom(p, args), rng.random() < 0.7)
+
+        answered = 0
+        for _ in range(1500):
+            l1 = literal()
+            l2 = rng.choice([None, l1, literal()])
+            got = backend._matching_consequents(l1, l2)
+            assert got == reference_matching_consequents(kb, l1, l2)
+            answered += bool(got)
+        assert answered > 20
+        assert backend._matching_consequents(None, None) == reference_matching_consequents(
+            kb, None, None
+        )
 
 
 def test_oracle_generate_no_matching_rule_is_empty():

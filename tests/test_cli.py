@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+from argos import cli
 from argos.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -243,3 +244,55 @@ def test_bench_and_solve_write_identical_traces(tmp_path, capsys):
     benched = tmp_path / "r" / "traces" / "winter-fox.jsonl"
     assert solved.read_bytes()
     assert benched.read_bytes() == solved.read_bytes()
+
+
+def _kb_loaded(monkeypatch, capsys, kb_path, *flags):
+    """The OracleKB that ``argos solve`` builds from ``kb_path`` under ``flags``."""
+    loaded = []
+
+    class Recording(cli.OracleBackend):
+        def __init__(self, kb):
+            loaded.append(kb)
+            super().__init__(kb)
+
+    monkeypatch.setattr(cli, "OracleBackend", Recording)
+    problem = str(FIXTURES / "winter_fox" / "problem.json")
+    code, out, err = run_cli(
+        capsys, "solve", problem, "--oracle-kb", str(kb_path), "--no-sc", *flags
+    )
+    assert code == 0, err
+    return loaded[0]
+
+
+def test_kb_file_seed_and_noise_hold_unless_flags_or_config_set_them(
+    tmp_path, monkeypatch, capsys
+):
+    data = json.loads((FIXTURES / "winter_fox" / "kb.json").read_text())
+    kb_path = tmp_path / "kb.json"
+    kb_path.write_text(json.dumps({**data, "seed": 7, "noise": 0.25}))
+    kb = _kb_loaded(monkeypatch, capsys, kb_path)
+    assert (kb.seed, kb.noise) == (7, 0.25)
+    kb = _kb_loaded(monkeypatch, capsys, kb_path, "--seed", "3", "--oracle-noise", "0")
+    assert (kb.seed, kb.noise) == (3, 0.0)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": 5, "oracle_noise": 0.1}))
+    kb = _kb_loaded(monkeypatch, capsys, kb_path, "--config", str(cfg))
+    assert (kb.seed, kb.noise) == (5, 0.1)
+    kb = _kb_loaded(monkeypatch, capsys, kb_path, "--config", str(cfg), "--seed", "2")
+    assert (kb.seed, kb.noise) == (2, 0.1)
+
+
+def test_out_of_range_oracle_noise_exits_2_naming_field_and_value(tmp_path, capsys):
+    fox = FIXTURES / "winter_fox"
+    solve = ("solve", str(fox / "problem.json"), "--oracle-kb", str(fox / "kb.json"))
+    for bad in ("1.5", "-0.1", "1"):
+        code, out, err = run_cli(capsys, *solve, "--oracle-noise", bad)
+        assert code == 2
+        assert "--oracle-noise" in err and repr(float(bad)) in err
+        assert "Traceback" not in err
+    cfg = tmp_path / "run.json"
+    for bad in (1.5, "0.5", True):
+        cfg.write_text(json.dumps({"oracle_noise": bad}))
+        code, out, err = run_cli(capsys, *solve, "--config", str(cfg))
+        assert code == 2
+        assert "'oracle_noise'" in err and repr(bad) in err and str(cfg) in err

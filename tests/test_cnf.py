@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from argos import _satcore
+from argos import cnf as cnf_mod
 from argos.cnf import CnfBuilder
 from argos.errors import GroundingError
+from argos.kinship import generate_kinship
 from argos.logic import (
     And,
     Atom,
@@ -42,8 +44,7 @@ def _clauses(formulas):
 
 def _satisfiable(cs) -> bool:
     solver = _satcore.Solver(cs.num_vars)
-    for cl in cs.clauses:
-        solver.add_clause(cl)
+    solver.add_clauses(cs.clauses)
     return solver.solve() == _satcore.SAT
 
 
@@ -265,6 +266,76 @@ def test_mirrored_disjointness_pair_emits_each_instance_once():
     cs = SatSession(pair, universe=members).clause_set()
     assert len(cs.clauses) == len(members) ** 2
     assert len({frozenset(c) for c in cs.clauses}) == len(members) ** 2
+
+
+class _NothingExpanded(set):
+    """A builder's record of expanded templates that never holds a match,
+    so that every template is expanded in full."""
+
+    def __contains__(self, key):
+        return False
+
+
+def _expansions(monkeypatch) -> list:
+    """Record the length of every template expansion's assignment product."""
+    real = cnf_mod.product
+    sizes = []
+
+    def counted(*args, **kwargs):
+        combos = list(real(*args, **kwargs))
+        sizes.append(len(combos))
+        return iter(combos)
+
+    monkeypatch.setattr(cnf_mod, "product", counted)
+    return sizes
+
+
+def test_mirrored_template_pair_is_expanded_once(monkeypatch):
+    members = [Entity(name) for name in "ABC"]
+    pair = [
+        parse_formula("forall x forall y (aunt(x, y) -> ~brother(x, y))"),
+        parse_formula("forall y forall x (~aunt(x, y) | ~brother(x, y))"),
+        parse_formula("forall x forall y (brother(x, y) -> ~aunt(x, y))"),
+    ]
+    sizes = _expansions(monkeypatch)
+    cs = SatSession(pair, universe=members).clause_set()
+    assert sizes == [len(members) ** 2]
+    full = SatSession(universe=members)
+    full.builder._expanded = _NothingExpanded()
+    full.add_formulas(pair)
+    assert sizes == [len(members) ** 2] * 4
+    assert cs.clauses == full.clause_set().clauses
+    assert cs.var_map == full.builder.cs.var_map
+
+
+def test_template_skip_keeps_kinship_clauses():
+    # Every kinship problem states its disjointness axioms in both
+    # directions; skipping the mirrors leaves the clauses as they were.
+    problems, _ = generate_kinship(6, 4, seed=404)
+    for problem in problems:
+        premises = list(problem.premises) + list(problem.withheld_rules)
+        members = problem.universe()
+        skipped = SatSession(premises, problem.query, universe=members)
+        full = SatSession(universe=members)
+        full.builder._expanded = _NothingExpanded()
+        full.add_formulas(premises)
+        full.set_query(problem.query)
+        assert skipped.clause_set().clauses == full.clause_set().clauses
+        assert skipped.builder.cs.var_map == full.builder.cs.var_map
+
+
+def test_same_template_expanded_per_guard_and_per_universe(monkeypatch):
+    f = parse_formula("forall x (F(x) -> G(x))")
+    mirror = parse_formula("forall x (~G(x) -> ~F(x))")
+    sizes = _expansions(monkeypatch)
+    session = SatSession([f], universe=[Entity("A"), Entity("B")])
+    session.add_guarded([f, mirror])
+    assert sizes == [2, 2, 2]  # no guard, then two selectors
+    builder = CnfBuilder()
+    for members in (["A"], ["A", "B"], ["A"], ["B", "A"]):
+        builder.assert_formula(f, members=[Entity(n) for n in members])
+    assert sizes[3:] == [1, 2, 2]  # a repeated member list is not expanded again
+    assert len(builder.cs.clauses) == 2
 
 
 def test_duplicate_instances_kept_apart_by_guard():

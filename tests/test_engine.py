@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from argos.logic import Atom, Entity, Literal, lit, make_atom
 from argos.parser import parse_formula, parse_literal
 from argos.sat import SatSession
 
-from _oracles import reference_pair_order
+from _oracles import reference_generation_targets, reference_pair_order
 
 
 class StubBackend(Backend):
@@ -217,6 +218,28 @@ def test_generation_targets_pair_style_outer_endpoints_first():
     }
     single = generation_targets((l1,), "entity_pair", 3)
     assert (Entity("Amy"), Entity("Zoe")) in single
+
+
+def test_generation_targets_match_the_full_sort():
+    # Antecedents of up to two literals over 0-, 1- and 2-ary predicates and
+    # up to five entities, every cap up to past the number of pairs.
+    rng = random.Random(23)
+    people = [Entity(n) for n in ("Ann", "Bob", "Cy", "Dee", "Eve")]
+    shapes = [("p", 0), ("q", 1), ("r", 2), ("s", 2)]
+
+    def literal():
+        name, arity = rng.choice(shapes)
+        return lit(name, *(rng.choice(people) for _ in range(arity)), positive=rng.random() < 0.6)
+
+    for _ in range(400):
+        pair = tuple(literal() for _ in range(rng.randint(0, 2)))
+        if len(pair) == 2 and rng.random() < 0.2:
+            pair = (pair[0], pair[0])
+        antecedent = tuple(dict.fromkeys(pair))
+        for style in ("entity", "entity_pair"):
+            for cap in range(1, 22):
+                want = reference_generation_targets(antecedent, style, cap)
+                assert generation_targets(antecedent, style, cap) == want
 
 
 # --- the loop: short circuits ---------------------------------------------------

@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +21,8 @@ from argos.sat import (
     compute_backbone,
 )
 
-from _oracles import brute_force_backbone, brute_force_sat, random_3cnf
-from _oracles import semantic_models_mask, var_column
+from _oracles import brute_force_backbone, brute_force_sat, random_3cnf, reference_add_clause
+from _oracles import random_ground_formula, semantic_models_mask, var_column
 
 
 def _cs_from_ints(clauses, n):
@@ -37,8 +38,7 @@ def _cs_from_ints(clauses, n):
 
 def _kernel(cs):
     solver = _satcore.Solver(cs.num_vars)
-    for cl in cs.clauses:
-        solver.add_clause(cl)
+    solver.add_clauses(cs.clauses)
     return solver
 
 
@@ -47,6 +47,51 @@ def _backbone(cs, assumptions=()):
     solver = _kernel(cs)
     assert solver.solve(assumptions) == _satcore.SAT
     return compute_backbone(solver, cs, solver.model, assumptions)
+
+
+def _random_batch(rng, n):
+    """Clauses over up to n variables: with so few variables, tautologies,
+    repeated literals and units come up often; an empty clause now and then."""
+    batch = []
+    for _ in range(rng.randint(0, 12)):
+        size = 0 if rng.random() < 0.02 else rng.randint(1, 4)
+        batch.append([rng.choice([1, -1]) * rng.randint(1, n) for _ in range(size)])
+    return batch
+
+
+def test_add_clauses_leaves_the_state_one_at_a_time_loading_leaves():
+    # Batches on one reused pair of solvers, each batch after a solve or a
+    # propagation, so that later batches meet literals fixed at level 0.
+    rng = random.Random(2003)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        start = rng.randint(0, n)
+        batched, single = _satcore.Solver(start), _satcore.Solver(start)
+        for _ in range(rng.randint(1, 5)):
+            batch = _random_batch(rng, n)
+            got = batched.add_clauses(batch)
+            for cl in batch:
+                reference_add_clause(single, cl)
+            assert got == single.ok
+            assert vars(batched) == vars(single)
+            picked = rng.sample(range(1, n + 1), rng.randint(0, min(2, n)))
+            assumed = [rng.choice([1, -1]) * v for v in picked]
+            if rng.random() < 0.5:
+                assert batched.solve(assumed) == single.solve(assumed)
+            else:
+                assert batched.propagated(assumed) == single.propagated(assumed)
+            assert vars(batched) == vars(single)
+
+
+def test_add_clauses_drops_what_level_zero_settles():
+    solver = _satcore.Solver()
+    assert solver.add_clauses([[1], [-1, 2, 3, 2], [3, -3, 4], [1, 5], [-1, 6, 7]])
+    assert solver.num_vars == 7  # the clauses left out declare their variables too
+    assert solver.trail == [2]  # the unit 1, as internal literal 2 * 1
+    # -1 is false for good and the second 2 repeats: 2 | 3, then 6 | 7
+    assert solver.clauses == [[4, 6], [12, 14]]
+    assert solver.add_clauses([[-1], [8]]) is False
+    assert solver.num_vars == 7  # nothing after the empty clause is read
 
 
 def test_unit_contradiction_unsat():
@@ -184,6 +229,68 @@ def test_sat_solve_inconsistent_premises():
     conclusion, backbone = SatSession(premises, parse_formula("B")).decide()
     assert conclusion.verdict == INCONSISTENT
     assert backbone is None
+
+
+@pytest.mark.parametrize(
+    "premises, query, verdict, solves",
+    [
+        (["A", "A -> B"], "B", ENTAILS_QUERY, 2),
+        (["A", "A -> B"], "~B", ENTAILS_NOT_QUERY, 2),
+        (["~B", "A -> B"], "A", ENTAILS_NOT_QUERY, 2),
+        (["~B", "A -> B"], "~A", ENTAILS_QUERY, 2),
+        (["A | B"], "A", UNKNOWN, 2),
+        (["A | B"], "~A", UNKNOWN, 2),
+        (["A | B"], "A & ~B", UNKNOWN, 2),
+        (["A", "~A"], "B", INCONSISTENT, 1),
+        (["A | B"], None, UNKNOWN, 1),
+    ],
+)
+def test_decide_makes_one_query_solve(monkeypatch, premises, query, verdict, solves):
+    # The consistency solve's model shows one side of the query satisfiable,
+    # so only the other side needs a solve, whichever side the model takes.
+    solve = _satcore.Solver.solve
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(_satcore.Solver, "solve", counted)
+    q = None if query is None else parse_formula(query)
+    session = SatSession([parse_formula(t) for t in premises], q)
+    conclusion, _ = session.decide(with_backbone=False)
+    assert conclusion.verdict == verdict
+    assert len(calls) == solves
+
+
+def test_decide_verdicts_match_truth_tables_under_assumptions():
+    # Random premises and queries, each decided under random assumptions on
+    # one session, against the satisfiability of premises, assumptions and
+    # the query, and of premises, assumptions and the negated query.
+    rng = random.Random(1983)
+    for _ in range(80):
+        premises = [random_ground_formula(rng, 4) for _ in range(rng.randint(0, 3))]
+        query = random_ground_formula(rng, 4)
+        session = SatSession(premises, query)
+        atoms = sorted(session.clause_set().var_map.items(), key=lambda kv: kv[1])
+        for _ in range(3):
+            picked = rng.sample(atoms, rng.randint(0, min(2, len(atoms))))
+            signs = [rng.random() < 0.5 for _ in picked]
+            assumed = [v if pos else -v for (_, v), pos in zip(picked, signs)]
+            conclusion, _ = session.decide(with_backbone=False, assumptions=assumed)
+            facts = [AtomNode(a) for a, _ in picked]
+            facts = [f if pos else Not(f) for f, pos in zip(facts, signs)]
+            held = [
+                semantic_models_mask(functools.reduce(And, premises + facts + [q]), [])[0] != 0
+                for q in (query, Not(query))
+            ]
+            want = {
+                (True, True): UNKNOWN,
+                (True, False): ENTAILS_QUERY,
+                (False, True): ENTAILS_NOT_QUERY,
+                (False, False): INCONSISTENT,
+            }[tuple(held)]
+            assert conclusion.verdict == want
 
 
 def test_sat_solve_verdict_in_backbone_for_literal_queries():
@@ -337,8 +444,7 @@ class _ScanSolver(_satcore.Solver):
 def _pair(clauses, n):
     heap, scan = _satcore.Solver(n), _ScanSolver(n)
     for solver in (heap, scan):
-        for cl in clauses:
-            solver.add_clause(cl)
+        solver.add_clauses(clauses)
     return heap, scan
 
 
@@ -400,8 +506,7 @@ def test_decision_heap_stays_bounded_across_conflict_heavy_solves():
     rng = random.Random(31)
     n = 150
     solver = _satcore.Solver(n)
-    for cl in random_3cnf(rng, n, round(4.26 * n)):
-        solver.add_clause(cl)
+    solver.add_clauses(random_3cnf(rng, n, round(4.26 * n)))
     bound = _satcore._HEAP_SLACK * n
     for _ in range(24):
         picked = rng.sample(range(1, n + 1), rng.randint(0, 3))
