@@ -39,7 +39,6 @@ from .logic import (
     Literal,
     Predicate,
     ground,
-    related,
 )
 from .parser import parse_formula, parse_literal
 from .sat import Backbone, SatConclusion, SatSession
@@ -78,7 +77,6 @@ __all__ = [
     "pair_order",
     "parse_formula",
     "parse_literal",
-    "related",
     "run_suite",
     "save_problem",
     "solve",

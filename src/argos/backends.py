@@ -24,11 +24,12 @@ import re
 import threading
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import ArgosError, BackendError, BackendExhausted, CorpusError
+from .errors import ArgosError, BackendError, BackendExhausted, ConfigError, CorpusError
+from .errors import check_fields, is_int, is_number
 from .logic import (
     Atom,
     Entity,
@@ -281,16 +282,6 @@ def _instantiate(pattern: Literal, theta: dict) -> Optional[Literal]:
     return Literal(Atom(pattern.atom.predicate, tuple(args)), pattern.positive)
 
 
-# kb.json knob -> (default, check, what the check wants); a bool passes no check
-KB_FIELDS = {
-    "reasoning_depth": (
-        None, lambda v: v is None or isinstance(v, int) and v >= 0, "null or an integer >= 0"
-    ),
-    "noise": (0.0, lambda v: isinstance(v, (int, float)) and 0.0 <= v < 1.0, "a number in [0, 1)"),
-    "seed": (0, lambda v: isinstance(v, int), "an integer"),
-}
-
-
 @dataclass
 class OracleKB:
     """Rule base plus the knobs that shape the stand-in model's behaviour.
@@ -306,22 +297,22 @@ class OracleKB:
     noise: float = 0.0
     seed: int = 0
 
+    # knob -> (check, what the check wants); a kb.json may set each knob
+    FIELDS = {
+        "reasoning_depth": (lambda v: v is None or is_int(v) and v >= 0,
+                            "null or an integer >= 0"),
+        "noise": (lambda v: is_number(v) and 0.0 <= v < 1.0, "a number in [0, 1)"),
+        "seed": (is_int, "an integer"),
+    }
+
     def __post_init__(self):
-        if not 0.0 <= self.noise < 1.0:
-            raise ValueError("noise must be in [0, 1)")
+        check_fields(self, self.FIELDS)
         for r in self.rules:
             if len(r.antecedent) > 2:
                 raise ArgosError(f"rule antecedent too long: {r}")
 
     @classmethod
-    def from_formulas(
-        cls,
-        formulas: Iterable[Formula],
-        reasoning_depth: Optional[int] = None,
-        noise: float = 0.0,
-        seed: int = 0,
-        check: bool = True,
-    ) -> "OracleKB":
+    def from_formulas(cls, formulas: Iterable[Formula], check: bool = True, **knobs) -> "OracleKB":
         rules = []
         for f in formulas:
             r = HornRule.from_formula(f)
@@ -329,33 +320,29 @@ class OracleKB:
                 raise ArgosError(f"not a Horn rule: {f}")
             rules.append(r)
         rules.sort(key=str)
-        kb = cls(tuple(rules), reasoning_depth, noise, seed)
+        kb = cls(tuple(rules), **knobs)
         if check and not kb.is_consistent():
             raise ArgosError("knowledge base rules are mutually inconsistent")
         return kb
 
     @classmethod
     def from_file(cls, path, **overrides) -> "OracleKB":
-        """Load rules from JSON; None-valued overrides leave the file values."""
+        """Load rules and knobs from JSON; ``overrides`` replace the file's knobs."""
+        from .corpus import load_json_object
         from .parser import parse_formula
 
-        try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, ValueError) as exc:
-            raise CorpusError(f"{path}: unreadable rule base: {exc}") from exc
-        rules = data.get("rules") if isinstance(data, dict) else None
+        data = load_json_object(path, ("rules", *cls.FIELDS))
+        rules = data.get("rules")
         if not isinstance(rules, list) or not all(isinstance(t, str) for t in rules):
-            raise CorpusError(f"{path}: expected an object with a 'rules' array of strings")
+            raise CorpusError(f"{path}: expected a 'rules' array of strings")
         signature: dict[str, int] = {}
         formulas = [parse_formula(t, signature=signature) for t in rules]
-        params = {}
-        for key, (default, valid, want) in KB_FIELDS.items():
-            value = data.get(key, default)
-            if isinstance(value, bool) or not valid(value):
-                raise CorpusError(f"{path}: field {key!r}: expected {want}, got {value!r}")
-            params[key] = value
-        params.update({k: v for k, v in overrides.items() if v is not None})
-        return cls.from_formulas(formulas, **params)
+        knobs = {key: data[key] for key in cls.FIELDS if key in data}
+        try:
+            kb = cls.from_formulas(formulas, **knobs)
+        except ConfigError as exc:
+            raise CorpusError(f"{path}: {exc}") from exc
+        return replace(kb, **overrides)
 
     def to_file(self, path) -> None:
         payload = {"rules": [str(f) for f in self.formulas()]}
@@ -814,28 +801,7 @@ class WireBackend(Backend):
             antecedent_text = str(l1)
         else:
             antecedent_text = f"{l1} & {l2}"
-        if isinstance(target, tuple):
-            prompt = generate_prompt_pair(antecedent_text, target[0], target[1])
-        else:
-            known = sorted(
-                {a.predicate.name for f in premises for a in iter_atoms(f)}
-                | {l.atom.predicate.name for c in commonsense for l in c.literals}
-            )
-            prompt = generate_prompt_entity(
-                premises, commonsense, antecedent_text, target, known
-            )
-        data = self._request(prompt, MAX_GENERATE_TOKENS, 0.0, 0)
-        text = self._choice(data).get("text", "")
-        lit = self._parse_generated(text, target, premises, commonsense)
-        return [lit] if lit is not None else []
-
-    @staticmethod
-    def _parse_generated(text, target, premises, commonsense) -> Optional[Literal]:
-        from .parser import parse_literal
-
-        line = text.strip().splitlines()[0].strip().rstrip(".") if text.strip() else ""
-        if not line:
-            return None
+        # the predicate vocabulary: each name with its first-seen arity
         signature: dict[str, int] = {}
         for f in premises:
             for a in iter_atoms(f):
@@ -843,6 +809,24 @@ class WireBackend(Backend):
         for c in commonsense:
             for l in c.literals:
                 signature.setdefault(l.atom.predicate.name, l.atom.predicate.arity)
+        if isinstance(target, tuple):
+            prompt = generate_prompt_pair(antecedent_text, target[0], target[1])
+        else:
+            prompt = generate_prompt_entity(
+                premises, commonsense, antecedent_text, target, sorted(signature)
+            )
+        data = self._request(prompt, MAX_GENERATE_TOKENS, 0.0, 0)
+        text = self._choice(data).get("text", "")
+        lit = self._parse_generated(text, target, signature)
+        return [lit] if lit is not None else []
+
+    @staticmethod
+    def _parse_generated(text, target, signature: dict[str, int]) -> Optional[Literal]:
+        from .parser import parse_literal
+
+        line = text.strip().splitlines()[0].strip().rstrip(".") if text.strip() else ""
+        if not line:
+            return None
         bare = re.fullmatch(r"~?\s*[A-Za-z_][A-Za-z0-9_]*", line)
         if bare:
             name = line.lstrip("~ ").strip()

@@ -1,11 +1,15 @@
 """Command-line interface: solve, bench, gen, trace.
 
-Configuration precedence is flags, then a JSON config file (--config), then
-environment variables (ARGOS_ENDPOINT, ARGOS_MODEL, ARGOS_API_TOKEN), then
-defaults. An oracle kb.json keeps its own reasoning_depth, noise and seed
-unless a flag or the config file sets oracle_depth, oracle_noise or seed.
-The fully resolved configuration is printed to stderr before any
-engine call so runs can be reproduced.
+Every setting has one CLI key, listed in ``SETTINGS`` with the dataclass
+field that holds it; that dataclass declares the default and the check.
+Precedence is flags, then a JSON config file (--config), then a corpus
+config.json (generation_style, score_style), then environment variables
+(ARGOS_ENDPOINT, ARGOS_MODEL, ARGOS_API_TOKEN), then the defaults. An oracle
+kb.json keeps its own reasoning_depth, noise and seed unless a flag or the
+config file sets oracle_depth, oracle_noise or seed. A value from any source
+that fails its check, an unknown key, or a file that is not a JSON object is
+a usage error. The fully resolved configuration is printed to stderr before
+any engine call so runs can be reproduced.
 
 Exit codes: 0 on a verdict, 2 on usage/load errors, 3 on backend exhaustion.
 """
@@ -16,18 +20,21 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
-from .backends import KB_FIELDS, OracleBackend, OracleKB, WireBackend
+from .backends import OracleBackend, OracleKB, WireBackend
 from .corpus import (
     load_corpus,
     load_corpus_config,
     load_exemplars,
+    load_json_object,
     load_problem_file,
     save_problem,
 )
 from .engine import Engine, EngineConfig, trace_jsonl
-from .errors import ArgosError, BackendError, CorpusError
+from .errors import ArgosError, BackendError, CorpusError, check_setting, is_int, one_of
 from .harness import (
     RunMetrics,
     cost_histogram_csv,
@@ -43,140 +50,144 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BACKEND = 3
 
-_ENGINE_KEYS = (
-    "k", "gamma", "alpha", "tau", "max_cot", "max_candidates_per_pair",
-    "seed", "no_sc", "gen_style", "score_style", "backend", "endpoint",
-    "model", "oracle_kb", "oracle_depth", "oracle_noise", "jobs",
-)
+
+def _optional_str(v) -> bool:
+    return v is None or isinstance(v, str)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with defaults for any flag")
-    p.add_argument("--k", type=int, help="samples per vote (default 5)")
-    p.add_argument("--gamma", type=float, help="initial vote threshold (default 1.0)")
-    p.add_argument("--alpha", type=float, help="threshold decay per accepted clause (default 0.1)")
-    p.add_argument("--tau", type=float, help="score acceptance threshold (default 0.3)")
-    p.add_argument("--max-cot", type=int, dest="max_cot", help="hard cap on chain-of-thought calls")
-    p.add_argument("--seed", type=int, help="seed for all stochastic choices (default 0)")
-    p.add_argument("--no-sc", action="store_true", dest="no_sc", default=None,
-                   help="disable the self-consistency solver (symbolic-only ablation)")
-    p.add_argument("--gen-style", choices=["entity", "entity_pair"], dest="gen_style",
-                   help="generation prompt style (default from corpus config)")
-    p.add_argument("--score-style", choices=["contradiction", "truth"], dest="score_style",
-                   help="commonsense scoring style (default from corpus config)")
-    p.add_argument("--backend", choices=["oracle", "wire"], help="backend kind (default oracle)")
-    p.add_argument("--endpoint", help="completion endpoint URL (wire backend)")
-    p.add_argument("--model", help="model name (wire backend)")
-    p.add_argument("--oracle-kb", dest="oracle_kb", help="oracle rule base JSON path")
-    p.add_argument("--oracle-depth", type=int, dest="oracle_depth",
-                   help="oracle reasoning depth (rule applications per derivation)")
-    p.add_argument("--oracle-noise", type=float, dest="oracle_noise",
-                   help="oracle noise epsilon in [0,1)")
+@dataclass
+class RunConfig:
+    """The run's own settings: the backend, where it is, and the workers."""
+
+    backend: str = "oracle"
+    endpoint: Optional[str] = None
+    model: Optional[str] = None
+    oracle_kb: Optional[str] = None
+    jobs: int = 1
+
+    # field -> (check, what the check wants); _resolve checks every value given
+    FIELDS = {
+        "backend": one_of("oracle", "wire"),
+        "endpoint": (_optional_str, "null or a string"),
+        "model": (_optional_str, "null or a string"),
+        "oracle_kb": (_optional_str, "null or a string"),
+        "jobs": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+    }
 
 
-# resolved keys that override a kb.json field, when a flag or --config gives them
-_KB_OVERRIDES = {"oracle_depth": "reasoning_depth", "oracle_noise": "noise", "seed": "seed"}
+# CLI key -> (the dataclass whose field holds the value, that field, the
+# flag's type, the flag's help)
+SETTINGS = {
+    "k": (EngineConfig, "k", int, "samples per vote"),
+    "gamma": (EngineConfig, "gamma0", float, "initial vote threshold"),
+    "alpha": (EngineConfig, "alpha", float, "threshold decay per accepted clause"),
+    "tau": (EngineConfig, "tau", float, "score acceptance threshold"),
+    "max_cot": (EngineConfig, "max_cot", int, "hard cap on chain-of-thought calls"),
+    "seed": (EngineConfig, "seed", int, "seed for all stochastic choices"),
+    "no_sc": (EngineConfig, "use_sc_solver", bool,
+              "disable the self-consistency solver (symbolic-only ablation)"),
+    "gen_style": (EngineConfig, "generation_style", str, "generation prompt style"),
+    "score_style": (EngineConfig, "score_style", str, "commonsense scoring style"),
+    "backend": (RunConfig, "backend", str, "backend kind"),
+    "endpoint": (RunConfig, "endpoint", str, "completion endpoint URL (wire backend)"),
+    "model": (RunConfig, "model", str, "model name (wire backend)"),
+    "oracle_kb": (RunConfig, "oracle_kb", str, "oracle rule base JSON path"),
+    "oracle_depth": (OracleKB, "reasoning_depth", int,
+                     "oracle reasoning depth (rule applications per derivation)"),
+    "oracle_noise": (OracleKB, "noise", float, "oracle noise epsilon"),
+    "jobs": (RunConfig, "jobs", int, "parallel workers"),
+}
+ENVIRONMENT = {"endpoint": "ARGOS_ENDPOINT", "model": "ARGOS_MODEL"}
 
 
-def _resolve(args, corpus_dir: Path | None) -> tuple[dict, set[str]]:
-    """Every engine key's value, and the keys whose value a flag or the
-    --config file gave."""
-    values: dict = {}
-    given: set[str] = set()
-    file_values: dict = {}
+def _to_field(key: str, value):
+    """A key's value as its field holds it, or back: no_sc negates."""
+    return not value if key == "no_sc" else value
+
+
+def _default(key: str):
+    """The value of a key that no source gives. The oracle KB's knobs have
+    none here: the kb.json's own value holds."""
+    owner, field, _, _ = SETTINGS[key]
+    return None if owner is OracleKB else _to_field(key, owner.__dataclass_fields__[field].default)
+
+
+def _add_common_flags(p: argparse.ArgumentParser, keys) -> None:
+    p.add_argument("--config", help="JSON object with a value for any key below")
+    for key in keys:
+        owner, field, kind, text = SETTINGS[key]
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            p.add_argument(flag, dest=key, action="store_true", default=None, help=text)
+            continue
+        default = "the kb.json's" if owner is OracleKB else json.dumps(_default(key))
+        want = owner.FIELDS[field][1]
+        p.add_argument(flag, dest=key, type=kind, help=f"{text}: {want} (default {default})")
+
+
+def _resolve(args, corpus_dir: Path | None) -> tuple[EngineConfig, RunConfig, dict]:
+    """The engine and run configs, and the kb.json overrides, from every
+    source; each value a source gives must pass its field's check."""
+    offered = [  # (key, value, where it came from), in precedence order
+        (key, getattr(args, key), "--" + key.replace("_", "-"))
+        for key in SETTINGS
+        if getattr(args, key, None) is not None
+    ]
     if args.config:
-        try:
-            file_values = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CorpusError(f"--config {args.config}: {exc}") from exc
-    corpus_values = load_corpus_config(corpus_dir) if corpus_dir else {}
-    env = {
-        "endpoint": os.environ.get("ARGOS_ENDPOINT"),
-        "model": os.environ.get("ARGOS_MODEL"),
-    }
-    defaults = {
-        "k": 5, "gamma": 1.0, "alpha": 0.1, "tau": 0.3, "max_cot": None,
-        "max_candidates_per_pair": 3, "seed": 0, "no_sc": False,
-        "gen_style": "entity", "score_style": "contradiction",
-        "backend": "oracle", "endpoint": None, "model": None,
-        "oracle_kb": None, "oracle_depth": None, "oracle_noise": None,
-        "jobs": 1,
-    }
-    corpus_keys = {"gen_style": "generation_style", "score_style": "score_style"}
-    for key in _ENGINE_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-            given.add(key)
-        elif key in file_values:
-            values[key] = file_values[key]
-            given.add(key)
-        elif key in corpus_keys and corpus_keys[key] in corpus_values:
-            values[key] = corpus_values[corpus_keys[key]]
-        elif env.get(key) is not None:
-            values[key] = env[key]
-        else:
-            values[key] = defaults[key]
-    noise = values["oracle_noise"]
-    _, valid, want = KB_FIELDS["noise"]
-    if noise is not None and (isinstance(noise, bool) or not valid(noise)):
-        if args.oracle_noise is not None:
-            where = "--oracle-noise"
-        else:
-            where = f"--config {args.config}: field 'oracle_noise'"
-        raise CorpusError(f"{where}: expected {want}, got {noise!r}")
-    return values, given
+        data = load_json_object(args.config, SETTINGS)
+        offered += [(k, v, f"{args.config}: field {k!r}") for k, v in data.items()]
+    given = {key for key, _, _ in offered}
+    if corpus_dir is not None:
+        cfg = corpus_dir / "config.json"
+        # a corpus config.json names each setting by its field
+        keys = {field: key for key, (_, field, _, _) in SETTINGS.items()}
+        data = load_corpus_config(corpus_dir)
+        offered += [(keys[name], v, f"{cfg}: field {name!r}") for name, v in data.items()]
+    offered += [(key, os.environ[v], v) for key, v in ENVIRONMENT.items() if v in os.environ]
+    for key, value, where in offered:
+        owner, field, _, _ = SETTINGS[key]
+        check_setting(where, value, owner.FIELDS[field])
+    values = {key: _default(key) for key in SETTINGS}
+    values.update((key, value) for key, value, _ in reversed(offered))
+    print("config: " + json.dumps(values, sort_keys=True, default=str), file=sys.stderr)
+    held = {EngineConfig: {}, RunConfig: {}, OracleKB: {}}
+    for key, (owner, field, _, _) in SETTINGS.items():
+        if owner is not OracleKB:
+            held[owner][field] = _to_field(key, values[key])
+        # a flag or --config overrides the kb.json knob of the field's name,
+        # the seed among them; null, as by default, keeps the kb.json's value
+        if key in given and field in OracleKB.FIELDS and values[key] is not None:
+            held[OracleKB][field] = values[key]
+    return EngineConfig(**held[EngineConfig]), RunConfig(**held[RunConfig]), held[OracleKB]
 
 
-def _engine_config(values: dict) -> EngineConfig:
-    return EngineConfig(
-        k=values["k"],
-        gamma0=values["gamma"],
-        alpha=values["alpha"],
-        tau=values["tau"],
-        max_cot=values["max_cot"],
-        max_candidates_per_pair=values["max_candidates_per_pair"],
-        seed=values["seed"],
-        use_sc_solver=not values["no_sc"],
-        generation_style=values["gen_style"],
-        score_style=values["score_style"],
-    )
-
-
-def _backend(values: dict, given: set[str], corpus_dir: Path | None):
-    if values["backend"] == "wire":
-        if not values["endpoint"] or not values["model"]:
+def _backend(run: RunConfig, overrides: dict, corpus_dir: Path | None):
+    if run.backend == "wire":
+        if not run.endpoint or not run.model:
             raise CorpusError("wire backend needs --endpoint and --model (or environment)")
         exemplars = load_exemplars(corpus_dir) if corpus_dir else []
         return WireBackend(
-            values["endpoint"],
-            values["model"],
+            run.endpoint,
+            run.model,
             api_token=os.environ.get("ARGOS_API_TOKEN"),
             exemplars=exemplars,
         )
-    kb_path = values["oracle_kb"]
+    kb_path = run.oracle_kb
     if kb_path is None and corpus_dir is not None:
         candidate = corpus_dir / "kb.json"
         if candidate.exists():
             kb_path = candidate
     if kb_path is None:
         raise CorpusError("oracle backend needs --oracle-kb (or a kb.json beside the corpus)")
-    overrides = {field: values[key] for key, field in _KB_OVERRIDES.items() if key in given}
     return OracleBackend(OracleKB.from_file(kb_path, **overrides))
-
-
-def _log_config(values: dict) -> None:
-    print("config: " + json.dumps(values, sort_keys=True, default=str), file=sys.stderr)
 
 
 def cmd_solve(args) -> int:
     path = Path(args.problem)
     corpus_dir = path.parent if path.parent.is_dir() else None
-    values, given = _resolve(args, corpus_dir)
-    _log_config(values)
+    config, run, overrides = _resolve(args, corpus_dir)
     problem = load_problem_file(path)
-    config = _engine_config(values)
-    backend = _backend(values, given, corpus_dir)
+    backend = _backend(run, overrides, corpus_dir)
     engine = Engine(problem, config, backend)
     if args.dimacs:
         Path(args.dimacs).write_text(engine.session.clause_set().to_dimacs())
@@ -195,8 +206,7 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     corpus_dir = Path(args.corpus)
-    values, given = _resolve(args, corpus_dir)
-    _log_config(values)
+    config, run, overrides = _resolve(args, corpus_dir)
     problems = load_corpus(corpus_dir)
     systems = parse_system_names(args.systems.split(","))
     out = Path(args.out)
@@ -205,8 +215,7 @@ def cmd_bench(args) -> int:
         (out / "summary.csv").write_text(summary_csv(RunMetrics()))
         print("empty corpus: wrote an empty report")
         return EXIT_OK
-    config = _engine_config(values)
-    backend = _backend(values, given, corpus_dir)
+    backend = _backend(run, overrides, corpus_dir)
     kb = backend.kb if isinstance(backend, OracleBackend) else None
     metrics = run_suite(
         problems,
@@ -215,7 +224,7 @@ def cmd_bench(args) -> int:
         baselines=[s for s in systems if s != "argos"],
         kb=kb,
         run_argos_system="argos" in systems,
-        jobs=values["jobs"],
+        jobs=run.jobs,
     )
     (out / "summary.csv").write_text(summary_csv(metrics))
     for system, records in metrics.records.items():
@@ -310,15 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("problem", help="problem JSON file")
     p_solve.add_argument("--trace", help="write the event log to this path")
     p_solve.add_argument("--dimacs", help="export the initial clause set as DIMACS CNF")
-    _add_common_flags(p_solve)
+    _add_common_flags(p_solve, [key for key in SETTINGS if key != "jobs"])
 
     p_bench = sub.add_parser("bench", help="run systems over a corpus directory")
     p_bench.add_argument("corpus", help="corpus directory")
     p_bench.add_argument("--systems", default="argos",
                          help="comma list: argos, sat, scN (e.g. argos,sat,sc20)")
     p_bench.add_argument("--out", required=True, help="output directory for CSVs and traces")
-    p_bench.add_argument("--jobs", type=int, help="parallel workers (default 1)")
-    _add_common_flags(p_bench)
+    _add_common_flags(p_bench, SETTINGS)
 
     p_gen = sub.add_parser("gen", help="generate a kinship corpus")
     p_gen.add_argument("--out", required=True, help="destination directory")

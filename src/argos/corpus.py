@@ -18,6 +18,7 @@ from .logic import Entity, Formula, formula_entities
 from .parser import parse_formula
 
 RESERVED_FILES = {"kb.json", "config.json", "exemplars.json"}
+CONFIG_KEYS = ("generation_style", "score_style")  # the EngineConfig fields config.json may set
 
 
 @dataclass
@@ -29,12 +30,15 @@ class Problem:
     text: Optional[str] = None
     gold_label: Optional[bool] = None
     withheld_rules: list[Formula] = field(default_factory=list)
+    _universe: Optional[frozenset] = field(default=None, init=False, repr=False, compare=False)
 
-    def universe(self) -> set[Entity]:
-        out = set(self.entities)
-        for f in list(self.premises) + [self.query] + list(self.withheld_rules):
-            out |= formula_entities(f)
-        return out
+    def universe(self) -> frozenset[Entity]:
+        """The declared entities and every constant that a premise, the query
+        or a withheld rule names; scanned on the first call, then kept."""
+        if self._universe is None:
+            formulas = [*self.premises, self.query, *self.withheld_rules]
+            self._universe = frozenset(self.entities).union(*map(formula_entities, formulas))
+        return self._universe
 
 
 def _require(data: dict, key: str, kind, path) -> object:
@@ -54,13 +58,7 @@ def load_problem_file(path, validate: bool = True) -> Problem:
     one is given.
     """
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CorpusError(f"{path}: unreadable problem file: {exc}") from exc
-    if not isinstance(data, dict):
-        raise CorpusError(f"{path}: expected a JSON object")
-
+    data = load_json_object(path)
     pid = _require(data, "id", str, path)
     entity_names = _require(data, "entities", list, path)
     premise_texts = _require(data, "premises", list, path)
@@ -162,18 +160,25 @@ def load_corpus(path, validate: bool = True) -> list[Problem]:
     return problems
 
 
-def load_corpus_config(path) -> dict:
-    """Per-corpus engine keys (generation_style, score_style), if present."""
-    cfg = Path(path) / "config.json"
-    if not cfg.exists():
-        return {}
+def load_json_object(path, known=None) -> dict:
+    """The JSON object in ``path``, whose keys must all be in ``known`` when
+    that is given; an error names the file."""
     try:
-        data = json.loads(cfg.read_text())
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{cfg}: invalid JSON: {exc}") from exc
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise CorpusError(f"{path}: unreadable JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise CorpusError(f"{cfg}: expected a JSON object")
+        raise CorpusError(f"{path}: expected a JSON object, got a {type(data).__name__}")
+    unknown = [] if known is None else sorted(set(data) - set(known))
+    if unknown:
+        raise CorpusError(f"{path}: unknown key {unknown[0]!r} (set to {data[unknown[0]]!r})")
     return data
+
+
+def load_corpus_config(path) -> dict:
+    """Per-corpus engine settings (``CONFIG_KEYS``), if present."""
+    cfg = Path(path) / "config.json"
+    return load_json_object(cfg, CONFIG_KEYS) if cfg.exists() else {}
 
 
 def load_exemplars(path) -> list[dict]:

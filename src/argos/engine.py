@@ -21,17 +21,22 @@ from fractions import Fraction
 from itertools import islice
 from typing import Collection, Optional, Sequence
 
-from .backends import CONTRADICTION_STYLE, Backend, SolveVote
-from .errors import BackendError, BackendExhausted
-from .logic import Entity, HornRule, Literal, formula_entities, ground
+from .backends import CONTRADICTION_STYLE, TRUTH_STYLE, Backend, SolveVote
+from .errors import BackendError, BackendExhausted, check_fields, is_int, is_number, one_of
+from .logic import Entity, HornRule, Literal, ground
 from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, INCONSISTENT, Backbone, SatSession
 
 GENERATION_ENTITY = "entity"
 GENERATION_ENTITY_PAIR = "entity_pair"
+GENERATION_TARGETS = 3  # generation calls per antecedent: entities or entity pairs
 
 DECIDED_BY_SAT = "sat"
 DECIDED_BY_SC = "self-consistency"
 DECIDED_BY_FALLBACK = "fallback"
+
+
+def _in_unit(v) -> bool:
+    return is_number(v) and 0.0 < v <= 1.0
 
 
 @dataclass
@@ -43,23 +48,26 @@ class EngineConfig:
     alpha: float = 0.1
     tau: float = 0.3
     max_cot: Optional[int] = None
-    max_candidates_per_pair: int = 3
     seed: int = 0
     use_sc_solver: bool = True
     generation_style: str = GENERATION_ENTITY
     score_style: str = CONTRADICTION_STYLE
 
+    # field -> (check, what the check wants)
+    FIELDS = {
+        "k": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+        "gamma0": (_in_unit, "a number in (0, 1]"),
+        "alpha": (_in_unit, "a number in (0, 1]"),
+        "tau": (_in_unit, "a number in (0, 1]"),
+        "max_cot": (lambda v: v is None or is_int(v) and v >= 0, "null or an integer >= 0"),
+        "seed": (is_int, "an integer"),
+        "use_sc_solver": (lambda v: isinstance(v, bool), "true or false"),
+        "generation_style": one_of(GENERATION_ENTITY, GENERATION_ENTITY_PAIR),
+        "score_style": one_of(CONTRADICTION_STYLE, TRUTH_STYLE),
+    }
+
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        for name in ("gamma0", "alpha", "tau"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1]")
-        if self.max_candidates_per_pair < 1:
-            raise ValueError("max_candidates_per_pair must be positive")
-        if self.generation_style not in (GENERATION_ENTITY, GENERATION_ENTITY_PAIR):
-            raise ValueError(f"unknown generation style {self.generation_style!r}")
+        check_fields(self, self.FIELDS)
 
 
 @dataclass(frozen=True)
@@ -167,9 +175,7 @@ class Engine:
         self.last_vote: Optional[SolveVote] = None
         self.cot = 0
         self.iteration = 0
-        self.universe: set[Entity] = set(problem.entities)
-        for f in list(problem.premises) + [problem.query]:
-            self.universe |= formula_entities(f)
+        self.universe = problem.universe()
         self._reground()
 
     # -- plumbing ------------------------------------------------------------
@@ -394,7 +400,7 @@ class Engine:
             l1 = pair[0] if pair else None
             l2 = pair[1] if len(pair) > 1 else None
             targets = generation_targets(
-                antecedent, config.generation_style, config.max_candidates_per_pair
+                antecedent, config.generation_style, GENERATION_TARGETS
             )
             for target in targets:
                 candidates = self.backend.generate(

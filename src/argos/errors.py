@@ -1,4 +1,4 @@
-"""Exception hierarchy for the package."""
+"""Exception hierarchy for the package, and the checks that raise ConfigError."""
 
 
 class ArgosError(Exception):
@@ -39,3 +39,35 @@ class BackendError(ArgosError):
 
 class BackendExhausted(BackendError):
     """All transport retries failed."""
+
+
+class ConfigError(ArgosError, ValueError):
+    """A setting outside its valid values."""
+
+
+def check_setting(where: str, value, check) -> None:
+    """Raise ConfigError naming ``where``, ``value`` and what was wanted,
+    unless ``value`` passes ``check``, a (predicate, wanted) pair."""
+    valid, want = check
+    if not valid(value):
+        raise ConfigError(f"{where}: expected {want}, got {value!r}")
+
+
+def check_fields(obj, table) -> None:
+    """Check each field of ``obj`` that ``table`` maps to its check."""
+    for name, check in table.items():
+        check_setting(f"field {name!r}", getattr(obj, name), check)
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool: JSON's true and false are no numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def one_of(*options) -> tuple:
+    """The check that a value is one of ``options``."""
+    return (lambda v: v in options, " or ".join(map(repr, options)))

@@ -114,15 +114,12 @@ def exclusion_axioms() -> list[Formula]:
     return out
 
 
-def kinship_kb(
-    reasoning_depth: Optional[int] = None, noise: float = 0.0, seed: int = 0
-) -> OracleKB:
-    """The full composition rule base as an oracle knowledge base."""
+def kinship_kb(**knobs) -> OracleKB:
+    """The full composition rule base as an oracle knowledge base, with the
+    given ``OracleKB`` knobs."""
     signature: dict[str, int] = {}
     formulas = [parse_formula(t, signature=signature) for t in composition_rules()]
-    return OracleKB.from_formulas(
-        formulas, reasoning_depth=reasoning_depth, noise=noise, seed=seed, check=False
-    )
+    return OracleKB.from_formulas(formulas, check=False, **knobs)
 
 
 _NAMES = [

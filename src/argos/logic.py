@@ -3,8 +3,7 @@ and the Horn rules that the oracle holds and the clause search abduces.
 
 Everything here is immutable and hashable, so values can be shared freely
 across threads. Grounding (quantifier expansion over a finite entity
-universe) and the entity-overlap relation used by the clause-search
-heuristic also live here. Concrete syntax is handled by :mod:`argos.parser`,
+universe) also lives here. Concrete syntax is handled by :mod:`argos.parser`,
 clause-form conversion by :mod:`argos.cnf`.
 """
 
@@ -108,17 +107,6 @@ class Literal:
 
 def lit(name: str, *args: Term, positive: bool = True) -> Literal:
     return Literal(make_atom(name, *args), positive)
-
-
-def related(l1: Literal, l2: Literal) -> bool:
-    """True iff the two ground literals share at least one entity.
-
-    Symmetric and, for literals with arguments, reflexive. 0-ary literals
-    have empty entity sets and are related to nothing.
-    """
-    if not (l1.is_ground and l2.is_ground):
-        raise ValueError("related() requires ground literals")
-    return not l1.entities().isdisjoint(l2.entities())
 
 
 # --- formula trees ---------------------------------------------------------
@@ -238,23 +226,6 @@ def formula_entities(f: Formula) -> frozenset[Entity]:
     return frozenset(out)
 
 
-def is_quantifier_free(f: Formula) -> bool:
-    return not any(
-        isinstance(n, (ForAll, Exists)) for n in _walk(f)
-    )
-
-
-def _walk(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, Not):
-        yield from _walk(f.operand)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        yield from _walk(f.left)
-        yield from _walk(f.right)
-    elif isinstance(f, (ForAll, Exists)):
-        yield from _walk(f.body)
-
-
 # --- Horn rules --------------------------------------------------------------
 
 
@@ -326,7 +297,7 @@ class HornRule:
 DEPTH_LIMIT = 8  # quantifier nesting that grounding expands
 
 
-def ground(f: Formula, universe: Iterable[Entity], depth_limit: int = DEPTH_LIMIT) -> Formula:
+def ground(f: Formula, universe: Iterable[Entity]) -> Formula:
     """Expand quantifiers over a finite universe.
 
     Every ``forall x phi`` becomes a conjunction over the universe and every
@@ -336,8 +307,6 @@ def ground(f: Formula, universe: Iterable[Entity], depth_limit: int = DEPTH_LIMI
     needs expanding; purely propositional formulas pass through unchanged.
     """
     members = sorted(set(universe), key=lambda e: e.name)
-    if not members and not is_quantifier_free(f):
-        raise GroundingError("cannot ground a quantified formula over an empty universe")
 
     def sub_atom(atom: Atom, env: dict[str, Entity]) -> Atom:
         new_args = []
@@ -358,10 +327,10 @@ def ground(f: Formula, universe: Iterable[Entity], depth_limit: int = DEPTH_LIMI
         if isinstance(node, (And, Or, Implies, Iff)):
             return type(node)(g(node.left, env, depth), g(node.right, env, depth))
         if isinstance(node, (ForAll, Exists)):
-            if depth + 1 > depth_limit:
-                raise GroundingError(
-                    f"quantifier nesting exceeds depth limit {depth_limit}"
-                )
+            if not members:
+                raise GroundingError("cannot ground a quantified formula over an empty universe")
+            if depth + 1 > DEPTH_LIMIT:
+                raise GroundingError(f"quantifier nesting exceeds depth limit {DEPTH_LIMIT}")
             parts = [
                 g(node.body, {**env, node.var.name: e}, depth + 1) for e in members
             ]

@@ -9,8 +9,9 @@ The other references are the plain forms of optimised code: the harness
 checks, each on a fresh grounding and fresh one-shot solves, the naive
 forward-chaining loop of the oracle backend, the oracle's rule lookup
 scanning every rule, the clause search's pair order scored one literal pair
-at a time and its generation targets built in full and sorted, and the
-kernel's clause loader taking one clause at a time.
+at a time by the entity-overlap relation ``related``, its generation targets
+built in full and sorted, and the kernel's clause loader taking one clause
+at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from argos.logic import (
     Var,
     formula_to_literal,
     ground,
-    related,
 )
 from argos.sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, SatSession
 
@@ -324,6 +324,17 @@ def reference_useful_count(problem, result) -> int:
 
 
 # --- the clause search's pair order, scored pair by pair -------------------------
+
+
+def related(l1, l2) -> bool:
+    """True iff the two ground literals share at least one entity.
+
+    Symmetric and, for literals with arguments, reflexive. 0-ary literals
+    have empty entity sets and are related to nothing.
+    """
+    if not (l1.is_ground and l2.is_ground):
+        raise ValueError("related() requires ground literals")
+    return not l1.entities().isdisjoint(l2.entities())
 
 
 def reference_pair_order(backbone) -> list[tuple]:

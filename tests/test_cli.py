@@ -1,8 +1,12 @@
+import dataclasses
 import json
 from pathlib import Path
 
+import pytest
+
 from argos import cli
 from argos.cli import main
+from argos.engine import EngineConfig
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -296,3 +300,60 @@ def test_out_of_range_oracle_noise_exits_2_naming_field_and_value(tmp_path, caps
         code, out, err = run_cli(capsys, *solve, "--config", str(cfg))
         assert code == 2
         assert "'oracle_noise'" in err and repr(bad) in err and str(cfg) in err
+
+
+@pytest.mark.parametrize(
+    "command, flags, config, corpus_config, named",
+    [
+        ("solve", [], {"k": "5"}, None, ["{config}", "'k'", "'5'"]),
+        ("solve", [], {"tau": "0.3"}, None, ["{config}", "'tau'", "'0.3'"]),
+        ("solve", ["--k", "0"], None, None, ["--k", "got 0"]),
+        ("solve", ["--gamma", "1.5"], None, None, ["--gamma", "got 1.5"]),
+        ("solve", [], {"gamma": True}, None, ["{config}", "'gamma'", "got True"]),
+        ("solve", [], None, {"generation_style": "bogus"},
+         ["{corpus_config}", "'generation_style'", "'bogus'"]),
+        ("bench", [], {"jobs": "2"}, None, ["{config}", "'jobs'", "'2'"]),
+        ("solve", ["--oracle-depth", "-3"], None, None, ["--oracle-depth", "got -3"]),
+        ("solve", [], {"seed": "x"}, None, ["{config}", "'seed'", "'x'"]),
+        ("solve", [], {"max_cot": -1}, None, ["{config}", "'max_cot'", "got -1"]),
+        ("solve", [], {"no_sc": "yes"}, None, ["{config}", "'no_sc'", "'yes'"]),
+        ("solve", [], {"score_style": "bogus"}, None, ["{config}", "'score_style'", "'bogus'"]),
+        ("solve", [], {"backend": "bogus"}, None, ["{config}", "'backend'", "'bogus'"]),
+        ("solve", [], {"bogus_key": 1}, None, ["{config}", "unknown key 'bogus_key'", "1"]),
+        ("solve", [], [1], None, ["{config}", "expected a JSON object", "list"]),
+    ],
+    ids=[
+        "config-k-string", "config-tau-string", "flag-k-zero", "flag-gamma-above-1",
+        "config-gamma-bool", "corpus-generation-style", "bench-config-jobs-string",
+        "flag-oracle-depth-negative", "config-seed-string", "config-max-cot-negative",
+        "config-no-sc-string", "config-score-style", "config-backend",
+        "config-unknown-key", "config-not-an-object",
+    ],
+)
+def test_bad_setting_exits_2_naming_source_key_and_value(
+    tmp_path, capsys, command, flags, config, corpus_config, named
+):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("problem.json", "kb.json"):
+        (corpus / name).write_bytes((FIXTURES / "winter_fox" / name).read_bytes())
+    paths = {"config": tmp_path / "run.json", "corpus_config": corpus / "config.json"}
+    if command == "solve":
+        argv = ["solve", str(corpus / "problem.json")]
+    else:
+        argv = ["bench", str(corpus), "--out", str(tmp_path / "report")]
+    if config is not None:
+        paths["config"].write_text(json.dumps(config))
+        argv += ["--config", str(paths["config"])]
+    if corpus_config is not None:
+        paths["corpus_config"].write_text(json.dumps(corpus_config))
+    code, out, err = run_cli(capsys, *argv, *flags)
+    assert code == 2
+    assert "Traceback" not in err
+    for text in named:
+        assert text.format(**paths) in err
+
+
+def test_every_engine_field_has_one_cli_key():
+    owned = [field for owner, field, _, _ in cli.SETTINGS.values() if owner is EngineConfig]
+    assert sorted(owned) == sorted(f.name for f in dataclasses.fields(EngineConfig))

@@ -23,7 +23,7 @@ from argos.engine import (
     solve,
     trace_jsonl,
 )
-from argos.errors import BackendError, BackendExhausted
+from argos.errors import BackendError, BackendExhausted, ConfigError
 from argos.kinship import RELATIONS, generate_kinship
 from argos.logic import Atom, Entity, Literal, lit, make_atom
 from argos.parser import parse_formula, parse_literal
@@ -240,6 +240,29 @@ def test_generation_targets_match_the_full_sort():
             for cap in range(1, 22):
                 want = reference_generation_targets(antecedent, style, cap)
                 assert generation_targets(antecedent, style, cap) == want
+
+
+@pytest.mark.parametrize(
+    "make, field, value",
+    [
+        (EngineConfig, "k", 0),
+        (EngineConfig, "gamma0", 1.5),
+        (EngineConfig, "tau", "0.3"),
+        (EngineConfig, "max_cot", -1),
+        (EngineConfig, "seed", "x"),
+        (EngineConfig, "use_sc_solver", "yes"),
+        (EngineConfig, "generation_style", "bogus"),
+        (EngineConfig, "score_style", "bogus"),
+        (lambda **kw: dataclasses.replace(EngineConfig(), **kw), "alpha", True),
+        (lambda **kw: OracleKB((), **kw), "reasoning_depth", -3),
+        (lambda **kw: OracleKB((), **kw), "noise", 1.0),
+        (lambda **kw: dataclasses.replace(OracleKB(()), **kw), "seed", 7.0),
+    ],
+)
+def test_bad_config_field_raises_a_config_error_that_is_a_value_error(make, field, value):
+    with pytest.raises(ConfigError, match=f"field {field!r}: expected .*, got {value!r}") as info:
+        make(**{field: value})
+    assert isinstance(info.value, ValueError)
 
 
 # --- the loop: short circuits ---------------------------------------------------

@@ -17,9 +17,10 @@ from argos.logic import (
     ground,
     iter_atoms,
     lit,
-    related,
 )
 from argos.parser import parse_formula
+
+from _oracles import related
 
 
 def test_negate_flips_sign():
