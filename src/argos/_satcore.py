@@ -7,7 +7,20 @@ saving and Luby restarts. There is no randomness anywhere: identical clause
 streams and identical assumption lists always produce identical behaviour.
 
 External literals are signed 1-indexed ints (DIMACS convention); internally
-a literal is ``2*v`` (positive) or ``2*v + 1`` (negative).
+a literal is ``2*v`` (positive) or ``2*v + 1`` (negative), and ``l ^ 1`` is its
+negation.
+
+The layout is flat, after MiniSat (Eén & Sörensson 2003, "An Extensible
+SAT-solver"), so the hot loops do little interpreter work per step:
+
+- ``value`` is indexed by internal literal: 1 true, 0 false, -1 unassigned.
+  Assigning a literal writes it and its negation; ``value[0::2]`` is the
+  value of each variable, variable 0 unused.
+- ``clauses`` stores every clause of two or more literals, original and
+  learnt, as a list of internal literals whose first two are watched.
+  ``watches[l]`` holds the clauses watching ``l`` and ``reason[v]`` the clause
+  that implied ``v`` (None for a decision, an assumption or a level-0
+  unit): both hold the clause lists themselves, not indices.
 """
 
 from heapq import heapify, heappop, heappush
@@ -42,9 +55,9 @@ class Solver:
         self.num_vars = 0
         self.clauses = []
         self.watches = [[], []]
-        self.assigns = [-1]
+        self.value = [-1, -1]
         self.level = [0]
-        self.reason = [-1]
+        self.reason = [None]
         self.phase = [0]
         self.activity = [0.0]
         self.seen = [0]
@@ -60,32 +73,32 @@ class Solver:
             self.ensure_vars(num_vars)
 
     def ensure_vars(self, n):
-        while self.num_vars < n:
-            self.num_vars += 1
-            self.assigns.append(-1)
-            self.level.append(0)
-            self.reason.append(-1)
-            self.phase.append(0)
-            self.activity.append(0.0)
-            self.seen.append(0)
-            self.in_heap.append(True)
-            heappush(self.heap, (-0.0, self.num_vars))
-            self.watches.append([])
-            self.watches.append([])
+        k = n - self.num_vars
+        if k <= 0:
+            return
+        first = self.num_vars + 1
+        self.num_vars = n
+        # every array grows in place: the hot loops hold them in locals
+        self.value += [-1] * (2 * k)
+        self.level += [0] * k
+        self.reason += [None] * k
+        self.phase += [0] * k
+        self.activity += [0.0] * k
+        self.seen += [0] * k
+        self.in_heap += [True] * k
+        # activities are never negative and older variables have lower
+        # indices, so every entry already in the heap sorts before (-0.0, v):
+        # appending leaves the list that one heappush per variable would
+        self.heap += [(-0.0, v) for v in range(first, n + 1)]
+        self.watches += [[] for _ in range(2 * k)]
 
-    # -- literal helpers ---------------------------------------------------
-
-    def _lit_value(self, l):
-        va = self.assigns[l >> 1]
-        if va < 0:
-            return -1
-        return va ^ (l & 1)
-
-    def _enqueue(self, l, reason_ci):
+    def _enqueue(self, l, reason):
+        value = self.value
+        value[l] = 1
+        value[l ^ 1] = 0
         v = l >> 1
-        self.assigns[v] = (l & 1) ^ 1
         self.level[v] = len(self.trail_lim)
-        self.reason[v] = reason_ci
+        self.reason[v] = reason
         self.trail.append(l)
 
     # -- clause management ---------------------------------------------------
@@ -99,7 +112,7 @@ class Solver:
         the next propagation; an empty clause makes the solver unsatisfiable
         and ends the load. Returns ``ok``.
         """
-        assigns = self.assigns
+        value = self.value
         watches = self.watches
         stored = self.clauses
         for lits in clauses:
@@ -107,13 +120,12 @@ class Solver:
                 return False
             internal = []
             for l in lits:
-                v = l if l > 0 else -l
-                if v > self.num_vars:
-                    self.ensure_vars(v)
-                il = (v << 1) | (l < 0)
-                va = assigns[v]
+                il = (l << 1) if l > 0 else ((-l << 1) | 1)
+                if il >= len(value):
+                    self.ensure_vars(il >> 1)
+                va = value[il]
                 if va >= 0:
-                    if va ^ (il & 1):
+                    if va:
                         break  # already true
                     continue  # already false
                 if il ^ 1 in internal:
@@ -122,12 +134,11 @@ class Solver:
                     internal.append(il)
             else:
                 if len(internal) > 1:
-                    ci = len(stored)
                     stored.append(internal)
-                    watches[internal[0]].append(ci)
-                    watches[internal[1]].append(ci)
+                    watches[internal[0]].append(internal)
+                    watches[internal[1]].append(internal)
                 elif internal:
-                    self._enqueue(internal[0], -1)
+                    self._enqueue(internal[0], None)
                 else:
                     self.ok = False
                 continue
@@ -140,61 +151,61 @@ class Solver:
     # -- propagation ---------------------------------------------------------
 
     def _propagate(self):
-        # _lit_value is inlined: this loop makes most of the kernel's calls.
-        assigns = self.assigns
-        clauses = self.clauses
+        """Propagate the trail from ``qhead``; return a conflicting clause or None.
+
+        ``_enqueue`` is inlined, and each watch list is compacted in place:
+        ``ws[:j]`` keeps the clauses still watching ``false_lit``, and
+        ``moved`` counts those that now watch another literal.
+        """
+        value = self.value
         watches = self.watches
         trail = self.trail
-        while self.qhead < len(trail):
-            p = trail[self.qhead]
-            self.qhead += 1
-            false_lit = p ^ 1
+        level = self.level
+        reason = self.reason
+        lvl = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
             ws = watches[false_lit]
-            new_ws = []
-            n = len(ws)
-            i = 0
-            confl = -1
-            while i < n:
-                ci = ws[i]
-                i += 1
-                clause = clauses[ci]
+            j = moved = 0
+            for clause in ws:
                 if clause[0] == false_lit:
                     clause[0] = clause[1]
                     clause[1] = false_lit
                 first = clause[0]
-                va = assigns[first >> 1]
-                v0 = -1 if va < 0 else va ^ (first & 1)
+                v0 = value[first]
                 if v0 == 1:
-                    new_ws.append(ci)
+                    ws[j] = clause
+                    j += 1
                     continue
-                found = 0
                 k = 2
                 m = len(clause)
                 while k < m:
                     lk = clause[k]
-                    va = assigns[lk >> 1]
-                    if va < 0 or va ^ (lk & 1):
+                    if value[lk]:  # unassigned or true: the new watch
                         clause[1] = lk
                         clause[k] = false_lit
-                        watches[lk].append(ci)
-                        found = 1
+                        watches[lk].append(clause)
+                        moved += 1
                         break
                     k += 1
-                if found:
-                    continue
-                new_ws.append(ci)
-                if v0 == 0:
-                    confl = ci
-                    while i < n:
-                        new_ws.append(ws[i])
-                        i += 1
-                    self.qhead = len(trail)
-                    break
-                self._enqueue(first, ci)
-            watches[false_lit] = new_ws
-            if confl >= 0:
-                return confl
-        return -1
+                else:
+                    ws[j] = clause
+                    j += 1
+                    if v0 == 0:
+                        del ws[j : j + moved]
+                        self.qhead = len(trail)
+                        return clause
+                    value[first] = 1
+                    value[first ^ 1] = 0
+                    v = first >> 1
+                    level[v] = lvl
+                    reason[v] = clause
+                    trail.append(first)
+            del ws[j:]
+        self.qhead = qhead
+        return None
 
     # -- conflict analysis -----------------------------------------------------
 
@@ -209,44 +220,58 @@ class Solver:
             heappush(self.heap, (-self.activity[v], v))
 
     def _analyze(self, confl):
+        seen = self.seen
+        level = self.level
+        trail = self.trail
+        reason = self.reason
+        activity = self.activity
+        heap = self.heap
+        in_heap = self.in_heap
+        var_inc = self.var_inc
         learnt = [0]
         counter = 0
-        p = -1
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         cur_level = len(self.trail_lim)
+        start = 0  # a reason clause's first literal is the one it implied
         while True:
-            clause = self.clauses[confl]
-            start = 0 if p == -1 else 1
-            for j in range(start, len(clause)):
-                q = clause[j]
+            for q in confl[start:]:
                 v = q >> 1
-                if not self.seen[v] and self.level[v] > 0:
-                    self.seen[v] = 1
-                    self._bump(v)
-                    if self.level[v] >= cur_level:
+                if not seen[v] and level[v] > 0:
+                    seen[v] = 1
+                    # _bump inlined; it runs whole only to rescale
+                    bumped = activity[v] + var_inc
+                    if bumped > _RESCALE:
+                        self._bump(v)
+                        var_inc = self.var_inc
+                    else:
+                        activity[v] = bumped
+                        if in_heap[v]:
+                            heappush(heap, (-bumped, v))
+                    if level[v] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not self.seen[self.trail[idx] >> 1]:
+            while not seen[trail[idx] >> 1]:
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             idx -= 1
             v = p >> 1
-            self.seen[v] = 0
+            seen[v] = 0
             counter -= 1
             if counter == 0:
                 break
-            confl = self.reason[v]
+            confl = reason[v]
+            start = 1
         learnt[0] = p ^ 1
         for q in learnt:
-            self.seen[q >> 1] = 0
+            seen[q >> 1] = 0
         if len(learnt) == 1:
             return learnt, 0
         # move the max-level literal into the second watch position
         max_i = 1
-        max_lv = self.level[learnt[1] >> 1]
+        max_lv = level[learnt[1] >> 1]
         for j in range(2, len(learnt)):
-            lv = self.level[learnt[j] >> 1]
+            lv = level[learnt[j] >> 1]
             if lv > max_lv:
                 max_lv = lv
                 max_i = j
@@ -257,18 +282,23 @@ class Solver:
         if len(self.trail_lim) <= lvl:
             return
         bound = self.trail_lim[lvl]
+        trail = self.trail
+        value = self.value
+        phase = self.phase
+        reason = self.reason
         heap = self.heap
         in_heap = self.in_heap
         activity = self.activity
-        for i in range(len(self.trail) - 1, bound - 1, -1):
-            v = self.trail[i] >> 1
-            self.phase[v] = self.assigns[v]
-            self.assigns[v] = -1
-            self.reason[v] = -1
+        for i in range(len(trail) - 1, bound - 1, -1):
+            l = trail[i]
+            v = l >> 1
+            phase[v] = (l & 1) ^ 1
+            value[l] = value[l ^ 1] = -1
+            reason[v] = None
             if not in_heap[v]:
                 in_heap[v] = True
                 heappush(heap, (-activity[v], v))
-        del self.trail[bound:]
+        del trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = len(self.trail)
         if len(heap) > _HEAP_SLACK * self.num_vars:
@@ -292,13 +322,13 @@ class Solver:
         heap = self.heap
         act = self.activity
         in_heap = self.in_heap
-        assigns = self.assigns
+        value = self.value
         while heap:
             neg, v = heappop(heap)
             if -neg != act[v] or not in_heap[v]:
                 continue
             in_heap[v] = False
-            if assigns[v] < 0:
+            if value[v << 1] < 0:
                 return v
         return -1
 
@@ -327,7 +357,7 @@ class Solver:
             internal_assumps.append((l << 1) if l > 0 else (((-l) << 1) | 1))
         while True:
             confl = self._propagate()
-            if confl >= 0:
+            if confl is not None:
                 conflicts += 1
                 since_restart += 1
                 self.conflict_count += 1
@@ -340,17 +370,16 @@ class Solver:
                 learnt, bt = self._analyze(confl)
                 self._cancel_until(bt)
                 if len(learnt) == 1:
-                    if self._lit_value(learnt[0]) == 0:
+                    if self.value[learnt[0]] == 0:
                         self.ok = False
                         return UNSAT
-                    if self._lit_value(learnt[0]) == -1:
-                        self._enqueue(learnt[0], -1)
+                    if self.value[learnt[0]] == -1:
+                        self._enqueue(learnt[0], None)
                 else:
-                    ci = len(self.clauses)
                     self.clauses.append(learnt)
-                    self.watches[learnt[0]].append(ci)
-                    self.watches[learnt[1]].append(ci)
-                    self._enqueue(learnt[0], ci)
+                    self.watches[learnt[0]].append(learnt)
+                    self.watches[learnt[1]].append(learnt)
+                    self._enqueue(learnt[0], learnt)
                 self.var_inc *= _VAR_DECAY
                 if since_restart >= restart_limit:
                     since_restart = 0
@@ -361,7 +390,7 @@ class Solver:
                 lvl = len(self.trail_lim)
                 if lvl < n_assumps:
                     p = internal_assumps[lvl]
-                    val = self._lit_value(p)
+                    val = self.value[p]
                     if val == 1:
                         self.trail_lim.append(len(self.trail))
                     elif val == 0:
@@ -369,15 +398,15 @@ class Solver:
                         return UNSAT
                     else:
                         self.trail_lim.append(len(self.trail))
-                        self._enqueue(p, -1)
+                        self._enqueue(p, None)
                 else:
                     v = self._pick_branch()
                     if v < 0:
-                        self.model = self.assigns[:]
+                        self.model = self.value[0::2]
                         self._cancel_until(0)
                         return SAT
                     self.trail_lim.append(len(self.trail))
-                    self._enqueue((v << 1) | (self.phase[v] ^ 1), -1)
+                    self._enqueue((v << 1) | (self.phase[v] ^ 1), None)
 
     def model_value(self, var):
         """Truth of an external variable in the last satisfying model."""
@@ -396,20 +425,20 @@ class Solver:
         self._cancel_until(0)
         confl = self._propagate()
         for l in assumptions:
-            if confl >= 0:
+            if confl is not None:
                 break
             v = l if l > 0 else -l
             self.ensure_vars(v)
             p = (l << 1) if l > 0 else ((v << 1) | 1)
-            val = self._lit_value(p)
+            val = self.value[p]
             if val == 0:
                 self._cancel_until(0)
                 return None
             self.trail_lim.append(len(self.trail))
             if val < 0:
-                self._enqueue(p, -1)
+                self._enqueue(p, None)
                 confl = self._propagate()
-        if confl >= 0:
+        if confl is not None:
             if not self.trail_lim:
                 self.ok = False
             self._cancel_until(0)

@@ -44,7 +44,7 @@ from .harness import (
     run_suite,
     summary_csv,
 )
-from .kinship import generate_kinship
+from .kinship import MAX_CHAIN_DEPTH, generate_kinship
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -241,8 +241,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.depth < 2:
-        print("error: --depth must be at least 2", file=sys.stderr)
+    if not 2 <= args.depth <= MAX_CHAIN_DEPTH:
+        print(f"error: --depth must be between 2 and {MAX_CHAIN_DEPTH}, got {args.depth}",
+              file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
@@ -331,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a kinship corpus")
     p_gen.add_argument("--out", required=True, help="destination directory")
     p_gen.add_argument("--count", type=int, default=100, help="number of problems")
-    p_gen.add_argument("--depth", type=int, default=3, help="maximum chain depth (min 2)")
+    p_gen.add_argument("--depth", type=int, default=3,
+                       help=f"maximum chain depth (2 to {MAX_CHAIN_DEPTH})")
     p_gen.add_argument("--seed", type=int, default=0, help="generator seed")
     p_gen.add_argument("--force", action="store_true", help="write into a non-empty directory")
 

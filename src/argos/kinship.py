@@ -162,6 +162,13 @@ def derivable_relations(relations: list[str]) -> dict[tuple[int, int], str]:
 # solver always closes the query before the threshold floor is reached.
 _MAX_DERIVABLE = 5
 
+# The longest chain that _sample_chain can return: 64 relation sequences of
+# length 4 keep their left fold in the vocabulary and their derivable
+# relations within _MAX_DERIVABLE, and none of length 5 does. Each further
+# relation adds at least one derivable relation besides its own fact (the
+# fold of the whole chain), so no longer chain does either.
+MAX_CHAIN_DEPTH = 4
+
 
 def _sample_chain(rng: random.Random, depth: int) -> tuple[list[str], str]:
     """Relation sequence whose left fold stays inside the vocabulary."""
@@ -194,7 +201,8 @@ def _story(facts: list[tuple[str, str, str]], query: tuple[str, str, str]) -> st
 def generate_kinship(
     count: int, chain_depth: int, seed: int, validate: bool = True
 ) -> tuple[list[Problem], OracleKB]:
-    """Generate problems with depths cycling over 2..chain_depth.
+    """Generate problems with depths cycling over 2..chain_depth, where
+    chain_depth is at most ``MAX_CHAIN_DEPTH``.
 
     Labels are balanced exactly: half the problems query the true derived
     relation (label true), the rest a uniformly random different relation
@@ -202,8 +210,10 @@ def generate_kinship(
     be decided, with the matching verdict, once the withheld rules are
     restored.
     """
-    if chain_depth < 2:
-        raise ArgosError("chain_depth must be at least 2")
+    if not 2 <= chain_depth <= MAX_CHAIN_DEPTH:
+        raise ArgosError(
+            f"chain_depth must be between 2 and {MAX_CHAIN_DEPTH}, got {chain_depth}"
+        )
     if count < 0:
         raise ArgosError("count must be non-negative")
     rng = random.Random(seed)

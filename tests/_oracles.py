@@ -10,8 +10,8 @@ checks, each on a fresh grounding and fresh one-shot solves, the naive
 forward-chaining loop of the oracle backend, the oracle's rule lookup
 scanning every rule, the clause search's pair order scored one literal pair
 at a time by the entity-overlap relation ``related``, its generation targets
-built in full and sorted, and the kernel's clause loader taking one clause
-at a time.
+built in full and sorted, the kernel's clause loader taking one clause
+at a time, and the kinship generator's relation chains enumerated in full.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from argos.backends import _bind, _instantiate, _unify
 from argos.errors import ArgosError
+from argos.kinship import _MAX_DERIVABLE, RELATIONS, compose, derivable_relations
 from argos.logic import (
     And,
     Atom,
@@ -109,7 +110,7 @@ def reference_add_clause(solver, lits) -> bool:
             return True  # tautology
         if il in seen_here:
             continue
-        val = solver._lit_value(il)
+        val = solver.value[il]
         if val == 1 and solver.level[il >> 1] == 0:
             return True  # already satisfied forever
         if val == 0 and solver.level[il >> 1] == 0:
@@ -121,16 +122,15 @@ def reference_add_clause(solver, lits) -> bool:
         return False
     if len(internal) == 1:
         l = internal[0]
-        if solver._lit_value(l) == 0:
+        if solver.value[l] == 0:
             solver.ok = False
             return False
-        if solver._lit_value(l) == -1:
-            solver._enqueue(l, -1)
+        if solver.value[l] == -1:
+            solver._enqueue(l, None)
         return True
-    ci = len(solver.clauses)
     solver.clauses.append(internal)
-    solver.watches[internal[0]].append(ci)
-    solver.watches[internal[1]].append(ci)
+    solver.watches[internal[0]].append(internal)
+    solver.watches[internal[1]].append(internal)
     return True
 
 
@@ -410,6 +410,23 @@ def reference_matching_consequents(kb, l1, l2) -> list:
                 seen.add(derived)
                 out.append(derived)
     return out
+
+
+# --- the kinship generator's chains, enumerated ------------------------------------
+
+
+def kinship_chains(depth) -> list[list[str]]:
+    """Every relation sequence of length ``depth`` that the kinship generator
+    may sample: its left fold stays inside the vocabulary at every step, and
+    its subchains derive at most ``_MAX_DERIVABLE`` relations beyond its
+    facts."""
+    chains = [[r] for r in RELATIONS]
+    folds = list(RELATIONS)
+    for _ in range(depth - 1):
+        grown = [(c + [r], compose(f, r)) for c, f in zip(chains, folds) for r in RELATIONS]
+        chains = [c for c, f in grown if f is not None]
+        folds = [f for _, f in grown if f is not None]
+    return [c for c in chains if len(derivable_relations(c)) - depth <= _MAX_DERIVABLE]
 
 
 # --- naive forward chaining ------------------------------------------------------

@@ -115,6 +115,16 @@ def test_gen_depth_one_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_gen_depth_beyond_every_chain_usage_error_writes_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "c"
+    code, out, err = run_cli(
+        capsys, "gen", "--out", str(out_dir), "--count", "1", "--depth", "5"
+    )
+    assert code == 2
+    assert "--depth" in err
+    assert not out_dir.exists()
+
+
 def test_gen_existing_dir_needs_force(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

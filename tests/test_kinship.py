@@ -4,6 +4,7 @@ import pytest
 
 from argos.errors import ArgosError
 from argos.kinship import (
+    MAX_CHAIN_DEPTH,
     RELATIONS,
     compose,
     composition_rules,
@@ -14,6 +15,8 @@ from argos.kinship import (
 )
 from argos.logic import ground
 from argos.sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, SatSession
+
+from _oracles import kinship_chains
 
 
 def test_vocabulary_and_table_sizes():
@@ -72,6 +75,16 @@ def test_kb_rules_are_consistent():
 def test_generator_rejects_shallow_depth():
     with pytest.raises(ArgosError):
         generate_kinship(2, 1, seed=0)
+
+
+def test_max_chain_depth_is_the_longest_chain_that_can_be_sampled():
+    assert len(kinship_chains(MAX_CHAIN_DEPTH)) == 64
+    assert kinship_chains(MAX_CHAIN_DEPTH + 1) == []
+
+
+def test_generator_rejects_a_depth_no_chain_reaches():
+    with pytest.raises(ArgosError, match="chain_depth"):
+        generate_kinship(1, MAX_CHAIN_DEPTH + 1, 0)
 
 
 def test_generator_label_balance():

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 
@@ -435,7 +436,7 @@ class _ScanSolver(_satcore.Solver):
         best = -1
         best_act = -1.0
         for v in range(1, self.num_vars + 1):
-            if self.assigns[v] < 0 and self.activity[v] > best_act:
+            if self.value[v << 1] < 0 and self.activity[v] > best_act:
                 best_act = self.activity[v]
                 best = v
         return best
@@ -523,6 +524,58 @@ def test_decision_heap_pops_a_bumped_variable_once_in_activity_order():
     want = sorted(range(1, 7), key=lambda v: (-solver.activity[v], v))
     assert want == [2, 3, 6, 5, 1, 4]
     assert [solver._pick_branch() for _ in range(7)] == want + [-1]
+
+
+# --- search trajectory ------------------------------------------------------------
+
+
+def _trajectory(seed, var_inc):
+    """sha256 over every solve's (result, model, conflict_count, phase,
+    activity, clauses), the total conflicts and the solvers that rescaled.
+
+    Threshold 3-CNF, one reused solver per instance, solves under random
+    assumptions. The budget stops each solve before its third restart, so
+    the digest does not depend on the restart schedule past _luby(3).
+    """
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    conflicts = rescaled = 0
+    for _ in range(12):
+        n = rng.randint(40, 80)
+        solver = _satcore.Solver(n)
+        solver.add_clauses(random_3cnf(rng, n, round(4.26 * n)))
+        solver.var_inc = var_inc
+        for _ in range(6):
+            picked = rng.sample(range(1, n + 1), rng.randint(0, 4))
+            assumed = [v if rng.random() < 0.5 else -v for v in picked]
+            result = solver.solve(assumed, conflict_budget=300)
+            state = (
+                result, solver.model, solver.conflict_count, solver.phase, solver.activity,
+                solver.clauses,
+            )
+            digest.update(repr(state).encode())
+        conflicts += solver.conflict_count
+        rescaled += solver.var_inc < var_inc
+    return digest.hexdigest(), conflicts, rescaled
+
+
+# Recorded from the kernel before its layout was flattened: a layout change
+# must leave every decision, propagation and learnt clause alone, down to
+# the order of the literals in each clause, also across an activity rescale.
+@pytest.mark.parametrize(
+    "seed, var_inc, want",
+    [
+        (1207, 1.0, "84f991f939ffbc62e0e482141ce6935fec8babaf56f51bc6bda4a4a32402f6b0"),
+        (77, _satcore._RESCALE * 0.6,
+         "d90e388f81375d7fe10db72a73ddc0c6e617848d5e534dc42f87b27ebe47d490"),
+    ],
+    ids=["fresh", "rescale"],
+)
+def test_search_trajectory_is_pinned(seed, var_inc, want):
+    digest, conflicts, rescaled = _trajectory(seed, var_inc)
+    assert conflicts > 1000
+    assert rescaled == (0 if var_inc == 1.0 else 12)
+    assert digest == want
 
 
 # --- backbone against brute force -----------------------------------------------
