@@ -8,20 +8,15 @@ Two interchangeable implementations of the same interface:
   used for reproducible testing: it forward-chains a Horn rule base with a
   bounded number of rule applications, so problems needing longer derivations
   look "hard" to it exactly the way deep proofs are hard for a real model.
-
-The chain-of-thought call counter counts samples: one solve round with k
-samples adds k; generation and scoring calls never touch it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import random
 import re
-import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
@@ -117,28 +112,6 @@ def assemble_vote(samples: Sequence[CotSample], k: int) -> SolveVote:
 class Backend(ABC):
     """Uniform interface for solve, generate, and the two scorers."""
 
-    def __init__(self):
-        self._cot_lock = threading.Lock()
-        self._cot_calls = 0
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_cot_lock"]  # locks cannot cross process boundaries
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._cot_lock = threading.Lock()
-
-    @property
-    def cot_calls(self) -> int:
-        with self._cot_lock:
-            return self._cot_calls
-
-    def _count_cot(self, k: int) -> None:
-        with self._cot_lock:
-            self._cot_calls += k
-
     def solve(
         self,
         premises: Sequence[Formula],
@@ -148,9 +121,7 @@ class Backend(ABC):
     ) -> SolveVote:
         if k < 1:
             raise ValueError("k must be at least 1")
-        samples = self._cot_samples(premises, commonsense, query, k)
-        self._count_cot(k)
-        return assemble_vote(samples, k)
+        return assemble_vote(self._cot_samples(premises, commonsense, query, k), k)
 
     @abstractmethod
     def _cot_samples(self, premises, commonsense, query, k) -> list[CotSample]:
@@ -205,7 +176,7 @@ def cot_prompt(premises, commonsense, query, exemplars=()) -> str:
     return "\n".join(parts)
 
 
-def generate_prompt_entity(premises, commonsense, antecedent_text, entity, known_predicates) -> str:
+def generate_prompt_entity(antecedent_text, entity, known_predicates) -> str:
     return (
         f"Fill in the blank with a known predicate: {antecedent_text} implies __({entity}).\n"
         f"Known predicates are: {', '.join(known_predicates)}\n"
@@ -310,6 +281,12 @@ class OracleKB:
         for r in self.rules:
             if len(r.antecedent) > 2:
                 raise ArgosError(f"rule antecedent too long: {r}")
+            # the rule lookup answers only ground consequents
+            bound = {a for l in r.antecedent for a in l.atom.args if isinstance(a, Var)}
+            if any(isinstance(a, Var) and a not in bound for a in r.consequent.atom.args):
+                raise ArgosError(
+                    f"rule consequent has a variable its antecedent does not bind: {r}"
+                )
 
     @classmethod
     def from_formulas(cls, formulas: Iterable[Formula], check: bool = True, **knobs) -> "OracleKB":
@@ -371,7 +348,6 @@ class OracleBackend(Backend):
     """
 
     def __init__(self, kb: OracleKB):
-        super().__init__()
         self.kb = kb
         # rules with an antecedent, each beside its place in the rule-text
         # order that generation answers in, keyed by the signed predicates of
@@ -577,29 +553,16 @@ class OracleBackend(Backend):
     # -- scoring -------------------------------------------------------------
 
     def _kb_decision(self, clause: HornRule) -> Optional[bool]:
-        """True: instantiates a rule; False: contradicts one; None: undecided."""
+        """True: the KB derives the consequent from the clause's antecedent or
+        states it as a fact; False: likewise its negation; None: undecided."""
         ante = clause.antecedent
-        cons = clause.consequent
-        for flip, expected in ((False, True), (True, False)):
-            want = cons.negate() if flip else cons
-            for rule in self.kb.rules:
-                theta0 = _unify(rule.consequent, want, {})
-                if theta0 is None:
-                    continue
-                n = len(rule.antecedent)
-                if n == 0:
-                    if _instantiate(rule.consequent, theta0) == want:
-                        return expected
-                    continue
-                pool = list(ante)
-                if n > len(pool) and len(pool) == 1:
-                    pool = pool * 2
-                if n > len(pool):
-                    continue
-                for order in itertools.permutations(pool, n):
-                    theta = _bind(rule.antecedent, order, theta0)
-                    if theta is not None and _instantiate(rule.consequent, theta) == want:
-                        return expected
+        derived = set(self._matching_consequents(None, None))
+        if ante:
+            derived.update(self._matching_consequents(ante[0], ante[-1]))
+        if clause.consequent in derived:
+            return True
+        if clause.consequent.negate() in derived:
+            return False
         return None
 
     def commonsense_score(self, clause, style: str = CONTRADICTION_STYLE) -> float:
@@ -632,10 +595,6 @@ class OracleBackend(Backend):
 
 
 # --- the wire backend ---------------------------------------------------------
-
-
-_YES_TOKENS = ("yes",)
-_NO_TOKENS = ("no",)
 
 
 def _retry_after(resp, default: float) -> float:
@@ -679,7 +638,6 @@ class WireBackend(Backend):
         post=None,
         sleep=time.sleep,
     ):
-        super().__init__()
         self.endpoint = endpoint
         self.model = model
         self.api_token = api_token
@@ -812,9 +770,7 @@ class WireBackend(Backend):
         if isinstance(target, tuple):
             prompt = generate_prompt_pair(antecedent_text, target[0], target[1])
         else:
-            prompt = generate_prompt_entity(
-                premises, commonsense, antecedent_text, target, sorted(signature)
-            )
+            prompt = generate_prompt_entity(antecedent_text, target, sorted(signature))
         data = self._request(prompt, MAX_GENERATE_TOKENS, 0.0, 0)
         text = self._choice(data).get("text", "")
         lit = self._parse_generated(text, target, signature)

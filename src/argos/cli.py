@@ -221,9 +221,8 @@ def cmd_bench(args) -> int:
         problems,
         config,
         backend,
-        baselines=[s for s in systems if s != "argos"],
+        systems=systems,
         kb=kb,
-        run_argos_system="argos" in systems,
         jobs=run.jobs,
     )
     (out / "summary.csv").write_text(summary_csv(metrics))
@@ -325,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run systems over a corpus directory")
     p_bench.add_argument("corpus", help="corpus directory")
     p_bench.add_argument("--systems", default="argos",
-                         help="comma list: argos, sat, scN (e.g. argos,sat,sc20)")
+                         help="comma list: argos, sat, scN with N >= 1 (e.g. argos,sat,sc20)")
     p_bench.add_argument("--out", required=True, help="output directory for CSVs and traces")
     _add_common_flags(p_bench, SETTINGS)
 

@@ -255,6 +255,19 @@ class Engine:
             degenerate=degenerate,
         )
 
+    def _vote_result(
+        self, vote: SolveVote, decided_by: str, reason: str, inconsistent: bool = False
+    ) -> SolveResult:
+        """The result that ``vote`` decides, carrying its degenerate flag."""
+        return self._result(
+            vote.answer,
+            decided_by,
+            float(self._vote_fraction(vote)),
+            reason,
+            inconsistent=inconsistent,
+            degenerate=vote.degenerate,
+        )
+
     def _fallback(self, reason: str, inconsistent: bool = False) -> SolveResult:
         vote = self.last_vote
         if vote is None and self._can_vote():
@@ -268,14 +281,7 @@ class Engine:
                 False, DECIDED_BY_FALLBACK, 0.0, reason,
                 inconsistent=inconsistent, degenerate=True,
             )
-        return self._result(
-            vote.answer,
-            DECIDED_BY_FALLBACK,
-            float(self._vote_fraction(vote)),
-            reason,
-            inconsistent=inconsistent,
-            degenerate=vote.degenerate,
-        )
+        return self._vote_result(vote, DECIDED_BY_FALLBACK, reason, inconsistent)
 
     # -- the main loop ---------------------------------------------------------
 
@@ -288,13 +294,7 @@ class Engine:
                 raise BackendError(
                     "backend transport exhausted before any vote completed"
                 ) from exc
-            vote = self.last_vote
-            return self._result(
-                vote.answer,
-                DECIDED_BY_FALLBACK,
-                float(self._vote_fraction(vote)),
-                "backend_exhausted",
-            )
+            return self._vote_result(self.last_vote, DECIDED_BY_FALLBACK, "backend_exhausted")
 
     def _solve_loop(self) -> SolveResult:
         half = Fraction(1, 2)
@@ -331,24 +331,12 @@ class Engine:
                     if self.last_vote is None and self._can_vote():
                         self._vote()
                     if self.last_vote is not None:
-                        vote = self.last_vote
-                        return self._result(
-                            vote.answer,
-                            DECIDED_BY_SC,
-                            float(self._vote_fraction(vote)),
-                            "gamma_floor",
-                            degenerate=vote.degenerate,
-                        )
+                        return self._vote_result(self.last_vote, DECIDED_BY_SC, "gamma_floor")
                     return self._fallback("gamma_floor_no_vote")
                 if self._can_vote():
                     vote = self._vote()
                     if self._vote_fraction(vote) > gamma:
-                        return self._result(
-                            vote.answer,
-                            DECIDED_BY_SC,
-                            float(self._vote_fraction(vote)),
-                            "vote_above_gamma",
-                        )
+                        return self._vote_result(vote, DECIDED_BY_SC, "vote_above_gamma")
                 else:
                     self._emit("vote_skipped", reason="max_cot")
 

@@ -1,10 +1,10 @@
 """Suite runner, baselines, and the analysis quantities.
 
 Systems: ``argos`` (the full loop), ``sat`` (solver only; an undecided
-verdict becomes a seeded coin flip), and ``scN`` (one N-sample vote, e.g.
-``sc5``/``sc20``). Per-problem records aggregate into accuracy, corruption
-counts, flip tables bucketed by abduction effort, and cost histograms, all
-emitted as CSV with stable formatting.
+verdict becomes a seeded coin flip), and ``scN`` (one N-sample vote with
+N >= 1, e.g. ``sc5``/``sc20``). Per-problem records aggregate into accuracy,
+corruption counts, flip tables bucketed by abduction effort, and cost
+histograms, all emitted as CSV with stable formatting.
 """
 
 from __future__ import annotations
@@ -254,8 +254,11 @@ def parse_system_names(names: Iterable[str]) -> list[str]:
         name = name.strip().lower()
         if not name:
             continue
-        if name not in ("argos", "sat") and not _SC_RE.match(name):
+        m = _SC_RE.match(name)
+        if name not in ("argos", "sat") and not m:
             raise ArgosError(f"unknown system {name!r}")
+        if m and int(m.group(1)) < 1:
+            raise ArgosError(f"system {name!r} needs at least one sample")
         if name not in out:
             out.append(name)
     if not out:
@@ -267,24 +270,18 @@ def run_suite(
     problems: Sequence[Problem],
     config: EngineConfig,
     backend: Backend,
-    baselines: Iterable[str] = (),
+    systems: Iterable[str] = ("argos",),
     kb=None,
-    run_argos_system: bool = True,
     check_corruption: bool = True,
     jobs: int = 1,
 ) -> RunMetrics:
-    """Run the requested systems on every problem and aggregate the metrics.
+    """Run each of ``systems`` on every problem and aggregate the metrics.
 
     Per-problem failures are recorded (``error`` column) and the run keeps
     going. Records come back keyed by system, sorted by problem id; flips
     are computed between the abduction run and the first sc baseline.
     """
-    systems = ["argos"] if run_argos_system else []
-    baseline_list = [b for b in baselines if b]
-    if baseline_list:
-        systems += [s for s in parse_system_names(baseline_list) if s not in systems]
-    if not systems:
-        raise ArgosError("no systems requested")
+    systems = parse_system_names(systems)
     metrics = RunMetrics()
     tasks = [
         (problem, config, backend, kb, system, check_corruption)

@@ -8,14 +8,17 @@ shares any code path with the CDCL kernel or the clause-form builder.
 The other references are the plain forms of optimised code: the harness
 checks, each on a fresh grounding and fresh one-shot solves, the naive
 forward-chaining loop of the oracle backend, the oracle's rule lookup
-scanning every rule, the clause search's pair order scored one literal pair
-at a time by the entity-overlap relation ``related``, its generation targets
-built in full and sorted, the kernel's clause loader taking one clause
-at a time, and the kinship generator's relation chains enumerated in full.
+scanning every rule, its clause scorer unifying every rule's consequent and
+trying each ordering of the clause's antecedent, the clause search's pair
+order scored one literal pair at a time by the entity-overlap relation
+``related``, its generation targets built in full and sorted, the kernel's
+clause loader taking one clause at a time, and the kinship generator's
+relation chains enumerated in full.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from argos.backends import _bind, _instantiate, _unify
 from argos.errors import ArgosError
@@ -410,6 +413,36 @@ def reference_matching_consequents(kb, l1, l2) -> list:
                 seen.add(derived)
                 out.append(derived)
     return out
+
+
+def reference_kb_decision(kb, clause):
+    """``OracleBackend._kb_decision`` as a scan of every rule, twice: True
+    when a rule's consequent unifies with the clause's and its antecedent
+    binds to an ordering of the clause's antecedent, False when the same
+    holds for the negated consequent, None otherwise."""
+    ante = clause.antecedent
+    cons = clause.consequent
+    for flip, expected in ((False, True), (True, False)):
+        want = cons.negate() if flip else cons
+        for rule in kb.rules:
+            theta0 = _unify(rule.consequent, want, {})
+            if theta0 is None:
+                continue
+            n = len(rule.antecedent)
+            if n == 0:
+                if _instantiate(rule.consequent, theta0) == want:
+                    return expected
+                continue
+            pool = list(ante)
+            if n > len(pool) and len(pool) == 1:
+                pool = pool * 2
+            if n > len(pool):
+                continue
+            for order in itertools.permutations(pool, n):
+                theta = _bind(rule.antecedent, order, theta0)
+                if theta is not None and _instantiate(rule.consequent, theta) == want:
+                    return expected
+    return None
 
 
 # --- the kinship generator's chains, enumerated ------------------------------------

@@ -159,7 +159,7 @@ def _suite_config() -> EngineConfig:
 def _run_criterion4_suite(problems, kb):
     backend = OracleBackend(kb)
     metrics = run_suite(
-        problems, _suite_config(), backend, baselines=["sat"], kb=kb
+        problems, _suite_config(), backend, systems=["argos", "sat"], kb=kb
     )
     bundle = {
         "summary.csv": summary_csv(metrics),
@@ -249,7 +249,7 @@ def test_criterion_6_flip_direction():
     backend = OracleBackend(kb)
     config = dataclasses.replace(_suite_config(), seed=606)
     metrics = run_suite(
-        problems, config, backend, baselines=["sc5"], kb=kb, check_corruption=False
+        problems, config, backend, systems=["argos", "sc5"], kb=kb, check_corruption=False
     )
     buckets = [b for b in metrics.flip_buckets if b.count > 0]
     sc_accs = [b.sc_correct / b.count for b in buckets]
@@ -345,7 +345,7 @@ def test_criterion_8_noise_robustness():
         problems,
         _suite_config(),
         backend,
-        baselines=["sat"],
+        systems=["argos", "sat"],
         kb=kb,
         check_corruption=False,
     )

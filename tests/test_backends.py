@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from argos.backends import (
+    CONTRADICTION_STYLE,
+    TRUTH_STYLE,
     CotSample,
     OracleBackend,
     OracleKB,
@@ -22,7 +25,7 @@ from argos.kinship import generate_kinship, kinship_kb
 from argos.logic import Atom, Entity, HornRule, Literal
 from argos.parser import parse_formula, parse_literal
 
-from _oracles import naive_chain, reference_matching_consequents
+from _oracles import naive_chain, reference_kb_decision, reference_matching_consequents
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -230,15 +233,9 @@ def test_cot_accounting():
     kb = _kb(FOX_RULES)
     backend = OracleBackend(kb)
     premises = [parse_formula("turns_white(fox, winter)")]
-    assert backend.cot_calls == 0
-    backend.solve(premises, (), parse_formula("absorbs(white, sun)"), 5)
-    backend.solve(premises, (), parse_formula("absorbs(white, sun)"), 3)
-    assert backend.cot_calls == 8
-    backend.generate(premises, (), parse_literal("turns_white(fox, winter)"),
-                     parse_literal("turns_white(fox, winter)"), Entity("fox"))
-    backend.commonsense_score(_clause([], parse_literal("reflects(fox, sun)")))
-    backend.relevance_score(premises, (), _clause([], parse_literal("reflects(fox, sun)")))
-    assert backend.cot_calls == 8
+    query = parse_formula("absorbs(white, sun)")
+    assert len(backend.solve(premises, (), query, 5).samples) == 5
+    assert len(backend.solve(premises, (), query, 3).samples) == 3
 
 
 # --- oracle: generation ---------------------------------------------------------
@@ -361,6 +358,67 @@ def test_oracle_weakened_antecedent_still_instantiates():
     assert backend.commonsense_score(clause) == 1.0
 
 
+def _kinship_composition_clauses(kb):
+    """r1(A, B) & r2(B, C) -> r3(A, C) or its negation, in both antecedent
+    orders, for every three relations: 12**3 * 2 * 2 clauses."""
+    relations = sorted({l.atom.predicate for r in kb.rules for l in r.literals},
+                       key=lambda p: p.name)
+    assert len(relations) == 12
+    a, b, c = (Entity(n) for n in ("A", "B", "C"))
+    clauses = []
+    for r1, r2, r3 in itertools.product(relations, repeat=3):
+        first, second = Literal(Atom(r1, (a, b)), True), Literal(Atom(r2, (b, c)), True)
+        for antecedent in ((first, second), (second, first)):
+            for positive in (True, False):
+                clauses.append(_clause(antecedent, Literal(Atom(r3, (a, c)), positive)))
+    return clauses
+
+
+def _fox_clauses(kb):
+    """Antecedents of at most two literals over the rules' atoms and their
+    argument swaps, each with every signed literal over the rules'
+    predicates and entities as consequent: 257 * 96 clauses for a rule base
+    with 8 such atoms over 3 predicates and 4 entities."""
+    atoms = {l.atom for r in kb.rules for l in r.literals}
+    atoms |= {Atom(x.predicate, x.args[::-1]) for x in atoms}
+    pool = sorted((Literal(x, s) for x in atoms for s in (True, False)), key=str)
+    entities = sorted({e for r in kb.rules for e in r.entities()}, key=lambda e: e.name)
+    consequents = [
+        Literal(Atom(p, args), s)
+        for p in sorted({x.predicate for x in atoms}, key=lambda p: p.name)
+        for args in itertools.product(entities, repeat=p.arity)
+        for s in (True, False)
+    ]
+    antecedents = [()] + [(l,) for l in pool] + list(itertools.permutations(pool, 2))
+    return [_clause(ante, cons) for ante in antecedents for cons in consequents]
+
+
+@pytest.mark.parametrize("case", ["kinship", "winter_fox", "winter_fox_facts"])
+def test_scores_agree_with_the_rule_scan(case):
+    if case == "kinship":
+        kb = kinship_kb()
+        clauses = _kinship_composition_clauses(kb)
+        assert len(clauses) == 6912
+    else:
+        # the facts case keeps one rule and states two ground literals
+        facts = ["reflects(white, sun)", "~absorbs(sun, white)"]
+        kb = _kb(FOX_RULES if case == "winter_fox" else FOX_RULES[:1] + facts)
+        clauses = _fox_clauses(kb)
+        assert len(clauses) == 257 * 96
+    backend = OracleBackend(kb)
+    decisions = {True: 0, False: 0, None: 0}
+    for clause in clauses:
+        want = reference_kb_decision(kb, clause)
+        decisions[want] += 1
+        score = 1.0 if want else 0.0
+        assert (
+            backend._kb_decision(clause),
+            backend.commonsense_score(clause, CONTRADICTION_STYLE),
+            backend.commonsense_score(clause, TRUTH_STYLE),
+        ) == (want, score, score), str(clause)
+    assert min(decisions.values()) > 0, decisions
+
+
 def test_oracle_relevance():
     kb = _kb(FOX_RULES)
     backend = OracleBackend(kb)
@@ -421,6 +479,15 @@ def test_kb_rejects_inconsistent_rules():
 def test_kb_rejects_wide_antecedents():
     with pytest.raises(ArgosError):
         _kb(["a & b & c -> d"])
+
+
+@pytest.mark.parametrize("rule", [
+    "forall x forall y (p(x) -> q(x, y))",
+    "forall x (p(x))",
+])
+def test_kb_rejects_a_consequent_variable_the_antecedent_does_not_bind(rule):
+    with pytest.raises(ArgosError, match="does not bind"):
+        _kb([rule])
 
 
 def test_kb_rejects_non_horn():
@@ -532,7 +599,6 @@ def test_wire_cot_sampling_and_confidence():
     assert vote.answer is False
     assert vote.vote_fraction == 1.0
     assert vote.weighted_confidence == pytest.approx(math.exp(-0.2231435513))
-    assert backend.cot_calls == 5
     assert len(requests_seen) == 5
     assert all(r["max_tokens"] == 300 for r in requests_seen)
     assert all(r["temperature"] == 0.7 for r in requests_seen)

@@ -162,6 +162,18 @@ def test_bench_unknown_system_exits_2(tmp_path, capsys):
     assert "unknown system" in err
 
 
+def test_bench_zero_sample_system_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    run_cli(capsys, "gen", "--out", str(corpus), "--count", "2", "--depth", "2")
+    code, out, err = run_cli(
+        capsys, "bench", str(corpus), "--systems", "sc0", "--out", str(tmp_path / "r"),
+    )
+    assert code == 2
+    assert "'sc0'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_bench_empty_corpus(tmp_path, capsys):
     corpus = tmp_path / "empty"
     corpus.mkdir()
@@ -201,6 +213,21 @@ def test_bad_oracle_kb_exits_2_naming_the_file(tmp_path, capsys):
         code, out, err = run_cli(capsys, "solve", problem, "--oracle-kb", str(kb))
         assert code == 2
         assert str(kb) in err
+
+
+@pytest.mark.parametrize("rule", [
+    "forall x forall y (p(x) -> q(x, y))",
+    "forall x (p(x))",
+])
+def test_kb_rule_with_an_unbound_consequent_variable_exits_2(tmp_path, capsys, rule):
+    kb = tmp_path / "kb.json"
+    kb.write_text(json.dumps({"rules": [rule]}))
+    code, out, err = run_cli(
+        capsys, "solve", str(FIXTURES / "winter_fox" / "problem.json"), "--oracle-kb", str(kb),
+    )
+    assert code == 2
+    assert "does not bind" in err
+    assert "Traceback" not in err
 
 
 def test_bad_exemplars_exit_2_naming_the_file(tmp_path, capsys):

@@ -44,7 +44,6 @@ class StubBackend(Backend):
         relevance=1.0,
         fail_after_votes=None,
     ):
-        super().__init__()
         self.answer = answer
         self.fraction = fraction
         self.candidates = candidates or {}
@@ -341,7 +340,7 @@ def test_max_cot_zero_is_degenerate_fallback():
     assert result.degenerate
     assert result.verdict is False
     assert result.cot_calls == 0
-    assert backend.cot_calls == 0
+    assert backend.votes_issued == 0
 
 
 def test_cot_bound_holds_when_search_never_ends():
@@ -510,6 +509,31 @@ def test_exhaustion_after_vote_falls_back():
     assert result.decided_by == "fallback"
     assert result.verdict is True
     assert any(e["event"] == "backend_error" for e in result.trace)
+
+
+class _AbstainingBackend(StubBackend):
+    """Every sample abstains; generation fails at the transport."""
+
+    def _cot_samples(self, premises, commonsense, query, k):
+        self.votes_issued += 1
+        return [CotSample(None, 0.0, "no answer")] * k
+
+    def generate(self, premises, commonsense, l1, l2, target):
+        raise BackendExhausted("scripted failure")
+
+
+def test_exhaustion_after_a_degenerate_vote_keeps_the_flag():
+    problem = make_problem(["A"], "Q")
+    result = solve(problem, EngineConfig(), _AbstainingBackend())
+    assert result.decided_by == "fallback"
+    assert result.degenerate
+    assert result.verdict is False
+    (vote,) = [e for e in result.trace if e["event"] == "vote"]
+    final = result.trace[-1]
+    assert vote["degenerate"] is True
+    assert final["event"] == "result"
+    assert final["reason"] == "backend_exhausted"
+    assert final["degenerate"] is True
 
 
 def test_exhaustion_before_any_vote_raises():

@@ -44,6 +44,9 @@ def test_parse_system_names():
         parse_system_names(["warp-drive"])
     with pytest.raises(ArgosError):
         parse_system_names([])
+    for no_samples in ("sc0", "sc00"):
+        with pytest.raises(ArgosError, match=no_samples):
+            parse_system_names(["argos", no_samples])
 
 
 def test_sat_baseline_unknown_everywhere_and_silent():
@@ -52,21 +55,34 @@ def test_sat_baseline_unknown_everywhere_and_silent():
         record = run_sat_baseline(p, config)
         assert record.decided_by == "unknown"
         assert record.cot_calls == 0
-    assert backend.cot_calls == 0
+
+
+class _SampleCountingOracle(OracleBackend):
+    """The oracle, counting the chain-of-thought samples it returns."""
+
+    def __init__(self, kb):
+        super().__init__(kb)
+        self.samples = 0
+
+    def _cot_samples(self, premises, commonsense, query, k):
+        samples = super()._cot_samples(premises, commonsense, query, k)
+        self.samples += len(samples)
+        return samples
 
 
 def test_sc_baseline_costs_exactly_n():
-    problems, kb, config, backend = kinship_setup(count=4)
+    problems, kb, config, _ = kinship_setup(count=4)
+    backend = _SampleCountingOracle(kb)
     for p in problems:
         record = run_sc_baseline(p, config, backend, 7)
         assert record.cot_calls == 7
-    assert backend.cot_calls == 4 * 7
+    assert backend.samples == 4 * 7
 
 
 def test_run_suite_end_to_end_noiseless():
     problems, kb, config, backend = kinship_setup(count=6)
     metrics = run_suite(
-        problems, config, backend, baselines=["sat", "sc5"], kb=kb
+        problems, config, backend, systems=["argos", "sat", "sc5"], kb=kb
     )
     assert metrics.accuracy("argos") == 1.0
     assert all(r.decided_by == "sat" for r in metrics.records["argos"])
@@ -82,15 +98,15 @@ def test_run_suite_end_to_end_noiseless():
 
 def test_run_suite_zero_problems():
     _, kb, config, backend = kinship_setup(count=0)
-    metrics = run_suite([], config, backend, baselines=["sat"], kb=kb)
+    metrics = run_suite([], config, backend, systems=["argos", "sat"], kb=kb)
     assert metrics.records == {} or all(not v for v in metrics.records.values())
     assert metrics.accuracy("argos") == 0.0
 
 
 def test_run_suite_parallel_matches_serial():
     problems, kb, config, backend = kinship_setup(count=4, depth=2)
-    serial = run_suite(problems, config, backend, baselines=["sat"], kb=kb, jobs=1)
-    parallel = run_suite(problems, config, backend, baselines=["sat"], kb=kb, jobs=2)
+    serial = run_suite(problems, config, backend, systems=["argos", "sat"], kb=kb, jobs=1)
+    parallel = run_suite(problems, config, backend, systems=["argos", "sat"], kb=kb, jobs=2)
     assert records_csv(serial.records["argos"]) == records_csv(parallel.records["argos"])
     assert records_csv(serial.records["sat"]) == records_csv(parallel.records["sat"])
     assert serial.traces == parallel.traces
@@ -98,8 +114,8 @@ def test_run_suite_parallel_matches_serial():
 
 def test_run_suite_determinism_byte_identical():
     problems, kb, config, backend = kinship_setup(count=4)
-    m1 = run_suite(problems, config, backend, baselines=["sat", "sc5"], kb=kb)
-    m2 = run_suite(problems, config, OracleBackend(kb), baselines=["sat", "sc5"], kb=kb)
+    m1 = run_suite(problems, config, backend, systems=["argos", "sat", "sc5"], kb=kb)
+    m2 = run_suite(problems, config, OracleBackend(kb), systems=["argos", "sat", "sc5"], kb=kb)
     assert summary_csv(m1) == summary_csv(m2)
     for system in m1.records:
         assert records_csv(m1.records[system]) == records_csv(m2.records[system])
@@ -326,7 +342,7 @@ def test_flip_analysis_id_mismatch():
 
 def test_metrics_conservation():
     problems, kb, config, backend = kinship_setup(count=6)
-    metrics = run_suite(problems, config, backend, baselines=["sc5"], kb=kb)
+    metrics = run_suite(problems, config, backend, systems=["argos", "sc5"], kb=kb)
     assert sum(b.count for b in metrics.flip_buckets) == len(problems)
     records = metrics.records["argos"]
     recomputed = sum(1 for r in records if r.correct) / len(records)
@@ -336,7 +352,7 @@ def test_metrics_conservation():
 
 def test_csv_headers():
     problems, kb, config, backend = kinship_setup(count=2, depth=2)
-    metrics = run_suite(problems, config, backend, baselines=["sat", "sc5"], kb=kb)
+    metrics = run_suite(problems, config, backend, systems=["argos", "sat", "sc5"], kb=kb)
     assert summary_csv(metrics).splitlines()[0] == (
         "system,problems,accuracy,avg_iterations,avg_cot_calls,corruptions"
     )
