@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import ArgosError, BackendError, BackendExhausted, ConfigError, CorpusError
+from .errors import ArgosError, BackendError, BackendExhausted, CorpusError
 from .errors import check_fields, is_int, is_number
 from .logic import (
     Atom,
@@ -132,11 +132,11 @@ class Backend(ABC):
         self,
         premises: Sequence[Formula],
         commonsense: Sequence,
-        l1: Optional[Literal],
-        l2: Optional[Literal],
+        antecedent: tuple[Literal, ...],
         target: Target,
     ) -> list[Literal]:
-        ...
+        """Candidate consequents of ``antecedent``, 0-2 distinct literals,
+        about ``target``: an entity, an entity pair or None."""
 
     @abstractmethod
     def commonsense_score(self, clause, style: str = CONTRADICTION_STYLE) -> float:
@@ -253,6 +253,16 @@ def _instantiate(pattern: Literal, theta: dict) -> Optional[Literal]:
     return Literal(Atom(pattern.atom.predicate, tuple(args)), pattern.positive)
 
 
+def _check_rule(r: HornRule) -> None:
+    """Fail unless the oracle's rule lookup can answer ``r``: at most two
+    antecedent literals, and every consequent variable bound by them."""
+    if len(r.antecedent) > 2:
+        raise ArgosError(f"rule antecedent too long: {r}")
+    bound = {a for l in r.antecedent for a in l.atom.args if isinstance(a, Var)}
+    if any(isinstance(a, Var) and a not in bound for a in r.consequent.atom.args):
+        raise ArgosError(f"rule consequent has a variable its antecedent does not bind: {r}")
+
+
 @dataclass
 class OracleKB:
     """Rule base plus the knobs that shape the stand-in model's behaviour.
@@ -279,22 +289,21 @@ class OracleKB:
     def __post_init__(self):
         check_fields(self, self.FIELDS)
         for r in self.rules:
-            if len(r.antecedent) > 2:
-                raise ArgosError(f"rule antecedent too long: {r}")
-            # the rule lookup answers only ground consequents
-            bound = {a for l in r.antecedent for a in l.atom.args if isinstance(a, Var)}
-            if any(isinstance(a, Var) and a not in bound for a in r.consequent.atom.args):
-                raise ArgosError(
-                    f"rule consequent has a variable its antecedent does not bind: {r}"
-                )
+            _check_rule(r)
 
     @classmethod
     def from_formulas(cls, formulas: Iterable[Formula], check: bool = True, **knobs) -> "OracleKB":
+        """The KB of ``formulas``; an error names the bad one as ``rules[i]``,
+        its place in ``formulas``."""
         rules = []
-        for f in formulas:
-            r = HornRule.from_formula(f)
-            if r is None:
-                raise ArgosError(f"not a Horn rule: {f}")
+        for i, f in enumerate(formulas):
+            try:
+                r = HornRule.from_formula(f)
+                if r is None:
+                    raise ArgosError(f"not a Horn rule: {f}")
+                _check_rule(r)
+            except ArgosError as exc:
+                raise ArgosError(f"rules[{i}]: {exc}") from exc
             rules.append(r)
         rules.sort(key=str)
         kb = cls(tuple(rules), **knobs)
@@ -313,11 +322,16 @@ class OracleKB:
         if not isinstance(rules, list) or not all(isinstance(t, str) for t in rules):
             raise CorpusError(f"{path}: expected a 'rules' array of strings")
         signature: dict[str, int] = {}
-        formulas = [parse_formula(t, signature=signature) for t in rules]
+        formulas = []
+        for i, text in enumerate(rules):
+            try:
+                formulas.append(parse_formula(text, signature=signature))
+            except ArgosError as exc:
+                raise CorpusError(f"{path}: rules[{i}]: {exc}") from exc
         knobs = {key: data[key] for key in cls.FIELDS if key in data}
         try:
             kb = cls.from_formulas(formulas, **knobs)
-        except ConfigError as exc:
+        except ArgosError as exc:
             raise CorpusError(f"{path}: {exc}") from exc
         return replace(kb, **overrides)
 
@@ -357,6 +371,17 @@ class OracleBackend(Backend):
         for place, rule in enumerate(ordered):
             sig = frozenset((l.atom.predicate, l.positive) for l in rule.antecedent)
             self._by_signature.setdefault(sig, []).append((place, rule))
+        # the KB's ground facts, in rule-base order
+        self._facts = tuple(dict.fromkeys(
+            r.consequent for r in kb.rules if not r.antecedent and r.consequent.is_ground
+        ))
+        # what noise may swap each consequent predicate for: the others of its arity
+        predicates = sorted(
+            {r.consequent.atom.predicate for r in kb.rules}, key=lambda p: (p.name, p.arity)
+        )
+        self._swaps = {
+            p: [q for q in predicates if q.arity == p.arity and q != p] for p in predicates
+        }
 
     # -- seeded randomness per request ------------------------------------
 
@@ -487,31 +512,27 @@ class OracleBackend(Backend):
 
     # -- generation: KB rule lookup -----------------------------------------
 
-    def _matching_consequents(self, l1: Optional[Literal], l2: Optional[Literal]) -> list[Literal]:
+    def _matching_consequents(self, antecedent: tuple[Literal, ...]) -> list[Literal]:
+        """The ground consequents the KB derives from ``antecedent`` in one
+        rule application; for the empty antecedent, the KB's ground facts."""
+        if not antecedent:
+            return list(self._facts)
         out: list[Literal] = []
         seen = set()
-        if l1 is None:
-            for rule in self.kb.rules:
-                fact = rule.consequent
-                if not rule.antecedent and fact.is_ground and fact not in seen:
-                    seen.add(fact)
-                    out.append(fact)
-            return out
-        pair = (l1,) if l2 is None or l2 == l1 else (l1, l2)
-        pair_sig = {(l.atom.predicate, l.positive) for l in pair}
-        # the rules whose signature is a subset of the pair's, in text order
-        subsets = [frozenset([s]) for s in pair_sig]
-        if len(pair_sig) == 2:
-            subsets.append(frozenset(pair_sig))
+        ante_sig = {(l.atom.predicate, l.positive) for l in antecedent}
+        # the rules whose signature is a subset of the antecedent's, in text order
+        subsets = [frozenset([s]) for s in ante_sig]
+        if len(ante_sig) == 2:
+            subsets.append(frozenset(ante_sig))
         matching = sorted(e for sig in subsets for e in self._by_signature.get(sig, ()))
         for _, rule in matching:
             orders: list[tuple[Literal, ...]]
             if len(rule.antecedent) == 1:
-                orders = [(p,) for p in pair]
-            elif len(pair) == 2:
-                orders = [(pair[0], pair[1]), (pair[1], pair[0])]
-            else:
-                orders = [(pair[0], pair[0])]
+                orders = [(p,) for p in antecedent]
+            elif len(antecedent) == 2:
+                orders = [antecedent, antecedent[::-1]]
+            else:  # a two-literal rule may match one literal twice
+                orders = [antecedent * 2]
             for order in orders:
                 theta = _bind(rule.antecedent, order, {})
                 if theta is None:
@@ -522,26 +543,22 @@ class OracleBackend(Backend):
                     out.append(derived)
         return out
 
-    def generate(self, premises, commonsense, l1, l2, target) -> list[Literal]:
-        candidates = self._matching_consequents(l1, l2)
+    def generate(self, premises, commonsense, antecedent, target) -> list[Literal]:
+        candidates = self._matching_consequents(antecedent)
         if isinstance(target, Entity):
             candidates = [c for c in candidates if target in c.entities()]
         elif isinstance(target, tuple):
             candidates = [c for c in candidates if tuple(c.atom.args) == tuple(target)]
         if self.kb.noise > 0.0 and candidates:
-            rng = self._rng("generate", str(l1), str(l2), str(target),
+            # the key names the first and last literal, so that seeded noisy
+            # runs reproduce the outputs they always gave
+            ends = (antecedent[0], antecedent[-1]) if antecedent else (None, None)
+            rng = self._rng("generate", *ends, target,
                             _render_formulas(premises), len(commonsense))
-            predicates = sorted(
-                {r.consequent.atom.predicate for r in self.kb.rules},
-                key=lambda p: (p.name, p.arity),
-            )
             corrupted = []
             for c in candidates:
                 if rng.random() < self.kb.noise:
-                    swaps = [
-                        p for p in predicates
-                        if p.arity == c.atom.predicate.arity and p != c.atom.predicate
-                    ]
+                    swaps = self._swaps[c.atom.predicate]
                     if swaps and rng.random() < 0.5:
                         c = Literal(Atom(rng.choice(swaps), c.atom.args), c.positive)
                     else:
@@ -555,10 +572,7 @@ class OracleBackend(Backend):
     def _kb_decision(self, clause: HornRule) -> Optional[bool]:
         """True: the KB derives the consequent from the clause's antecedent or
         states it as a fact; False: likewise its negation; None: undecided."""
-        ante = clause.antecedent
-        derived = set(self._matching_consequents(None, None))
-        if ante:
-            derived.update(self._matching_consequents(ante[0], ante[-1]))
+        derived = set(self._matching_consequents(clause.antecedent)).union(self._facts)
         if clause.consequent in derived:
             return True
         if clause.consequent.negate() in derived:
@@ -752,13 +766,8 @@ class WireBackend(Backend):
         prompt = relevance_prompt(premises, commonsense, str(clause))
         return self._yes_no_probability(prompt, "yes")
 
-    def generate(self, premises, commonsense, l1, l2, target) -> list[Literal]:
-        if l1 is None:
-            antecedent_text = "the context"
-        elif l2 is None or l2 == l1:
-            antecedent_text = str(l1)
-        else:
-            antecedent_text = f"{l1} & {l2}"
+    def generate(self, premises, commonsense, antecedent, target) -> list[Literal]:
+        antecedent_text = " & ".join(map(str, antecedent)) or "the context"
         # the predicate vocabulary: each name with its first-seen arity
         signature: dict[str, int] = {}
         for f in premises:

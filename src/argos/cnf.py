@@ -49,15 +49,15 @@ class ClauseSet:
     aux_vars: set[int] = field(default_factory=set)
     num_vars: int = 0
 
-    def to_dimacs(self, comments: bool = True) -> str:
-        """Standard DIMACS CNF rendering for cross-checks with external solvers."""
+    def to_dimacs(self) -> str:
+        """Standard DIMACS CNF rendering for cross-checks with external solvers,
+        with comment lines naming each atom's variable and the aux variables."""
         lines = []
-        if comments:
-            for atom, v in sorted(self.var_map.items(), key=lambda kv: kv[1]):
-                lines.append(f"c var {v} = {atom}")
-            if self.aux_vars:
-                aux = " ".join(str(v) for v in sorted(self.aux_vars))
-                lines.append(f"c aux {aux}")
+        for atom, v in sorted(self.var_map.items(), key=lambda kv: kv[1]):
+            lines.append(f"c var {v} = {atom}")
+        if self.aux_vars:
+            aux = " ".join(str(v) for v in sorted(self.aux_vars))
+            lines.append(f"c aux {aux}")
         lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
         for cl in self.clauses:
             lines.append(" ".join(str(l) for l in cl) + " 0")

@@ -50,7 +50,7 @@ def _require(data: dict, key: str, kind, path) -> object:
     return value
 
 
-def load_problem_file(path, validate: bool = True) -> Problem:
+def load_problem_file(path) -> Problem:
     """Parse and validate one problem file.
 
     When ``withheld_rules`` are present the restored problem (premises plus
@@ -73,9 +73,7 @@ def load_problem_file(path, validate: bool = True) -> Problem:
 
     def parse(text, field_name):
         try:
-            return parse_formula(
-                text, signature=signature, entities=entity_names, strict=True
-            )
+            return parse_formula(text, signature=signature, entities=entity_names)
         except ArgosError as exc:
             raise CorpusError(f"{path}: field {field_name!r}: {exc}") from exc
 
@@ -100,7 +98,7 @@ def load_problem_file(path, validate: bool = True) -> Problem:
         gold_label=gold,
         withheld_rules=withheld,
     )
-    if validate and withheld:
+    if withheld:
         check_restored(problem, path)
     return problem
 
@@ -147,7 +145,7 @@ def save_problem(problem: Problem, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def load_corpus(path, validate: bool = True) -> list[Problem]:
+def load_corpus(path) -> list[Problem]:
     """Load every problem file in a directory, sorted by filename."""
     root = Path(path)
     if not root.is_dir():
@@ -156,7 +154,7 @@ def load_corpus(path, validate: bool = True) -> list[Problem]:
     for f in sorted(root.glob("*.json")):
         if f.name in RESERVED_FILES:
             continue
-        problems.append(load_problem_file(f, validate=validate))
+        problems.append(load_problem_file(f))
     return problems
 
 

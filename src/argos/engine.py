@@ -4,9 +4,10 @@ Each pass: try the SAT solver; if it decides the query, done. Otherwise take
 a k-sample vote from the backend and stop if the vote fraction clears the
 annealed threshold gamma. Otherwise search the backbone for one new
 commonsense implication, add it (gamma shrinks by alpha), and repeat. The
-search walks ordered antecedent pairs from the most entity-connected
-backbone literals down, asks the backend for consequents, and accepts the
-first candidate whose commonsense and relevance scores both clear tau.
+search walks antecedents of up to two backbone literals, from the most
+entity-connected literals down, asks the backend for consequents, and
+accepts the first candidate whose commonsense and relevance scores both
+clear tau.
 
 gamma and vote fractions are handled as exact rationals so threshold
 comparisons never drift; traces are line-oriented JSON with deterministic
@@ -115,17 +116,15 @@ def pair_order(backbone: Collection[Literal]) -> list[tuple[Literal, ...]]:
     Literals sort by descending entity-overlap score, ties broken by text.
     The scores come from one index from each entity to the backbone literals
     that name it, so each literal's entities are taken once and no pair of
-    literals is compared. The scan runs the ordered outer-by-inner pair
-    product (the diagonal supplies single-literal antecedents) and ends with
-    the empty antecedent.
+    literals is compared. The scan runs the ordered outer-by-inner product,
+    whose diagonal is the single-literal antecedent ``(l,)`` in its place,
+    and ends with the empty antecedent.
     """
     scores = entity_scores(backbone)
     lits = sorted(scores, key=lambda l: (-scores[l], str(l)))
-    pairs: list[tuple[Literal, ...]] = [
-        (l1, l2) for l1 in lits for l2 in lits
-    ]
-    pairs.append(())
-    return pairs
+    order = [(a,) if a is b else (a, b) for a in lits for b in lits]
+    order.append(())
+    return order
 
 
 def generation_targets(
@@ -147,10 +146,9 @@ def generation_targets(
         return [None]  # propositional antecedent: one untargeted call
     if style == GENERATION_ENTITY:
         return entities[:cap]
-    unique = tuple(dict.fromkeys(antecedent))
     primary: list[tuple[Entity, Entity]] = []
-    if len(unique) == 2:
-        s1, s2 = unique[0].entities(), unique[1].entities()
+    if len(antecedent) == 2:
+        s1, s2 = antecedent[0].entities(), antecedent[1].entities()
         shared = s1 & s2
         for a in sorted(s1 - shared, key=lambda e: e.name):
             for b in sorted(s2 - shared, key=lambda e: e.name):
@@ -383,16 +381,13 @@ class Engine:
         """
         config = self.config
         backbone_lits = backbone.literals
-        for pair in pair_order(backbone_lits):
-            antecedent = tuple(dict.fromkeys(pair))
-            l1 = pair[0] if pair else None
-            l2 = pair[1] if len(pair) > 1 else None
+        for antecedent in pair_order(backbone_lits):
             targets = generation_targets(
                 antecedent, config.generation_style, GENERATION_TARGETS
             )
             for target in targets:
                 candidates = self.backend.generate(
-                    self.problem.premises, self.accepted, l1, l2, target
+                    self.problem.premises, self.accepted, antecedent, target
                 )
                 for cand in candidates:
                     clause = CommonsenseClause(antecedent, cand, 0.0, 0.0)

@@ -347,59 +347,42 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv(header: str, rows) -> str:
+    """``header`` and one line per row, each value written by ``_fmt``."""
+    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def summary_csv(metrics: RunMetrics) -> str:
-    lines = ["system,problems,accuracy,avg_iterations,avg_cot_calls,corruptions"]
+    rows = []
     for system in sorted(metrics.records):
         recs = metrics.records[system]
         n = len(recs)
-        avg_it = sum(r.iterations for r in recs) / n if n else 0.0
-        avg_cot = sum(r.cot_calls for r in recs) / n if n else 0.0
-        corr = metrics.corruption_count if system == "argos" else ""
-        lines.append(
-            f"{system},{n},{_fmt(metrics.accuracy(system))},"
-            f"{_fmt(avg_it)},{_fmt(avg_cot)},{corr}"
-        )
-    return "\n".join(lines) + "\n"
+        rows.append((
+            system,
+            n,
+            metrics.accuracy(system),
+            sum(r.iterations for r in recs) / n if n else 0.0,
+            sum(r.cot_calls for r in recs) / n if n else 0.0,
+            metrics.corruption_count if system == "argos" else None,
+        ))
+    return _csv("system,problems,accuracy,avg_iterations,avg_cot_calls,corruptions", rows)
 
 
 def records_csv(records: Sequence[ProblemRecord]) -> str:
-    lines = [
+    return _csv(
         "problem_id,system,verdict,gold,correct,decided_by,iterations,"
-        "cot_calls,confidence,inconsistent,corrupted,useful_clauses,error"
-    ]
-    for r in records:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.problem_id,
-                    r.system,
-                    r.verdict,
-                    r.gold,
-                    r.correct,
-                    r.decided_by,
-                    r.iterations,
-                    r.cot_calls,
-                    r.confidence,
-                    r.inconsistent,
-                    r.corrupted,
-                    r.useful_clauses,
-                    r.error,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+        "cot_calls,confidence,inconsistent,corrupted,useful_clauses,error",
+        (
+            (r.problem_id, r.system, r.verdict, r.gold, r.correct, r.decided_by,
+             r.iterations, r.cot_calls, r.confidence, r.inconsistent, r.corrupted,
+             r.useful_clauses, r.error)
+            for r in records
+        ),
+    )
 
 
 def flips_csv(buckets: Sequence[FlipBucket]) -> str:
-    lines = ["bucket,problems,argos_accuracy,sc_accuracy,correct_flips,incorrect_flips"]
-    for b in buckets:
-        argos_acc = b.argos_correct / b.count if b.count else ""
-        sc_acc = b.sc_correct / b.count if b.count else ""
-        lines.append(
-            f"{b.bucket},{b.count},{_fmt(argos_acc)},{_fmt(sc_acc)},"
-            f"{b.correct_flips},{b.incorrect_flips}"
-        )
     total = FlipBucket(
         "total",
         sum(b.count for b in buckets),
@@ -408,22 +391,24 @@ def flips_csv(buckets: Sequence[FlipBucket]) -> str:
         sum(b.correct_flips for b in buckets),
         sum(b.incorrect_flips for b in buckets),
     )
-    argos_acc = total.argos_correct / total.count if total.count else ""
-    sc_acc = total.sc_correct / total.count if total.count else ""
-    lines.append(
-        f"total,{total.count},{_fmt(argos_acc)},{_fmt(sc_acc)},"
-        f"{total.correct_flips},{total.incorrect_flips}"
+    return _csv(
+        "bucket,problems,argos_accuracy,sc_accuracy,correct_flips,incorrect_flips",
+        (
+            (b.bucket, b.count,
+             b.argos_correct / b.count if b.count else None,
+             b.sc_correct / b.count if b.count else None,
+             b.correct_flips, b.incorrect_flips)
+            for b in [*buckets, total]
+        ),
     )
-    return "\n".join(lines) + "\n"
 
 
 def cost_histogram_csv(metrics: RunMetrics) -> str:
     """Distribution of per-problem chain-of-thought calls for each system."""
-    lines = ["system,cot_calls,problems"]
+    rows = []
     for system in sorted(metrics.records):
         counts: dict[int, int] = {}
         for r in metrics.records[system]:
             counts[r.cot_calls] = counts.get(r.cot_calls, 0) + 1
-        for cot in sorted(counts):
-            lines.append(f"{system},{cot},{counts[cot]}")
-    return "\n".join(lines) + "\n"
+        rows.extend((system, cot, counts[cot]) for cot in sorted(counts))
+    return _csv("system,cot_calls,problems", rows)

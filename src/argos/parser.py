@@ -75,14 +75,12 @@ class _Parser:
         text: str,
         signature: Optional[dict[str, int]],
         entities: Optional[frozenset[str]],
-        strict: bool,
     ):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.signature = signature if signature is not None else {}
         self.entities = entities
-        self.strict = strict
         self.bound: list[str] = []
 
     def peek(self) -> tuple[str, str, int]:
@@ -201,7 +199,7 @@ class _Parser:
             raise FormulaSyntaxError(f"{name!r} cannot name a term", pos)
         if name in self.bound:
             return Var(name)
-        if self.strict and self.entities is not None and name not in self.entities:
+        if self.entities is not None and name not in self.entities:
             raise UndeclaredEntityError(
                 f"entity {name!r} at position {pos} is not declared"
             )
@@ -213,16 +211,15 @@ def parse_formula(
     *,
     signature: Optional[dict[str, int]] = None,
     entities: Optional[Iterable[str]] = None,
-    strict: bool = False,
 ) -> Formula:
     """Parse one formula.
 
     ``signature`` is an optional mutable name->arity map shared across calls
-    so arities stay consistent within a problem. With ``strict=True``, free
-    identifiers must appear in ``entities``.
+    so arities stay consistent within a problem. When ``entities`` is given,
+    free identifiers must appear in it.
     """
     ents = frozenset(entities) if entities is not None else None
-    return _Parser(text, signature, ents, strict).parse()
+    return _Parser(text, signature, ents).parse()
 
 
 def parse_literal(text: str, *, signature: Optional[dict[str, int]] = None) -> "Literal":

@@ -350,9 +350,9 @@ def reference_pair_order(backbone) -> list[tuple]:
         return sum(1 for other in backbone if related(l, other))
 
     lits = sorted(set(backbone), key=lambda l: (-score(l), str(l)))
-    pairs = [(l1, l2) for l1 in lits for l2 in lits]
-    pairs.append(())
-    return pairs
+    order = [(l1,) if l1 == l2 else (l1, l2) for l1 in lits for l2 in lits]
+    order.append(())
+    return order
 
 
 def reference_generation_targets(antecedent, style, cap) -> list:
@@ -365,10 +365,9 @@ def reference_generation_targets(antecedent, style, cap) -> list:
         return [None]
     if style == "entity":
         return entities[:cap]
-    unique = tuple(dict.fromkeys(antecedent))
     primary = []
-    if len(unique) == 2:
-        s1, s2 = unique[0].entities(), unique[1].entities()
+    if len(antecedent) == 2:
+        s1, s2 = antecedent[0].entities(), antecedent[1].entities()
         shared = s1 & s2
         for a in sorted(s1 - shared, key=lambda e: e.name):
             for b in sorted(s2 - shared, key=lambda e: e.name):
@@ -382,28 +381,27 @@ def reference_generation_targets(antecedent, style, cap) -> list:
 # --- the oracle's rule lookup, one scan over every rule ----------------------------
 
 
-def reference_matching_consequents(kb, l1, l2) -> list:
+def reference_matching_consequents(kb, antecedent) -> list:
     """``OracleBackend._matching_consequents`` testing every rule of ``kb``,
-    in rule-text order, for a signature within the pair's."""
+    in rule-text order, for a signature within the antecedent's."""
     out, seen = [], set()
-    if l1 is None:
+    if not antecedent:
         for rule in kb.rules:
             fact = rule.consequent
             if not rule.antecedent and fact.is_ground and fact not in seen:
                 seen.add(fact)
                 out.append(fact)
         return out
-    pair = (l1,) if l2 is None or l2 == l1 else (l1, l2)
-    pair_sig = {(l.atom.predicate, l.positive) for l in pair}
+    ante_sig = {(l.atom.predicate, l.positive) for l in antecedent}
     for rule in sorted((r for r in kb.rules if r.antecedent), key=str):
-        if not {(l.atom.predicate, l.positive) for l in rule.antecedent} <= pair_sig:
+        if not {(l.atom.predicate, l.positive) for l in rule.antecedent} <= ante_sig:
             continue
         if len(rule.antecedent) == 1:
-            orders = [(p,) for p in pair]
-        elif len(pair) == 2:
-            orders = [(pair[0], pair[1]), (pair[1], pair[0])]
+            orders = [(p,) for p in antecedent]
+        elif len(antecedent) == 2:
+            orders = [(antecedent[0], antecedent[1]), (antecedent[1], antecedent[0])]
         else:
-            orders = [(pair[0], pair[0])]
+            orders = [(antecedent[0], antecedent[0])]
         for order in orders:
             theta = _bind(rule.antecedent, order, {})
             if theta is None:

@@ -245,7 +245,7 @@ def test_oracle_generate_single_literal_rule_match():
     kb = _kb(FOX_RULES)
     backend = OracleBackend(kb)
     l = parse_literal("turns_white(fox, winter)")
-    out = backend.generate([], (), l, l, Entity("fox"))
+    out = backend.generate([], (), (l,), Entity("fox"))
     assert [str(c) for c in out] == ["reflects(fox, sun)"]
 
 
@@ -254,10 +254,10 @@ def test_oracle_generate_composition_by_pair_target():
     backend = OracleBackend(kb)
     l1 = parse_literal("mom(A, B)")
     l2 = parse_literal("sister(B, C)")
-    out = backend.generate([], (), l1, l2, (Entity("A"), Entity("C")))
+    out = backend.generate([], (), (l1, l2), (Entity("A"), Entity("C")))
     assert [str(c) for c in out] == ["mom(A, C)"]
     # and in reversed argument roles
-    out2 = backend.generate([], (), l2, l1, (Entity("A"), Entity("C")))
+    out2 = backend.generate([], (), (l2, l1), (Entity("A"), Entity("C")))
     assert [str(c) for c in out2] == ["mom(A, C)"]
 
 
@@ -269,7 +269,8 @@ def test_oracle_generate_answers_in_rule_text_order():
     # a rule base that lists the two rules against their text order
     backend = OracleBackend(dataclasses.replace(kb, rules=kb.rules[::-1]))
     assert str(backend.kb.rules[0]) > str(backend.kb.rules[1])
-    out = backend.generate([], (), parse_literal("mom(A, B)"), parse_literal("sister(B, C)"), None)
+    antecedent = (parse_literal("mom(A, B)"), parse_literal("sister(B, C)"))
+    out = backend.generate([], (), antecedent, None)
     assert [str(c) for c in out] == ["mom(A, C)", "ancestor(A, B)"]
 
 
@@ -302,30 +303,76 @@ def test_rule_lookup_by_signature_matches_the_full_scan():
         for _ in range(1500):
             l1 = literal()
             l2 = rng.choice([None, l1, literal()])
-            got = backend._matching_consequents(l1, l2)
-            assert got == reference_matching_consequents(kb, l1, l2)
+            antecedent = (l1,) if l2 in (None, l1) else (l1, l2)
+            got = backend._matching_consequents(antecedent)
+            assert got == reference_matching_consequents(kb, antecedent)
             answered += bool(got)
         assert answered > 20
-        assert backend._matching_consequents(None, None) == reference_matching_consequents(
-            kb, None, None
-        )
+        assert backend._matching_consequents(()) == reference_matching_consequents(kb, ())
 
 
 def test_oracle_generate_no_matching_rule_is_empty():
     kb = _kb(FOX_RULES)
     backend = OracleBackend(kb)
     l = parse_literal("shines(sun, winter)")
-    assert backend.generate([], (), l, l, Entity("sun")) == []
+    assert backend.generate([], (), (l,), Entity("sun")) == []
 
 
 def test_oracle_generate_noise_corrupts_deterministically():
     kb = _kb(FOX_RULES, noise=0.99, seed=5)
     backend = OracleBackend(kb)
     l = parse_literal("turns_white(fox, winter)")
-    out1 = backend.generate([], (), l, l, Entity("fox"))
-    out2 = backend.generate([], (), l, l, Entity("fox"))
+    out1 = backend.generate([], (), (l,), Entity("fox"))
+    out2 = backend.generate([], (), (l,), Entity("fox"))
     assert out1 == out2
     assert [str(c) for c in out1] != ["reflects(fox, sun)"]
+
+
+def test_noisy_generation_outputs_are_pinned():
+    # Recorded when generate took the antecedent as two literals (l1, l2):
+    # the single literal a as (a, a) and the empty antecedent as (None, None).
+    # The noise's random key still reads its first and last literal.
+    kb = _kb([
+        "forall x forall y (mom(x, y) -> parent(x, y))",
+        "forall x forall y (mom(x, y) -> ancestor(x, y))",
+        "forall x forall y forall z (mom(x, y) & sister(y, z) -> mom(x, z))",
+        "forall x forall y (sister(x, y) -> sibling(x, y))",
+        "forall x forall y (sister(x, y) -> female(x))",
+        "parent(A, B)",
+        "sibling(B, C)",
+        "female(A)",
+    ], noise=0.5, seed=11)
+    backend = OracleBackend(kb)
+    premises = [parse_formula("mom(A, B)"), parse_formula("sister(B, C)")]
+    a, b = parse_literal("mom(A, B)"), parse_literal("sister(B, C)")
+    A, B, C = Entity("A"), Entity("B"), Entity("C")
+    pinned = [
+        ((), A, ["~female(A)", "parent(A, B)"]),
+        ((), B, ["~parent(A, B)", "sibling(B, C)"]),
+        ((), (A, C), []),
+        ((), (A, B), ["~parent(A, B)"]),
+        ((), None, ["~female(A)", "parent(A, B)", "mom(B, C)"]),
+        ((a,), A, ["ancestor(A, B)", "parent(A, B)"]),
+        ((a,), B, ["ancestor(A, B)", "~parent(A, B)"]),
+        ((a,), (A, C), []),
+        ((a,), (A, B), ["ancestor(A, B)", "sibling(A, B)"]),
+        ((a,), None, ["ancestor(A, B)", "~parent(A, B)"]),
+        ((a, b), A, ["~mom(A, C)", "ancestor(A, B)", "~parent(A, B)"]),
+        ((a, b), B, ["mom(A, B)", "~parent(A, B)", "~female(B)", "mom(B, C)"]),
+        ((a, b), (A, C), ["mom(A, C)"]),
+        ((a, b), (A, B), ["ancestor(A, B)", "~parent(A, B)"]),
+        ((a, b), None,
+         ["~mom(A, C)", "~ancestor(A, B)", "parent(A, B)", "female(B)", "sibling(B, C)"]),
+        ((b, a), A, ["parent(A, C)", "ancestor(A, B)", "parent(A, B)"]),
+        ((b, a), B, ["~ancestor(A, B)", "sibling(A, B)", "~female(B)", "sibling(B, C)"]),
+        ((b, a), (A, C), ["mom(A, C)"]),
+        ((b, a), (A, B), ["ancestor(A, B)", "~parent(A, B)"]),
+        ((b, a), None,
+         ["sibling(A, C)", "ancestor(A, B)", "~parent(A, B)", "female(B)", "sibling(B, C)"]),
+    ]
+    for antecedent, target, want in pinned:
+        got = backend.generate(premises, (), antecedent, target)
+        assert [str(c) for c in got] == want, (antecedent, target)
 
 
 # --- oracle: scoring --------------------------------------------------------------
@@ -658,8 +705,8 @@ def test_wire_generation_budget_and_parsing():
     backend = WireBackend("http://server", "m", post=post)
     premises = [parse_formula("drinksCoffee(Rina)"), parse_formula("Loves(Mary, Sam)")]
     out = backend.generate(
-        premises, (), parse_literal("drinksCoffee(Rina)"),
-        parse_literal("Loves(Mary, Sam)"), Entity("Rina"),
+        premises, (), (parse_literal("drinksCoffee(Rina)"), parse_literal("Loves(Mary, Sam)")),
+        Entity("Rina"),
     )
     assert [str(l) for l in out] == ["productive(Rina)"]
     assert requests_seen[0]["max_tokens"] == 25
@@ -667,12 +714,33 @@ def test_wire_generation_budget_and_parsing():
     assert "drinksCoffee" in requests_seen[0]["prompt"]
 
 
+def test_wire_generation_prompt_names_the_antecedent():
+    prompts = []
+
+    def post(url, json=None, headers=None, timeout=None):
+        prompts.append(json["prompt"])
+        return FakeResponse(completion("productive"))
+
+    backend = WireBackend("http://server", "m", post=post)
+    a, b = parse_literal("drinksCoffee(Rina)"), parse_literal("Loves(Mary, Sam)")
+    for antecedent in [(a, b), (a,), ()]:
+        backend.generate([], (), antecedent, Entity("Rina"))
+    backend.generate([], (), (b, a), (Entity("Mary"), Entity("Sam")))
+    assert [p.splitlines()[0] for p in prompts] == [
+        "Fill in the blank with a known predicate: "
+        "drinksCoffee(Rina) & Loves(Mary, Sam) implies __(Rina).",
+        "Fill in the blank with a known predicate: drinksCoffee(Rina) implies __(Rina).",
+        "Fill in the blank with a known predicate: the context implies __(Rina).",
+        "If Loves(Mary, Sam) & drinksCoffee(Rina) then __(Mary,Sam). Fill in the blank.",
+    ]
+
+
 def test_wire_generation_unparseable_is_dropped():
     def post(url, json=None, headers=None, timeout=None):
         return FakeResponse(completion("???!"))
 
     backend = WireBackend("http://server", "m", post=post)
-    out = backend.generate([], (), parse_literal("a(x1)"), parse_literal("a(x1)"), Entity("x1"))
+    out = backend.generate([], (), (parse_literal("a(x1)"),), Entity("x1"))
     assert out == []
 
 
@@ -683,8 +751,7 @@ def test_wire_generation_arity_conflict_is_dropped():
     backend = WireBackend("http://server", "m", post=post)
     premises = [parse_formula("knows(Rina, Sam)")]
     out = backend.generate(
-        premises, (), parse_literal("knows(Rina, Sam)"),
-        parse_literal("knows(Rina, Sam)"), Entity("Rina"),
+        premises, (), (parse_literal("knows(Rina, Sam)"),), Entity("Rina"),
     )
     assert out == []
 

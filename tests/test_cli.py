@@ -215,6 +215,22 @@ def test_bad_oracle_kb_exits_2_naming_the_file(tmp_path, capsys):
         assert str(kb) in err
 
 
+@pytest.mark.parametrize("rules, error", [
+    (["forall x p(x)"], "rules[0]: expected LPAREN"),
+    (["p(a)", "p(a) -> q(a) | r(a)"], "rules[1]: not a Horn rule"),
+    (["p(a)", "~p(a)"], "mutually inconsistent"),
+    (["p(a)", "forall x forall y (p(x) -> q(x, y))"], "rules[1]: rule consequent has a variable"),
+])
+def test_bad_kb_rule_exits_2_naming_the_file_and_the_rule(tmp_path, capsys, rules, error):
+    kb = tmp_path / "kb.json"
+    kb.write_text(json.dumps({"rules": rules}))
+    code, out, err = run_cli(
+        capsys, "solve", str(FIXTURES / "winter_fox" / "problem.json"), "--oracle-kb", str(kb),
+    )
+    assert code == 2
+    assert f"error: {kb}: " in err and error in err
+
+
 @pytest.mark.parametrize("rule", [
     "forall x forall y (p(x) -> q(x, y))",
     "forall x (p(x))",

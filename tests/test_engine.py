@@ -61,9 +61,8 @@ class StubBackend(Backend):
         samples += [CotSample(not self.answer, 0.4, str(not self.answer))] * (k - n_yes)
         return samples
 
-    def generate(self, premises, commonsense, l1, l2, target):
-        key = frozenset(x for x in (l1, l2) if x is not None)
-        return list(self.candidates.get(key, []))
+    def generate(self, premises, commonsense, antecedent, target):
+        return list(self.candidates.get(frozenset(antecedent), []))
 
     def commonsense_score(self, clause, style="contradiction"):
         return self.commonsense
@@ -179,7 +178,7 @@ def test_pair_order_first_and_last():
     g_a = lit("G", Entity("A"))
     h_b = lit("H", Entity("B"))
     order = pair_order([f_a, g_a, h_b])
-    assert order[0] == (f_a, f_a)
+    assert order[0] == (f_a,)
     assert order[-1] == ()
     assert len(order) == 9 + 1
 
@@ -187,7 +186,7 @@ def test_pair_order_first_and_last():
 def test_pair_order_tie_broken_by_text():
     a, b = lit("beta", Entity("X")), lit("alpha", Entity("Y"))
     order = pair_order([a, b])
-    assert order[0] == (b, b)  # equal scores: alphabetical text first
+    assert order[0] == (b,)  # equal scores: alphabetical text first
 
 
 def test_pair_order_empty_backbone():
@@ -351,7 +350,7 @@ def test_cot_bound_holds_when_search_never_ends():
     counter = [0]
 
     class EndlessBackend(StubBackend):
-        def generate(self, premises, commonsense, l1, l2, target):
+        def generate(self, premises, commonsense, antecedent, target):
             counter[0] += 1
             return [parse_literal(f"fresh_{counter[0]}(E)")]
 
@@ -370,7 +369,7 @@ def test_gamma_exhausts_when_votes_never_pass():
     counter = [0]
 
     class EndlessBackend(StubBackend):
-        def generate(self, premises, commonsense, l1, l2, target):
+        def generate(self, premises, commonsense, antecedent, target):
             counter[0] += 1
             return [parse_literal(f"fresh_{counter[0]}(E)")]
 
@@ -518,7 +517,7 @@ class _AbstainingBackend(StubBackend):
         self.votes_issued += 1
         return [CotSample(None, 0.0, "no answer")] * k
 
-    def generate(self, premises, commonsense, l1, l2, target):
+    def generate(self, premises, commonsense, antecedent, target):
         raise BackendExhausted("scripted failure")
 
 

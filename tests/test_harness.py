@@ -366,3 +366,83 @@ def test_csv_headers():
     # every record row has the full column count
     for line in records_csv(metrics.records["argos"]).splitlines()[1:]:
         assert line.count(",") == 12
+
+
+# Recorded from the CSV writers as they stood before they shared one row
+# writer: a noisy 9-problem suite, so that the files hold fractions, empty
+# cells, a corruption, an inconsistent record and empty flip buckets.
+_PINNED_CSVS = {
+    "summary.csv": (
+        "system,problems,accuracy,avg_iterations,avg_cot_calls,corruptions\n"
+        "argos,9,0.555556,1.000000,8.333333,1\n"
+        "sat,9,0.666667,0.000000,0.000000,\n"
+        "sc5,9,0.333333,0.000000,5.000000,\n"
+    ),
+    "flips.csv": (
+        "bucket,problems,argos_accuracy,sc_accuracy,correct_flips,incorrect_flips\n"
+        "0-2,9,0.555556,0.333333,2,0\n"
+        "3-5,0,,,0,0\n"
+        "6+,0,,,0,0\n"
+        "total,9,0.555556,0.333333,2,0\n"
+    ),
+    "cost_histogram.csv": (
+        "system,cot_calls,problems\n"
+        "argos,5,5\n"
+        "argos,10,2\n"
+        "argos,15,2\n"
+        "sat,0,9\n"
+        "sc5,5,9\n"
+    ),
+    "records-argos.csv": (
+        "problem_id,system,verdict,gold,correct,decided_by,iterations,"
+        "cot_calls,confidence,inconsistent,corrupted,useful_clauses,error\n"
+        "kinship-7-0000,argos,true,true,true,sat,1,5,1.000000,false,false,1,\n"
+        "kinship-7-0001,argos,false,false,true,sat,2,10,1.000000,false,false,2,\n"
+        "kinship-7-0002,argos,true,false,false,fallback,0,5,0.600000,false,false,0,\n"
+        "kinship-7-0003,argos,true,false,false,fallback,2,15,0.600000,false,false,0,\n"
+        "kinship-7-0004,argos,true,true,true,fallback,0,5,0.600000,false,false,0,\n"
+        "kinship-7-0005,argos,false,false,true,fallback,2,15,0.600000,true,true,0,\n"
+        "kinship-7-0006,argos,false,true,false,fallback,0,5,0.600000,false,false,0,\n"
+        "kinship-7-0007,argos,false,true,false,fallback,1,10,0.600000,false,false,0,\n"
+        "kinship-7-0008,argos,false,false,true,sat,1,5,1.000000,false,false,1,\n"
+    ),
+    "records-sat.csv": (
+        "problem_id,system,verdict,gold,correct,decided_by,iterations,"
+        "cot_calls,confidence,inconsistent,corrupted,useful_clauses,error\n"
+        "kinship-7-0000,sat,false,true,false,unknown,0,0,0.500000,false,,,\n"
+        "kinship-7-0001,sat,false,false,true,unknown,0,0,0.500000,false,,,\n"
+        "kinship-7-0002,sat,false,false,true,unknown,0,0,0.500000,false,,,\n"
+        "kinship-7-0003,sat,false,false,true,unknown,0,0,0.500000,false,,,\n"
+        "kinship-7-0004,sat,false,true,false,unknown,0,0,0.500000,false,,,\n"
+        "kinship-7-0005,sat,false,false,true,unknown,0,0,0.500000,false,,,\n"
+        "kinship-7-0006,sat,false,true,false,unknown,0,0,0.500000,false,,,\n"
+        "kinship-7-0007,sat,true,true,true,unknown,0,0,0.500000,false,,,\n"
+        "kinship-7-0008,sat,false,false,true,unknown,0,0,0.500000,false,,,\n"
+    ),
+    "records-sc5.csv": (
+        "problem_id,system,verdict,gold,correct,decided_by,iterations,"
+        "cot_calls,confidence,inconsistent,corrupted,useful_clauses,error\n"
+        "kinship-7-0000,sc5,false,true,false,self-consistency,0,5,0.600000,false,,,\n"
+        "kinship-7-0001,sc5,false,false,true,self-consistency,0,5,0.600000,false,,,\n"
+        "kinship-7-0002,sc5,true,false,false,self-consistency,0,5,0.600000,false,,,\n"
+        "kinship-7-0003,sc5,true,false,false,self-consistency,0,5,0.600000,false,,,\n"
+        "kinship-7-0004,sc5,true,true,true,self-consistency,0,5,0.600000,false,,,\n"
+        "kinship-7-0005,sc5,true,false,false,self-consistency,0,5,0.600000,false,,,\n"
+        "kinship-7-0006,sc5,false,true,false,self-consistency,0,5,0.600000,false,,,\n"
+        "kinship-7-0007,sc5,false,true,false,self-consistency,0,5,0.600000,false,,,\n"
+        "kinship-7-0008,sc5,false,false,true,self-consistency,0,5,0.600000,false,,,\n"
+    ),
+}
+
+
+def test_csv_bytes_are_pinned():
+    problems, kb, config, backend = kinship_setup(count=9, noise=0.2)
+    metrics = run_suite(problems, config, backend, systems=["argos", "sat", "sc5"], kb=kb)
+    written = {
+        "summary.csv": summary_csv(metrics),
+        "flips.csv": flips_csv(metrics.flip_buckets),
+        "cost_histogram.csv": cost_histogram_csv(metrics),
+    }
+    for system, records in metrics.records.items():
+        written[f"records-{system}.csv"] = records_csv(records)
+    assert written == _PINNED_CSVS

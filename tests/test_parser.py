@@ -87,10 +87,10 @@ def test_arity_mismatch_across_shared_signature():
 
 def test_strict_mode_rejects_undeclared_entities():
     with pytest.raises(UndeclaredEntityError):
-        parse_formula("F(a)", entities=["b", "c"], strict=True)
-    parse_formula("F(b)", entities=["b", "c"], strict=True)
+        parse_formula("F(a)", entities=["b", "c"])
+    parse_formula("F(b)", entities=["b", "c"])
     # bound variables are never entity references
-    parse_formula("forall x (F(x))", entities=["b"], strict=True)
+    parse_formula("forall x (F(x))", entities=["b"])
 
 
 def test_parse_literal():

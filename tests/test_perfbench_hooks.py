@@ -28,3 +28,6 @@ def test_tracer_sees_grounding_and_encoding():
     # module name, or the backbone stopped probing under assumptions
     assert tracer.counts["sat.verdict_solves"] > 0
     assert tracer.counts["sat.backbones"] > 0 and tracer.counts["sat.backbone_probes"] > 0
+    # the clause search's backend requests, as the tracer counts them on OracleBackend
+    assert tracer.counts["backends.generates"] == 4
+    assert tracer.counts["backends.scores"] == 2
