@@ -244,6 +244,9 @@ def cmd_gen(args) -> int:
         print(f"error: --depth must be between 2 and {MAX_CHAIN_DEPTH}, got {args.depth}",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.count < 0:
+        print(f"error: --count must be non-negative, got {args.count}", file=sys.stderr)
+        return EXIT_USAGE
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
         print(f"error: {out} exists and is not empty (use --force)", file=sys.stderr)

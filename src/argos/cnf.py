@@ -7,13 +7,13 @@ literals, reached through Or, Implies, Not and negated And, as in
 literal template, and its instances over the universe go straight into
 integer clauses: no ground formula tree is built, and an atom already seen
 is found by its predicate and entity ids without building it again. Each
-template is expanded once per guard and universe: one with the same signed
-literals and bound names as a template expanded before, such as the mirror
+template is expanded once per guard: one with the same signed literals and
+bound names as a template expanded before, such as the mirror
 ``forall x forall y (brother(x, y) -> ~aunt(x, y))`` of the clause above,
-adds nothing. An instance already asserted under the same guard is dropped,
-which covers templates that overlap only in part. A
-quantifier-free clause becomes one clause, literals in written order, with
-no auxiliary variable and no deduplication.
+adds nothing. Single instances are not deduplicated: a clause that two
+templates overlapping only in part both produce is asserted twice, which
+changes no model. A quantifier-free clause becomes one clause, literals in
+written order, with no auxiliary variable and no deduplication.
 
 Every other formula (an ``Exists``, an ``Iff``, a non-clausal body) is
 grounded by :func:`argos.logic.ground`, with its errors, and encoded with
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from . import logic
 from .errors import GroundingError
@@ -65,16 +65,18 @@ class ClauseSet:
 
 
 class CnfBuilder:
-    """Incrementally encode formulas into one ClauseSet."""
+    """Incrementally encode formulas into one ClauseSet; quantified formulas
+    range over the universe ``members``."""
 
-    def __init__(self):
+    def __init__(self, members: Iterable[Entity] = ()):
         self.cs = ClauseSet()
         self._defs: dict[Formula, int] = {}
         self._ids: dict[object, int] = {}  # predicate or term -> symbol id
         self._symbols: list = []  # symbol id -> predicate or term
         self._atom_vars: dict[tuple[int, ...], int] = {}  # (predicate id, *term ids) -> var
-        self._instances: set[frozenset[int]] = set()  # template instances asserted so far
         self._expanded: set[tuple] = set()  # keys of the templates expanded so far
+        self._members = sorted(set(members), key=lambda e: e.name)
+        self._member_ids = tuple(map(self._intern, self._members))
 
     def _intern(self, symbol) -> int:
         i = self._ids.get(symbol)
@@ -143,15 +145,10 @@ class CnfBuilder:
         self._defs[f] = d
         return d
 
-    def assert_formula(
-        self,
-        f: Formula,
-        guard: Optional[int] = None,
-        members: Sequence[Entity] = (),
-    ) -> None:
-        """Constrain the clause set so that f holds over the universe
-        ``members`` (sorted by name), only while ``guard`` is true when one is
-        given: every clause asserted for f then holds -guard."""
+    def assert_formula(self, f: Formula, guard: Optional[int] = None) -> None:
+        """Constrain the clause set so that f holds over the universe, only
+        while ``guard`` is true when one is given: every clause asserted for
+        f then holds -guard."""
         off = [] if guard is None else [-guard]
         parts = [f]
         while parts:
@@ -160,27 +157,25 @@ class CnfBuilder:
                 parts += [g.right, g.left]
                 continue
             template = _template(g)
-            if template is None or (template[0] and not members):
-                self._assert_ground(logic.ground(g, members), off)
+            if template is None or (template[0] and not self._members):
+                self._assert_ground(logic.ground(g, self._members), off)
                 continue
             names, literals = template
             if names:
-                self._assert_instances(names, literals, members, off)
+                self._assert_instances(names, literals, off)
             else:
                 clause = [self.atom_var(a) if pos else -self.atom_var(a) for a, pos in literals]
                 self._add(clause + off)
 
-    def _assert_instances(self, names, literals, members, off) -> None:
-        """One clause per assignment of ``members`` to ``names`` (the first
-        name outermost, as :func:`argos.logic.ground` expands them), unless
-        the same clause was asserted before.
+    def _assert_instances(self, names, literals, off) -> None:
+        """One clause per assignment of the universe to ``names`` (the first
+        name outermost, as :func:`argos.logic.ground` expands them).
 
-        A template with the same signed literals, bound names, guard and
-        members as one expanded before has only instances asserted before,
-        so it is not expanded again.
+        A template with the same signed literals, bound names and guard as
+        one expanded before has only instances asserted before, so it is not
+        expanded again.
         """
-        ids = tuple(self._intern(e) for e in members)
-        key = (frozenset(literals), frozenset(names), tuple(off), ids)
+        key = (frozenset(literals), frozenset(names), tuple(off))
         if key in self._expanded:
             return
         self._expanded.add(key)
@@ -206,9 +201,8 @@ class CnfBuilder:
                 read = itemgetter(*positions)
             compiled.append((read, positive, atom.predicate))
         tail_ids = tuple(tail)
-        atom_vars, instances, clauses = self._atom_vars, self._instances, self.cs.clauses
-        symbols = self._symbols
-        for combo in product(ids, repeat=k):
+        atom_vars, clauses, symbols = self._atom_vars, self.cs.clauses, self._symbols
+        for combo in product(self._member_ids, repeat=k):
             vals = combo + tail_ids
             clause = []
             for read, positive, predicate in compiled:
@@ -219,10 +213,7 @@ class CnfBuilder:
                     v = self._new_atom_var(atom, key)
                 clause.append(v if positive else -v)
             clause += off
-            mark = frozenset(clause)
-            if mark not in instances:
-                instances.add(mark)
-                clauses.append(clause)
+            clauses.append(clause)
 
     def _assert_ground(self, f: Formula, off: list[int]) -> None:
         """The tree encoding of a ground formula."""

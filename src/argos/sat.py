@@ -119,8 +119,7 @@ class SatSession:
         conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
         universe: Iterable[Entity] = (),
     ):
-        self.builder = CnfBuilder()
-        self.members = sorted(set(universe), key=lambda e: e.name)
+        self.builder = CnfBuilder(universe)
         self.solver = _satcore.Solver()
         self.conflict_budget = conflict_budget
         self._loaded = 0
@@ -131,7 +130,7 @@ class SatSession:
 
     def add_formulas(self, formulas: Iterable[Formula], guard: Optional[int] = None) -> None:
         for f in formulas:
-            self.builder.assert_formula(f, guard, self.members)
+            self.builder.assert_formula(f, guard)
 
     def add_guarded(self, formulas: Iterable[Formula]) -> list[int]:
         """Assert each formula behind a fresh selector; return the selectors.

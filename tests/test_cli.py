@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from argos.cli import main
 from argos.engine import EngineConfig
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = FIXTURES.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +127,25 @@ def test_gen_depth_beyond_every_chain_usage_error_writes_nothing(tmp_path, capsy
     assert code == 2
     assert "--depth" in err
     assert not out_dir.exists()
+
+
+def test_gen_negative_count_usage_error_writes_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "c"
+    code, out, err = run_cli(
+        capsys, "gen", "--out", str(out_dir), "--count", "-3", "--depth", "2"
+    )
+    assert code == 2
+    assert "--count" in err
+    assert not out_dir.exists()
+
+
+def test_python_dash_m_argos_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-m", "argos", "--help"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0
+    assert "usage: argos" in done.stdout
 
 
 def test_gen_existing_dir_needs_force(tmp_path, capsys):

@@ -290,6 +290,15 @@ def _expansions(monkeypatch) -> list:
     return sizes
 
 
+def _distinct(clauses) -> list:
+    """The clauses without a repeat of an earlier clause's literal set, in
+    first-appearance order."""
+    first: dict = {}
+    for clause in clauses:
+        first.setdefault(frozenset(clause), clause)
+    return list(first.values())
+
+
 def test_mirrored_template_pair_is_expanded_once(monkeypatch):
     members = [Entity(name) for name in "ABC"]
     pair = [
@@ -304,7 +313,7 @@ def test_mirrored_template_pair_is_expanded_once(monkeypatch):
     full.builder._expanded = _NothingExpanded()
     full.add_formulas(pair)
     assert sizes == [len(members) ** 2] * 4
-    assert cs.clauses == full.clause_set().clauses
+    assert cs.clauses == _distinct(full.clause_set().clauses)
     assert cs.var_map == full.builder.cs.var_map
 
 
@@ -320,8 +329,20 @@ def test_template_skip_keeps_kinship_clauses():
         full.builder._expanded = _NothingExpanded()
         full.add_formulas(premises)
         full.set_query(problem.query)
-        assert skipped.clause_set().clauses == full.clause_set().clauses
+        assert skipped.clause_set().clauses == _distinct(full.clause_set().clauses)
         assert skipped.builder.cs.var_map == full.builder.cs.var_map
+
+
+def test_kinship_sessions_emit_no_repeated_clause():
+    # Templates that overlap only in part could repeat an instance, and the
+    # builder asserts such a repeat again; the kinship premises, rules and
+    # queries never make one.
+    problems, _ = generate_kinship(6, 4, seed=404)
+    for problem in problems:
+        premises = list(problem.premises) + list(problem.withheld_rules)
+        session = SatSession(premises, problem.query, universe=problem.universe())
+        clauses = session.clause_set().clauses
+        assert len(_distinct(clauses)) == len(clauses)
 
 
 def test_same_template_expanded_per_guard_and_per_universe(monkeypatch):
@@ -331,11 +352,13 @@ def test_same_template_expanded_per_guard_and_per_universe(monkeypatch):
     session = SatSession([f], universe=[Entity("A"), Entity("B")])
     session.add_guarded([f, mirror])
     assert sizes == [2, 2, 2]  # no guard, then two selectors
-    builder = CnfBuilder()
-    for members in (["A"], ["A", "B"], ["A"], ["B", "A"]):
-        builder.assert_formula(f, members=[Entity(n) for n in members])
-    assert sizes[3:] == [1, 2, 2]  # a repeated member list is not expanded again
-    assert len(builder.cs.clauses) == 2
+    one = CnfBuilder([Entity("A")])
+    two = CnfBuilder([Entity("B"), Entity("A")])
+    for builder in (one, two, one, two):
+        builder.assert_formula(f)
+    assert sizes[3:] == [1, 2]  # each builder expands it once, over its own universe
+    assert len(one.cs.clauses) == 1 and len(two.cs.clauses) == 2
+    assert [str(a) for a in two.cs.var_map] == ["F(A)", "G(A)", "F(B)", "G(B)"]
 
 
 def test_duplicate_instances_kept_apart_by_guard():

@@ -31,3 +31,8 @@ def test_tracer_sees_grounding_and_encoding():
     # the clause search's backend requests, as the tracer counts them on OracleBackend
     assert tracer.counts["backends.generates"] == 4
     assert tracer.counts["backends.scores"] == 2
+    # the emitted clauses and the solver's path on this problem; a change to
+    # either fails here rather than in a benchmark run
+    assert tracer.counts["cnf.clauses"] == 624 and tracer.counts["cnf.vars"] == 108
+    assert tracer.counts["satcore.solves"] == 37
+    assert tracer.counts["sat.backbone_probes"] == 25
