@@ -13,6 +13,8 @@ Two interchangeable implementations of the same interface:
 from __future__ import annotations
 
 import hashlib
+import heapq
+import itertools
 import json
 import math
 import random
@@ -398,86 +400,64 @@ class OracleBackend(Backend):
     def _chain(self, premises, commonsense) -> dict[Literal, int]:
         """Least rule-application counts for every derivable ground literal.
 
-        Semi-naive forward chaining: each round joins the rules only against
-        the facts that are new, or whose cost fell, in the round before.
-        Every other match was already made with the same costs, so it can
-        derive nothing cheaper.
+        A cost-ordered worklist (Knuth 1977, "A generalization of Dijkstra's
+        algorithm"). Facts leave a heap cheapest first, and each is joined
+        once: against the rules that use its signed predicate and, for a
+        two-literal antecedent, against itself and the facts that left
+        before it. A derived cost is its antecedents' costs plus one, so it
+        exceeds each of them, and a fact that leaves later can never make
+        one that left before it cheaper.
         """
         facts: dict[Literal, int] = {}
         rules: list[HornRule] = list(self.kb.rules)
         for f in premises:
-            l = formula_to_literal(f) if isinstance(f, Formula) else None
+            l = formula_to_literal(f)
             if l is not None and l.is_ground:
                 facts[l] = 0
                 continue
-            if isinstance(f, Formula):
-                try:
-                    r = HornRule.from_formula(f)
-                except ArgosError:  # an existential premise is no Horn rule
-                    r = None
-                if r is not None and r.antecedent:
-                    rules.append(r)
+            r = HornRule.from_formula(f)
+            if r is not None and r.antecedent:
+                rules.append(r)
         rules.extend(commonsense)
         limit = self.kb.reasoning_depth
         if limit is not None and limit <= 0:
             return facts
+        cap = math.inf if limit is None else limit
+        # each rule under the signed predicate of each antecedent literal
+        uses: dict[tuple, list[tuple[HornRule, int]]] = {}
         for rule in rules:
             if not rule.antecedent and rule.consequent.is_ground:
                 facts[rule.consequent] = 0
-        rules = [r for r in rules if r.antecedent]
-        by_pred: dict[tuple, list[Literal]] = {}
-        for l in facts:
-            by_pred.setdefault(_pred_key(l), []).append(l)
-        # Runs to a fixpoint: finitely many ground literals are derivable and
-        # a literal's cost only falls, so some round changes nothing.
-        delta = list(facts)
-        while delta:
-            fresh: dict[tuple, list[Literal]] = {}
-            for l in delta:
-                fresh.setdefault(_pred_key(l), []).append(l)
-            changed: dict[Literal, None] = {}
-            for rule in rules:
-                first = rule.antecedent[0]
-                key1 = _pred_key(first)
-                if len(rule.antecedent) == 1:
-                    pools = [(fresh.get(key1, ()), None)]
-                else:
-                    key2 = _pred_key(rule.antecedent[1])
-                    pools = [
-                        (fresh.get(key1, ()), list(by_pred.get(key2, ()))),
-                        (list(by_pred.get(key1, ())), fresh.get(key2, ())),
-                    ]
-                matches = []
-                for pool1, pool2 in pools:
-                    for f1 in pool1:
-                        th1 = _unify(first, f1, {})
-                        if th1 is None:
-                            continue
-                        if pool2 is None:
-                            matches.append(((f1,), th1))
-                            continue
-                        for f2 in pool2:
-                            th2 = _unify(rule.antecedent[1], f2, th1)
-                            if th2 is not None:
-                                matches.append(((f1, f2), th2))
-                for used, theta in matches:
-                    derived = _instantiate(rule.consequent, theta)
-                    if derived is None or not derived.is_ground:
-                        continue
-                    cost = sum(facts[u] for u in used) + 1
-                    if limit is not None and cost > limit:
-                        continue
-                    if cost < facts.get(derived, 10**9):
-                        if derived not in facts:
-                            by_pred.setdefault(_pred_key(derived), []).append(derived)
-                        facts[derived] = cost
-                        changed[derived] = None
-            delta = list(changed)
+            for place, l in enumerate(rule.antecedent):
+                uses.setdefault(_pred_key(l), []).append((rule, place))
+        tie = itertools.count()  # Literal is not orderable
+        heap = [(0, next(tie), l) for l in facts]
+        done: dict[tuple, list[Literal]] = {}  # popped facts, by signed predicate
+        while heap:
+            cost, _, fact = heapq.heappop(heap)
+            if cost > facts[fact] or cost >= cap:
+                continue  # a cheaper entry was popped, or nothing it derives fits
+            key = _pred_key(fact)
+            done.setdefault(key, []).append(fact)
+            for rule, place in uses.get(key, ()):
+                theta = _unify(rule.antecedent[place], fact, {})
+                if theta is None:
+                    continue
+                joins = [(theta, cost)]
+                if len(rule.antecedent) == 2:
+                    other = rule.antecedent[1 - place]
+                    joins = [(_unify(other, g, theta), cost + facts[g])
+                             for g in done.get(_pred_key(other), ())]
+                for th, base in joins:
+                    derived = None if th is None else _instantiate(rule.consequent, th)
+                    if derived is not None and base + 1 < facts.get(derived, cap + 1):
+                        facts[derived] = base + 1
+                        heapq.heappush(heap, (base + 1, next(tie), derived))
         return facts
 
     def _cot_samples(self, premises, commonsense, query, k) -> list[CotSample]:
         facts = self._chain(premises, commonsense)
-        qlit = formula_to_literal(query) if isinstance(query, Formula) else None
+        qlit = formula_to_literal(query)
         derived: Optional[bool] = None
         steps = 0
         if qlit is not None:

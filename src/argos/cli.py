@@ -209,13 +209,13 @@ def cmd_bench(args) -> int:
     config, run, overrides = _resolve(args, corpus_dir)
     problems = load_corpus(corpus_dir)
     systems = parse_system_names(args.systems.split(","))
+    backend = _backend(run, overrides, corpus_dir) if problems else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if not problems:
         (out / "summary.csv").write_text(summary_csv(RunMetrics()))
         print("empty corpus: wrote an empty report")
         return EXIT_OK
-    backend = _backend(run, overrides, corpus_dir)
     kb = backend.kb if isinstance(backend, OracleBackend) else None
     metrics = run_suite(
         problems,

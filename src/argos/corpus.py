@@ -41,8 +41,12 @@ class Problem:
         return self._universe
 
 
-def _require(data: dict, key: str, kind, path) -> object:
+def _require(data: dict, key: str, kind, path, required: bool = True) -> object:
+    """``data[key]``, which must be a ``kind``; a missing key is an error if
+    ``required``, else None."""
     if key not in data:
+        if not required:
+            return None
         raise CorpusError(f"{path}: missing required field {key!r}")
     value = data[key]
     if not isinstance(value, kind):
@@ -72,6 +76,8 @@ def load_problem_file(path) -> Problem:
         entities.add(Entity(name))
 
     def parse(text, field_name):
+        if not isinstance(text, str):
+            raise CorpusError(f"{path}: field {field_name!r} holds a non-string entry {text!r}")
         try:
             return parse_formula(text, signature=signature, entities=entity_names)
         except ArgosError as exc:
@@ -87,14 +93,15 @@ def load_problem_file(path) -> Problem:
             raise CorpusError(f"{path}: field 'label' must be \"true\" or \"false\"")
         gold = label == "true"
 
-    withheld = [parse(t, "withheld_rules") for t in data.get("withheld_rules", [])]
+    withheld_texts = _require(data, "withheld_rules", list, path, required=False) or []
+    withheld = [parse(t, "withheld_rules") for t in withheld_texts]
 
     problem = Problem(
         id=pid,
         entities=entities,
         premises=premises,
         query=query,
-        text=data.get("text"),
+        text=_require(data, "text", str, path, required=False),
         gold_label=gold,
         withheld_rules=withheld,
     )

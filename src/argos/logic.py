@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
-from .errors import ArgosError, ArityError, GroundingError
+from .errors import ArityError, GroundingError
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,11 +262,10 @@ class HornRule:
 
     @classmethod
     def from_formula(cls, f: Formula) -> Optional["HornRule"]:
-        """Horn reading of a formula, or None when it does not fit the shape."""
+        """Horn reading of a formula, or None when it does not fit the shape
+        (an existential never does)."""
         while isinstance(f, ForAll):
             f = f.body
-        if isinstance(f, Exists):
-            raise ArgosError("existential rules are not Horn rules")
         if not isinstance(f, Implies):
             l = formula_to_literal(f)
             return None if l is None else cls((), l)

@@ -1,13 +1,16 @@
 import dataclasses
+import heapq
 import itertools
 import json
 import math
 import random
 import re
+import types
 from pathlib import Path
 
 import pytest
 
+import argos.backends as backends_module
 from argos.backends import (
     CONTRADICTION_STYLE,
     TRUTH_STYLE,
@@ -22,7 +25,7 @@ from argos.corpus import Problem, load_problem_file
 from argos.engine import CommonsenseClause
 from argos.errors import ArgosError, BackendError, BackendExhausted, CorpusError
 from argos.kinship import generate_kinship, kinship_kb
-from argos.logic import Atom, Entity, HornRule, Literal
+from argos.logic import Atom, Entity, HornRule, Literal, Predicate, Var, lit_to_formula
 from argos.parser import parse_formula, parse_literal
 
 from _oracles import naive_chain, reference_kb_decision, reference_matching_consequents
@@ -147,8 +150,8 @@ def test_oracle_depth_zero_answers_only_stated_facts():
 
 
 def test_oracle_chains_to_a_fixpoint_past_a_hundred_rounds():
-    # each round of forward chaining extends reach() by one step, so a
-    # 120-step chain needs 120 rounds; an unbounded oracle must finish it
+    # reach(n120) is 120 rule applications from reach(n0), each needing the
+    # one before it; an unbounded oracle must follow the chain to its end
     kb = _kb(
         ["forall x forall y (reach(x) & next(x, y) -> reach(y))"], reasoning_depth=None
     )
@@ -167,7 +170,7 @@ def _chains_agree(backend, premises, commonsense=()):
     return fast
 
 
-def test_semi_naive_chain_matches_naive_on_the_long_chain():
+def test_chain_matches_naive_on_the_long_chain():
     kb = _kb(
         ["forall x forall y (reach(x) & next(x, y) -> reach(y))"], reasoning_depth=None
     )
@@ -178,7 +181,7 @@ def test_semi_naive_chain_matches_naive_on_the_long_chain():
     assert facts[parse_literal("reach(n120)")] == 120
 
 
-def test_semi_naive_chain_matches_naive_on_winter_fox():
+def test_chain_matches_naive_on_winter_fox():
     problem = load_problem_file(FIXTURES / "winter_fox" / "problem.json")
     backend = OracleBackend(OracleKB.from_file(FIXTURES / "winter_fox" / "kb.json"))
     facts = _chains_agree(backend, problem.premises)
@@ -192,7 +195,7 @@ def test_semi_naive_chain_matches_naive_on_winter_fox():
     assert facts[parse_literal("~absorbs(white, sun)")] == 3
 
 
-def test_semi_naive_chain_matches_naive_on_the_flip_suite():
+def test_chain_matches_naive_on_the_flip_suite():
     # the criterion-6 setting: kinship problems under a depth-2 oracle
     problems, kb = generate_kinship(100, 4, seed=606, validate=False)
     backend = OracleBackend(dataclasses.replace(kb, reasoning_depth=2, seed=606))
@@ -201,6 +204,120 @@ def test_semi_naive_chain_matches_naive_on_the_flip_suite():
         facts = _chains_agree(backend, problem.premises)
         derived += sum(1 for cost in facts.values() if cost > 0)
     assert derived > 0
+
+
+# z(e) is first reached by a depth-3 tree of two-antecedent rules at cost 5
+# (p, q = 1; r = p + q + 1 = 3; z = r + p + 1 = 5), and only later by the
+# four-rule chain through m1, m2 and m3 at cost 4
+DEARER_FIRST_RULES = [
+    "forall x (a(x) & b(x) -> p(x))",
+    "forall x (a(x) & b(x) -> q(x))",
+    "forall x (p(x) & q(x) -> r(x))",
+    "forall x (r(x) & p(x) -> z(x))",
+    "forall x (a(x) -> m1(x))",
+    "forall x (m1(x) -> m2(x))",
+    "forall x (m2(x) -> m3(x))",
+    "forall x (m3(x) -> z(x))",
+]
+
+
+def test_chain_lowers_a_cost_found_first_by_a_dearer_derivation():
+    premises = [parse_formula("a(e)"), parse_formula("b(e)")]
+    z = parse_literal("z(e)")
+    for depth, cost in ((None, 4), (5, 4), (4, 4), (3, None)):
+        backend = OracleBackend(_kb(DEARER_FIRST_RULES, reasoning_depth=depth))
+        facts = _chains_agree(backend, premises)
+        assert facts.get(z) == cost
+        assert facts[parse_literal("r(e)")] == 3
+
+
+def _random_literal(rng, predicates, terms):
+    pred = rng.choice(predicates)
+    args = tuple(rng.choice(terms) for _ in range(pred.arity))
+    return Literal(Atom(pred, args), rng.random() < 0.8)
+
+
+def _random_rule(rng, predicates, entities):
+    variables = [Var("x"), Var("y")]
+    antecedent = tuple(
+        _random_literal(rng, predicates, variables + entities[:1])
+        for _ in range(rng.choice((1, 2, 2)))
+    )
+    bound = [a for l in antecedent for a in l.atom.args if isinstance(a, Var)]
+    return HornRule(antecedent, _random_literal(rng, predicates, bound + entities))
+
+
+def _random_rule_sets(seed, n):
+    """``n`` small random (KB rules, premises, commonsense) triples over
+    unary and binary predicates and 2-3 entities; the KB also states ground
+    facts, and the premises hold rules as well as facts."""
+    rng = random.Random(seed)
+    predicates = [Predicate(f"u{i}", 1) for i in range(3)] + [Predicate(f"b{i}", 2) for i in range(2)]
+    for _ in range(n):
+        entities = [Entity(f"e{i}") for i in range(rng.choice((2, 3)))]
+        kb_rules = [_random_rule(rng, predicates, entities) for _ in range(rng.randint(1, 5))]
+        kb_rules += [HornRule((), _random_literal(rng, predicates, entities))
+                     for _ in range(rng.randint(0, 2))]
+        premises = [lit_to_formula(_random_literal(rng, predicates, entities))
+                    for _ in range(rng.randint(1, 5))]
+        premises += [_random_rule(rng, predicates, entities).to_formula()
+                     for _ in range(rng.randint(0, 2))]
+        commonsense = [
+            _clause([_random_literal(rng, predicates, entities)],
+                    _random_literal(rng, predicates, entities))
+            for _ in range(rng.randint(0, 2))
+        ]
+        yield tuple(kb_rules), premises, commonsense
+
+
+def test_chain_matches_naive_on_random_rule_sets():
+    derived = 0
+    for kb_rules, premises, commonsense in _random_rule_sets(1977, 200):
+        for depth in (None, 0, 1, 2, 3):
+            backend = OracleBackend(OracleKB(kb_rules, reasoning_depth=depth))
+            facts = _chains_agree(backend, premises, commonsense)
+            derived += sum(1 for cost in facts.values() if cost > 1)
+    assert derived > 0
+
+
+def test_chain_pops_each_fact_once_at_its_final_cost(monkeypatch):
+    # facts leave the worklist cheapest first, so each is joined once: a
+    # later pop of the same fact carries a dearer, stale cost
+    popped = []
+
+    def heappop(heap):
+        item = heapq.heappop(heap)
+        popped.append((item[0], item[2]))
+        return item
+
+    monkeypatch.setattr(
+        backends_module, "heapq", types.SimpleNamespace(heappop=heappop, heappush=heapq.heappush)
+    )
+    dearer_first = _kb(DEARER_FIRST_RULES).rules, [parse_formula("a(e)"), parse_formula("b(e)")], ()
+    stale = 0
+    for kb_rules, premises, commonsense in [dearer_first, *_random_rule_sets(1977, 200)]:
+        for depth in (None, 2):
+            popped.clear()
+            backend = OracleBackend(OracleKB(kb_rules, reasoning_depth=depth))
+            facts = backend._chain(premises, commonsense)
+            costs = [cost for cost, _ in popped]
+            assert costs == sorted(costs)
+            final = [fact for cost, fact in popped if cost == facts[fact]]
+            assert len(final) == len(set(final)) == len(facts)
+            stale += len(popped) - len(final)
+    assert stale > 0
+
+
+def test_oracle_vote_skips_an_existential_premise():
+    kb = _kb(["forall x (a(x) -> b(x))"], reasoning_depth=None)
+    backend = OracleBackend(kb)
+    premises = [parse_formula("a(e)"), parse_formula("forall x exists y (r(x, y))")]
+    assert _chains_agree(backend, premises) == {
+        parse_literal("a(e)"): 0, parse_literal("b(e)"): 1,
+    }
+    vote = backend.solve(premises, (), parse_formula("b(e)"), 5)
+    assert vote.answer is True
+    assert vote.vote_fraction == 1.0
 
 
 def test_oracle_uses_accepted_commonsense_in_derivations():

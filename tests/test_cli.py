@@ -197,6 +197,34 @@ def test_bench_zero_sample_system_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_bench_backend_that_fails_to_load_exits_2_writing_nothing(tmp_path, capsys, monkeypatch):
+    for var in cli.ENVIRONMENT.values():
+        monkeypatch.delenv(var, raising=False)
+    corpus = tmp_path / "corpus"
+    run_cli(capsys, "gen", "--out", str(corpus), "--count", "2", "--depth", "2")
+    out = tmp_path / "r"
+    code, _, err = run_cli(capsys, "bench", str(corpus), "--backend", "wire", "--out", str(out))
+    assert code == 2
+    assert "wire backend needs --endpoint" in err
+    assert not out.exists()
+    (corpus / "kb.json").write_text("{not json")
+    code, _, err = run_cli(capsys, "bench", str(corpus), "--out", str(out))
+    assert code == 2
+    assert str(corpus / "kb.json") in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_solve_problem_with_a_non_string_premise_exits_2(tmp_path, capsys):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"id": "p", "entities": ["a"], "premises": [5], "query": "p(a)"}))
+    code, _, err = run_cli(capsys, "solve", str(problem),
+                           "--oracle-kb", str(FIXTURES / "winter_fox" / "kb.json"))
+    assert code == 2
+    assert f"error: {problem}: field 'premises'" in err
+    assert "Traceback" not in err
+
+
 def test_bench_empty_corpus(tmp_path, capsys):
     corpus = tmp_path / "empty"
     corpus.mkdir()
@@ -243,6 +271,7 @@ def test_bad_oracle_kb_exits_2_naming_the_file(tmp_path, capsys):
     (["p(a)", "p(a) -> q(a) | r(a)"], "rules[1]: not a Horn rule"),
     (["p(a)", "~p(a)"], "mutually inconsistent"),
     (["p(a)", "forall x forall y (p(x) -> q(x, y))"], "rules[1]: rule consequent has a variable"),
+    (["p(a)", "forall x exists y (r(x, y))"], "rules[1]: not a Horn rule"),
 ])
 def test_bad_kb_rule_exits_2_naming_the_file_and_the_rule(tmp_path, capsys, rules, error):
     kb = tmp_path / "kb.json"

@@ -95,6 +95,27 @@ def test_restored_rules_must_match_label(tmp_path):
     assert "label" in str(e.value)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("premises", [5]),
+    ("premises", "p(a)"),
+    ("withheld_rules", [7]),
+    ("withheld_rules", "q"),
+    ("withheld_rules", "p(a)"),
+    ("withheld_rules", None),
+    ("text", 5),
+])
+def test_a_field_of_the_wrong_shape_is_named(tmp_path, key, value):
+    # premises and withheld_rules are arrays of strings, and text a string
+    path = tmp_path / "bad.json"
+    data = {"id": "bad", "entities": ["a"], "premises": ["p(a)"], "query": "p(a)"}
+    path.write_text(json.dumps({**data, key: value}))
+    with pytest.raises(CorpusError) as e:
+        load_problem_file(path)
+    message = str(e.value)
+    assert message.startswith(f"{path}: field {key!r}")
+    assert "has the wrong type" in message or "holds a non-string entry" in message
+
+
 def test_save_load_round_trip(tmp_path):
     problems, _ = generate_kinship(3, 3, seed=2, validate=False)
     for i, p in enumerate(problems):
@@ -106,6 +127,7 @@ def test_save_load_round_trip(tmp_path):
         assert str(a.query) == str(b.query)
         assert a.gold_label == b.gold_label
         assert [str(f) for f in a.withheld_rules] == [str(f) for f in b.withheld_rules]
+        assert a.text == b.text and a.text
 
 
 def test_reserved_files_skipped(tmp_path):
