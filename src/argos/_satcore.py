@@ -1,10 +1,12 @@
 """Conflict-driven clause-learning SAT kernel with an assumption interface.
 
 MiniSat-style two-watched-literal propagation, first-UIP clause learning,
-activity-based decisions taken from a heapq decision order with lazy deletion
-(highest activity first, the lowest variable index among equals), phase
-saving and Luby restarts. There is no randomness anywhere: identical clause
-streams and identical assumption lists always produce identical behaviour.
+activity-based decisions (highest activity first, the lowest variable index
+among equals), phase saving and Luby restarts. The decision order has two
+zones: a heapq of the bumped variables with lazy deletion, and after it an
+index scan of the variables that no conflict has bumped. There is no
+randomness anywhere: identical clause streams and identical assumption
+lists always produce identical behaviour.
 
 External literals are signed 1-indexed ints (DIMACS convention); internally
 a literal is ``2*v`` (positive) or ``2*v + 1`` (negative), and ``l ^ 1`` is its
@@ -61,8 +63,9 @@ class Solver:
         self.phase = [0]
         self.activity = [0.0]
         self.seen = [0]
-        self.heap = []  # (-activity, variable) entries, some of them stale
-        self.in_heap = [False]  # whether the variable's current entry is in heap
+        self.heap = []  # (-activity, variable) entries of bumped variables, some stale
+        self.in_heap = [False]  # False from a pick until an unassignment pushes it back
+        self.next_var = 1  # every variable of activity 0.0 below it is assigned
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
@@ -76,7 +79,6 @@ class Solver:
         k = n - self.num_vars
         if k <= 0:
             return
-        first = self.num_vars + 1
         self.num_vars = n
         # every array grows in place: the hot loops hold them in locals
         self.value += [-1] * (2 * k)
@@ -86,10 +88,8 @@ class Solver:
         self.activity += [0.0] * k
         self.seen += [0] * k
         self.in_heap += [True] * k
-        # activities are never negative and older variables have lower
-        # indices, so every entry already in the heap sorts before (-0.0, v):
-        # appending leaves the list that one heappush per variable would
-        self.heap += [(-0.0, v) for v in range(first, n + 1)]
+        # the new variables are unbumped and above every old one, so at or
+        # above next_var: the scan decides them, after a complete assignment too
         self.watches += [[] for _ in range(2 * k)]
 
     def _enqueue(self, l, reason):
@@ -289,15 +289,24 @@ class Solver:
         heap = self.heap
         in_heap = self.in_heap
         activity = self.activity
+        next_var = self.next_var
         for i in range(len(trail) - 1, bound - 1, -1):
             l = trail[i]
             v = l >> 1
             phase[v] = (l & 1) ^ 1
             value[l] = value[l ^ 1] = -1
             reason[v] = None
+            # in_heap first: after conflicts most variables still have an entry
             if not in_heap[v]:
-                in_heap[v] = True
-                heappush(heap, (-activity[v], v))
+                act = activity[v]
+                if act:
+                    in_heap[v] = True
+                    heappush(heap, (-act, v))
+                elif v < next_var:
+                    next_var = v
+            elif v < next_var and not activity[v]:
+                next_var = v
+        self.next_var = next_var
         del trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = len(self.trail)
@@ -305,18 +314,30 @@ class Solver:
             self._heap_rebuild()
 
     # -- decision order ------------------------------------------------------------
-    # The smallest entry (-activity[v], v) is the most active variable, the
-    # lowest index among equals: the variable a full scan for the most active
-    # one (first found among equals) would pick. A bump leaves the variable's
-    # older entries behind as stale; a pop clears the flag, so an entry of an
-    # unflagged variable is stale too. Assigned variables are dropped lazily.
+    # The order is the most active variable first, the lowest index among
+    # equals: the variable a full scan for the most active one (first found
+    # among equals) would pick. It has two zones.
+    # - The heap holds (-activity[v], v) for the variables of activity above
+    #   0, its smallest entry first. A bump leaves the variable's older
+    #   entries behind as stale; a pick clears in_heap, so an entry of an
+    #   unflagged variable is stale too, and a variable bumped while it is a
+    #   decision is pushed once, at its unassignment. Assigned variables are
+    #   dropped lazily.
+    # - The variables of activity 0.0, all equal, come after the heap in
+    #   index order: a scan from next_var, which an unassignment lowers. A
+    #   solve that meets no conflict pushes no heap entry at all.
 
     def _heap_rebuild(self):
+        # a rescale can underflow an activity to 0.0: that variable leaves the
+        # heap for the scan, which starts over
         act = self.activity
         in_heap = self.in_heap
         heap = self.heap
-        heap[:] = [(-act[v], v) for v in range(1, self.num_vars + 1) if in_heap[v]]
+        heap[:] = [
+            (-act[v], v) for v in range(1, self.num_vars + 1) if act[v] and in_heap[v]
+        ]
         heapify(heap)
+        self.next_var = 1
 
     def _pick_branch(self):
         heap = self.heap
@@ -330,6 +351,15 @@ class Solver:
             in_heap[v] = False
             if value[v << 1] < 0:
                 return v
+        v = self.next_var
+        n = self.num_vars
+        while v <= n:
+            if value[v << 1] < 0 and not act[v]:
+                in_heap[v] = False
+                self.next_var = v + 1  # the caller assigns v
+                return v
+            v += 1
+        self.next_var = v
         return -1
 
     # -- main search -------------------------------------------------------------

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
-from typing import Collection, Optional, Sequence
+from typing import Collection, Mapping, Optional, Sequence
 
 from .backends import CONTRADICTION_STYLE, TRUTH_STYLE, Backend, SolveVote
 from .errors import BackendError, BackendExhausted, check_fields, is_int, is_number, one_of
@@ -128,27 +128,28 @@ def pair_order(backbone: Collection[Literal]) -> list[tuple[Literal, ...]]:
 
 
 def generation_targets(
-    antecedent: tuple[Literal, ...], style: str, cap: int
+    antecedent: tuple[Literal, ...],
+    style: str,
+    cap: int,
+    entities_of: Mapping[Literal, frozenset[Entity]],
 ) -> list:
     """Targets for the per-candidate generation calls, most promising first.
 
     Entity style: one call per distinct antecedent entity. Pair style: one
     call per ordered entity pair, with pairs joining the two literals' outer
     endpoints ahead of the rest (a two-literal antecedent sharing a middle
-    entity most plausibly concludes about its endpoints).
+    entity most plausibly concludes about its endpoints). ``entities_of``
+    maps each antecedent literal to its entities, taken once per search.
     """
-    if not antecedent:
-        return [None]
-    entities = sorted(
-        {e for l in antecedent for e in l.entities()}, key=lambda e: e.name
-    )
+    sets = [entities_of[l] for l in antecedent]
+    entities = sorted(set().union(*sets), key=lambda e: e.name)
     if not entities:
-        return [None]  # propositional antecedent: one untargeted call
+        return [None]  # empty or propositional antecedent: one untargeted call
     if style == GENERATION_ENTITY:
         return entities[:cap]
     primary: list[tuple[Entity, Entity]] = []
-    if len(antecedent) == 2:
-        s1, s2 = antecedent[0].entities(), antecedent[1].entities()
+    if len(sets) == 2:
+        s1, s2 = sets
         shared = s1 & s2
         for a in sorted(s1 - shared, key=lambda e: e.name):
             for b in sorted(s2 - shared, key=lambda e: e.name):
@@ -381,9 +382,10 @@ class Engine:
         """
         config = self.config
         backbone_lits = backbone.literals
+        entities_of = {l: l.entities() for l in backbone_lits}
         for antecedent in pair_order(backbone_lits):
             targets = generation_targets(
-                antecedent, config.generation_style, GENERATION_TARGETS
+                antecedent, config.generation_style, GENERATION_TARGETS, entities_of
             )
             for target in targets:
                 candidates = self.backend.generate(

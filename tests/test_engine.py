@@ -193,18 +193,22 @@ def test_pair_order_empty_backbone():
     assert pair_order([]) == [()]
 
 
+def _entities_of(*lits):
+    return {l: l.entities() for l in lits}
+
+
 def test_generation_targets_entity_style():
     l1 = parse_literal("drinksCoffee(Rina)")
     l2 = parse_literal("Loves(Mary, Sam)")
-    targets = generation_targets((l1, l2), "entity", 3)
+    targets = generation_targets((l1, l2), "entity", 3, _entities_of(l1, l2))
     assert [e.name for e in targets] == ["Mary", "Rina", "Sam"]
-    assert generation_targets((), "entity", 3) == [None]
+    assert generation_targets((), "entity", 3, {}) == [None]
 
 
 def test_generation_targets_pair_style_outer_endpoints_first():
     l1 = parse_literal("mom(Zoe, Amy)")
     l2 = parse_literal("sister(Amy, Cat)")
-    targets = generation_targets((l1, l2), "entity_pair", 3)
+    targets = generation_targets((l1, l2), "entity_pair", 3, _entities_of(l1, l2))
     # the shared middle entity Amy is skipped in the primary pairs
     assert targets[0] == (Entity("Cat"), Entity("Zoe")) or targets[0] == (
         Entity("Zoe"),
@@ -214,7 +218,7 @@ def test_generation_targets_pair_style_outer_endpoints_first():
         (Entity("Zoe"), Entity("Cat")),
         (Entity("Cat"), Entity("Zoe")),
     }
-    single = generation_targets((l1,), "entity_pair", 3)
+    single = generation_targets((l1,), "entity_pair", 3, _entities_of(l1))
     assert (Entity("Amy"), Entity("Zoe")) in single
 
 
@@ -237,7 +241,8 @@ def test_generation_targets_match_the_full_sort():
         for style in ("entity", "entity_pair"):
             for cap in range(1, 22):
                 want = reference_generation_targets(antecedent, style, cap)
-                assert generation_targets(antecedent, style, cap) == want
+                got = generation_targets(antecedent, style, cap, _entities_of(*antecedent))
+                assert got == want
 
 
 @pytest.mark.parametrize(

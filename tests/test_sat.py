@@ -430,7 +430,9 @@ def test_sat_solve_excludes_query_only_atoms_from_backbone(premises, guarded, qu
 
 
 class _ScanSolver(_satcore.Solver):
-    """The kernel deciding by the O(n) scan that the activity heap replaced."""
+    """The kernel deciding by an O(n) scan for the most active unassigned
+    variable, the first found among equals: the order that the kernel's
+    heap of bumped variables and its index scan of the unbumped ones keep."""
 
     def _pick_branch(self):
         best = -1
@@ -473,6 +475,38 @@ def test_decision_heap_matches_scan():
     assert conflicts > 1000
 
 
+def test_decision_order_matches_scan_with_some_variables_bumped():
+    # Under-constrained 3-CNF: the few conflicts bump some variables, so the
+    # heap and the index scan of the unbumped ones both decide in each solve.
+    rng = random.Random(3003)
+    conflicts = mixed = 0
+    for _ in range(30):
+        n = rng.randint(40, 80)
+        heap, scan = _pair(random_3cnf(rng, n, round(3.0 * n)), n)
+        for _ in range(8):
+            _solve_alike(heap, scan, rng, solves=1)
+            bumped = sum(1 for a in heap.activity[1:] if a)
+            mixed += 0 < bumped < n
+        conflicts += heap.conflict_count
+    assert conflicts > 100
+    assert mixed > 100
+
+
+def test_variables_declared_after_a_complete_assignment_are_decided():
+    for solver in (_satcore.Solver(3), _ScanSolver(3)):
+        solver.add_clauses([[1, 2], [-2, 3]])
+        assert solver.solve() == _satcore.SAT
+        solver.add_clauses([[1], [2], [3]])  # every variable fixed at level 0
+        assert solver.solve() == _satcore.SAT
+        solver.ensure_vars(5)
+        solver.add_clauses([[4, -5]])
+        assert solver.solve([-4]) == _satcore.SAT
+        assert solver.model[1:] == [1, 1, 1, 0, 0]
+        solver.ensure_vars(6)
+        assert solver.solve() == _satcore.SAT
+        assert -1 not in solver.model[1:]
+
+
 def test_decision_heap_matches_scan_across_rescale():
     rng = random.Random(77)
     near = _satcore._RESCALE * 0.6
@@ -500,6 +534,23 @@ def test_decision_heap_reorders_ties_made_by_a_rescale():
     assert [solver._pick_branch() for _ in range(8)] == list(range(1, 9))
 
 
+def test_a_rescale_returns_zeroed_variables_to_the_scan():
+    # Every variable bumped, decided and unassigned, so the index scan has
+    # passed them all; then a rescale underflows seven activities to 0.0.
+    solver = _satcore.Solver(8)
+    solver.var_inc = 1e-300
+    for v in range(1, 9):
+        solver._bump(v)
+        solver.var_inc *= 2
+    assert solver.solve() == _satcore.SAT
+    solver.var_inc = _satcore._RESCALE * 0.6
+    solver._bump(1)
+    solver._bump(1)
+    assert solver.activity[2:] == [0.0] * 7
+    assert solver.solve() == _satcore.SAT
+    assert -1 not in solver.model[1:]
+
+
 def test_decision_heap_stays_bounded_across_conflict_heavy_solves():
     # Every conflict leaves stale entries behind; 24 solves of up to 250
     # conflicts each on one reused solver must not let them pile up. The
@@ -514,6 +565,22 @@ def test_decision_heap_stays_bounded_across_conflict_heavy_solves():
         solver.solve([v if rng.random() < 0.5 else -v for v in picked], conflict_budget=250)
         assert len(solver.heap) <= bound
     assert solver.conflict_count > 5000
+
+
+def test_kinship_decide_without_conflicts_pushes_no_heap_entry(monkeypatch):
+    # Every kinship solve meets 0 conflicts, so no activity leaves 0.0 and
+    # every decision comes from the index scan.
+    problem = generate_kinship(4, 4, seed=404)[0][0]
+    members = sorted(problem.universe(), key=lambda e: e.name)
+    session = SatSession(
+        [ground(f, members) for f in problem.premises], ground(problem.query, members)
+    )
+    pushed = []
+    monkeypatch.setattr(_satcore, "heappush", lambda heap, item: pushed.append(item))
+    _, backbone = session.decide()
+    assert backbone is not None and len(backbone) > 0
+    assert session.solver.conflict_count == 0
+    assert pushed == [] and session.solver.heap == []
 
 
 def test_decision_heap_pops_a_bumped_variable_once_in_activity_order():
