@@ -384,6 +384,8 @@ class OracleBackend(Backend):
         self._swaps = {
             p: [q for q in predicates if q.arity == p.arity and q != p] for p in predicates
         }
+        # the last premise sequence a noisy request keyed on, and its text
+        self._premises_memo: tuple[tuple, str] = ((), "")
 
     # -- seeded randomness per request ------------------------------------
 
@@ -394,6 +396,15 @@ class OracleBackend(Backend):
             h.update(b"\x1f")
             h.update(str(part).encode())
         return random.Random(int.from_bytes(h.digest()[:8], "big"))
+
+    def _premises_text(self, premises) -> str:
+        """``_render_formulas(premises)``, rendered once while the same premises
+        recur, as they do across one problem's requests."""
+        key = tuple(premises)
+        memo = self._premises_memo  # read once: the pair is replaced whole
+        if memo[0] != key:
+            memo = self._premises_memo = (key, _render_formulas(key))
+        return memo[1]
 
     # -- solve: depth-bounded forward chaining ------------------------------
 
@@ -476,7 +487,7 @@ class OracleBackend(Backend):
         # so an unsure oracle can never clear a vote threshold above 1/2.
         rng = self._rng(
             "solve",
-            _render_formulas(premises),
+            self._premises_text(premises),
             _render_formulas(commonsense),
             str(query),
             k,
@@ -534,7 +545,7 @@ class OracleBackend(Backend):
             # runs reproduce the outputs they always gave
             ends = (antecedent[0], antecedent[-1]) if antecedent else (None, None)
             rng = self._rng("generate", *ends, target,
-                            _render_formulas(premises), len(commonsense))
+                            self._premises_text(premises), len(commonsense))
             corrupted = []
             for c in candidates:
                 if rng.random() < self.kb.noise:
@@ -581,7 +592,7 @@ class OracleBackend(Backend):
         score = 1.0 if clause.entities() <= known else 0.0
         if self.kb.noise > 0.0:
             rng = self._rng(
-                "relevance", _render_formulas(premises), len(commonsense), str(clause)
+                "relevance", self._premises_text(premises), len(commonsense), str(clause)
             )
             if rng.random() < self.kb.noise:
                 score = 1.0 - score

@@ -4,10 +4,11 @@ Each pass: try the SAT solver; if it decides the query, done. Otherwise take
 a k-sample vote from the backend and stop if the vote fraction clears the
 annealed threshold gamma. Otherwise search the backbone for one new
 commonsense implication, add it (gamma shrinks by alpha), and repeat. The
-search walks antecedents of up to two backbone literals, from the most
-entity-connected literals down, asks the backend for consequents, and
-accepts the first candidate whose commonsense and relevance scores both
-clear tau.
+search walks antecedents of up to two backbone literals, explicit facts (the
+ground literal premises and accepted consequents) ahead of the literals the
+solver derived, each group from the most entity-connected literals down; it
+asks the backend for consequents and accepts the first candidate whose
+commonsense and relevance scores both clear tau.
 
 gamma and vote fractions are handled as exact rationals so threshold
 comparisons never drift; traces are line-oriented JSON with deterministic
@@ -20,11 +21,11 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
-from typing import Collection, Mapping, Optional, Sequence
+from typing import Collection, Iterator, Mapping, Optional, Sequence
 
 from .backends import CONTRADICTION_STYLE, TRUTH_STYLE, Backend, SolveVote
 from .errors import BackendError, BackendExhausted, check_fields, is_int, is_number, one_of
-from .logic import Entity, HornRule, Literal, ground
+from .logic import Entity, HornRule, Literal, formula_to_literal, ground
 from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, INCONSISTENT, Backbone, SatSession
 
 GENERATION_ENTITY = "entity"
@@ -99,32 +100,36 @@ def trace_jsonl(trace: Sequence[dict]) -> str:
     )
 
 
-def entity_scores(backbone: Collection[Literal]) -> dict[Literal, int]:
-    """Each backbone literal's count of backbone literals sharing an entity
-    with it (itself included); 0-ary literals have no entities and score 0."""
-    entities = {l: l.entities() for l in set(backbone)}
+def entity_scores(entities_of: Mapping[Literal, frozenset[Entity]]) -> dict[Literal, int]:
+    """Each literal's count of the map's literals sharing an entity with it
+    (itself included); 0-ary literals have no entities and score 0.
+    ``entities_of`` maps each backbone literal to its entities."""
     naming: dict[Entity, set[Literal]] = {}
-    for l, es in entities.items():
+    for l, es in entities_of.items():
         for e in es:
             naming.setdefault(e, set()).add(l)
-    return {l: len(set().union(*(naming[e] for e in es))) for l, es in entities.items()}
+    return {l: len(set().union(*(naming[e] for e in es))) for l, es in entities_of.items()}
 
 
-def pair_order(backbone: Collection[Literal]) -> list[tuple[Literal, ...]]:
-    """Deterministic antecedent scan order for the clause search.
+def pair_order(
+    entities_of: Mapping[Literal, frozenset[Entity]], explicit: Collection[Literal]
+) -> Iterator[tuple[Literal, ...]]:
+    """Deterministic antecedent scan order for the clause search, lazily.
 
-    Literals sort by descending entity-overlap score, ties broken by text.
-    The scores come from one index from each entity to the backbone literals
-    that name it, so each literal's entities are taken once and no pair of
-    literals is compared. The scan runs the ordered outer-by-inner product,
-    whose diagonal is the single-literal antecedent ``(l,)`` in its place,
-    and ends with the empty antecedent.
+    The backbone is the keys of ``entities_of``, which maps each literal to
+    its entities. Literals in ``explicit`` (the facts the problem states or
+    the search accepted) sort ahead of the ones the solver derived; within
+    each group, by descending entity-overlap score, ties broken by text. The
+    scan yields the ordered outer-by-inner product, whose diagonal is the
+    single-literal antecedent ``(l,)`` in its place, and ends with the empty
+    antecedent, so every antecedent is still visited.
     """
-    scores = entity_scores(backbone)
-    lits = sorted(scores, key=lambda l: (-scores[l], str(l)))
-    order = [(a,) if a is b else (a, b) for a in lits for b in lits]
-    order.append(())
-    return order
+    scores = entity_scores(entities_of)
+    lits = sorted(scores, key=lambda l: (l not in explicit, -scores[l], str(l)))
+    for a in lits:
+        for b in lits:
+            yield (a,) if a is b else (a, b)
+    yield ()
 
 
 def generation_targets(
@@ -175,6 +180,10 @@ class Engine:
         self.cot = 0
         self.iteration = 0
         self.universe = problem.universe()
+        # the problem's explicit facts, which the clause search scans first
+        self.premise_literals = frozenset(
+            l for l in map(formula_to_literal, problem.premises) if l is not None and l.is_ground
+        )
         self._reground()
 
     # -- plumbing ------------------------------------------------------------
@@ -383,7 +392,8 @@ class Engine:
         config = self.config
         backbone_lits = backbone.literals
         entities_of = {l: l.entities() for l in backbone_lits}
-        for antecedent in pair_order(backbone_lits):
+        explicit = self.premise_literals.union(c.consequent for c in self.accepted)
+        for antecedent in pair_order(entities_of, explicit):
             targets = generation_targets(
                 antecedent, config.generation_style, GENERATION_TARGETS, entities_of
             )

@@ -340,16 +340,21 @@ def related(l1, l2) -> bool:
     return not l1.entities().isdisjoint(l2.entities())
 
 
-def reference_pair_order(backbone) -> list[tuple]:
+def reference_pair_order(backbone, explicit=()) -> list[tuple]:
     """``engine.pair_order`` with each literal scored against the whole
-    backbone, one ``related`` test per pair (0-ary literals score 0)."""
+    backbone, one ``related`` test per pair (0-ary literals score 0), and
+    the explicit literals ranked as a block ahead of the derived ones."""
 
     def score(l):
         if not l.entities():
             return 0
         return sum(1 for other in backbone if related(l, other))
 
-    lits = sorted(set(backbone), key=lambda l: (-score(l), str(l)))
+    def ranked(group):
+        return sorted(group, key=lambda l: (-score(l), str(l)))
+
+    lits = set(backbone)
+    lits = ranked(lits & set(explicit)) + ranked(lits - set(explicit))
     order = [(l1,) if l1 == l2 else (l1, l2) for l1 in lits for l2 in lits]
     order.append(())
     return order

@@ -495,6 +495,45 @@ def test_noisy_generation_outputs_are_pinned():
         assert [str(c) for c in got] == want, (antecedent, target)
 
 
+def test_noisy_oracle_renders_premises_once_while_they_recur(monkeypatch):
+    kb = _kb([
+        "forall x forall y (mom(x, y) -> parent(x, y))",
+        "forall x forall y (sister(x, y) -> sibling(x, y))",
+        "forall x forall y (sister(x, y) -> female(x))",
+    ], noise=0.5, seed=11)
+    mom, sister = parse_formula("mom(A, B)"), parse_formula("sister(B, C)")
+    a, b = parse_literal("mom(A, B)"), parse_literal("sister(B, C)")
+    grown = [mom]
+    requests = [([mom, sister], (a,)), ([mom, sister], (b,)), ([mom], (a,)),
+                (grown, (a,)), (grown, (b,)), ([mom, sister], (a, b))]
+    clause = _clause([a], parse_literal("parent(A, B)"))
+
+    def ask(backend, premises, antecedent):
+        return (backend.generate(premises, (), antecedent, Entity("A")),
+                backend.relevance_score(premises, (), clause))
+
+    fresh = []
+    for i, (premises, antecedent) in enumerate(requests):
+        if i == 4:
+            grown.append(sister)  # the same list, changed in place
+        fresh.append(ask(OracleBackend(kb), premises, antecedent))
+    grown.remove(sister)
+    renders = []
+    real = backends_module._render_formulas
+    monkeypatch.setattr(
+        backends_module, "_render_formulas", lambda fs: renders.append(1) or real(fs)
+    )
+    shared = OracleBackend(kb)
+    for i, (premises, antecedent) in enumerate(requests):
+        if i == 4:
+            grown.append(sister)
+        assert ask(shared, premises, antecedent) == fresh[i], i
+    # one render for each run of equal premises: [mom, sister], then [mom]
+    # (a new list, then the grown list before it grows), then [mom, sister]
+    # (the grown list after it grows, then a new list)
+    assert len(renders) == 3
+
+
 # --- oracle: scoring --------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import random
 
@@ -27,7 +28,7 @@ from argos.errors import BackendError, BackendExhausted, ConfigError
 from argos.kinship import RELATIONS, generate_kinship
 from argos.logic import Atom, Entity, Literal, lit, make_atom
 from argos.parser import parse_formula, parse_literal
-from argos.sat import SatSession
+from argos.sat import Backbone, SatSession
 
 from _oracles import reference_generation_targets, reference_pair_order
 
@@ -101,18 +102,22 @@ def fox_backend():
 # --- scoring and ordering ----------------------------------------------------
 
 
+def _entities_of(*lits):
+    return {l: l.entities() for l in lits}
+
+
 def test_entity_scores_counts_shared_entities():
     f_a, g_a, h_b = lit("F", Entity("A")), lit("G", Entity("A")), lit("H", Entity("B"))
-    backbone = [f_a, g_a, h_b]
-    assert entity_scores(backbone)[f_a] == 2
-    assert entity_scores(backbone)[h_b] == 1
+    scores = entity_scores(_entities_of(f_a, g_a, h_b))
+    assert scores[f_a] == 2
+    assert scores[h_b] == 1
 
 
 def test_entity_scores_singleton_and_zero_ary():
     f_a = lit("F", Entity("A"))
-    assert entity_scores([f_a])[f_a] == 1
+    assert entity_scores(_entities_of(f_a))[f_a] == 1
     zero = lit("Z")
-    assert entity_scores([zero, f_a])[zero] == 0
+    assert entity_scores(_entities_of(zero, f_a))[zero] == 0
 
 
 _ENTITIES = [Entity(name) for name in "abcd"]
@@ -126,30 +131,95 @@ def _literal(draw):
     return Literal(make_atom(name, *args), draw(st.booleans()))
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.frozensets(_literal(), max_size=24))
-def test_pair_order_matches_pairwise_scoring(backbone):
+@st.composite
+def _backbone_and_explicit(draw):
     # Four entities and two names per arity make repeated entities such as
     # p2(a, a), shared entities and both signs of one atom common.
-    assert pair_order(backbone) == reference_pair_order(backbone)
+    backbone = draw(st.frozensets(_literal(), max_size=24))
+    members = sorted(backbone, key=str)
+    explicit = draw(st.frozensets(st.sampled_from(members))) if members else frozenset()
+    return backbone, explicit
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_backbone_and_explicit())
+def test_pair_order_matches_pairwise_scoring(drawn):
+    backbone, explicit = drawn
+    order = list(pair_order(_entities_of(*backbone), explicit))
+    assert order == reference_pair_order(backbone, explicit)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_backbone_and_explicit())
+def test_explicit_first_order_permutes_the_score_order(drawn):
+    backbone, explicit = drawn
+    entities_of = _entities_of(*backbone)
+    order = list(pair_order(entities_of, explicit))
+    by_score = list(pair_order(entities_of, ()))
+    assert len(order) == len(by_score) == len(backbone) ** 2 + 1
+    assert set(order) == set(by_score)
+    assert order[-1] == by_score[-1] == ()
+
+
+def test_pair_order_puts_explicit_literals_first():
+    # the derived literals share entities with more literals than the explicit one
+    stated = lit("F", Entity("A"))
+    derived = [lit("G", Entity("B")), lit("H", Entity("B")), lit("J", Entity("B"))]
+    order = list(pair_order(_entities_of(stated, *derived), {stated}))
+    assert order[0] == (stated,)
+    assert order[1:4] == [(stated, d) for d in derived]
+    assert list(pair_order(_entities_of(stated, *derived), ()))[0] == (derived[0],)
+
+
+def test_pair_order_is_lazy():
+    f_a, g_a = lit("F", Entity("A")), lit("G", Entity("A"))
+    order = pair_order(_entities_of(f_a, g_a), ())
+    assert inspect.isgenerator(order)  # not a built list of all n*n + 1
+    assert next(order) == (f_a,)
+    assert next(order) == (f_a, g_a)
 
 
 def test_pair_order_matches_pairwise_scoring_on_kinship_backbones(monkeypatch):
     seen = []
     real = engine_mod.pair_order
 
-    def recording(backbone):
-        seen.append(backbone)
-        return real(backbone)
+    def recording(entities_of, explicit):
+        seen.append((dict(entities_of), frozenset(explicit)))
+        return real(entities_of, explicit)
 
     monkeypatch.setattr(engine_mod, "pair_order", recording)
     problems, kb = generate_kinship(18, 4, seed=404)
     backend = OracleBackend(dataclasses.replace(kb, reasoning_depth=0, seed=404))
     for problem in problems[:3]:
         Engine(problem, EngineConfig(use_sc_solver=False), backend).solve()
-    assert seen and max(len(b) for b in seen) > 50
-    for backbone in seen:
-        assert real(backbone) == reference_pair_order(backbone)
+    assert seen and max(len(entities_of) for entities_of, _ in seen) > 50
+    for entities_of, explicit in seen:
+        # the backbone holds both explicit and derived literals
+        assert 0 < len(explicit & entities_of.keys()) < len(entities_of)
+        assert list(real(entities_of, explicit)) == reference_pair_order(
+            list(entities_of), explicit
+        )
+
+
+def test_clause_search_cost_on_the_kinship_suite():
+    # The abduce settings on the 18-problem suite. Scanning derived literals
+    # (mostly disjointness negatives) first made 20,602 generate calls here.
+    problems, kb = generate_kinship(18, 4, seed=404)
+    kb = dataclasses.replace(kb, reasoning_depth=0, seed=404)
+    calls = []
+
+    class Counting(OracleBackend):
+        def generate(self, premises, commonsense, antecedent, target):
+            calls.append(antecedent)
+            return super().generate(premises, commonsense, antecedent, target)
+
+    backend = Counting(kb)
+    config = EngineConfig(
+        tau=0.3, seed=404, generation_style="entity_pair", score_style="truth"
+    )
+    accepted = sum(len(Engine(p, config, backend).solve().commonsense) for p in problems)
+    assert accepted == 44
+    assert len(calls) <= 4_000
 
 
 def test_pair_order_takes_each_literals_entities_once(monkeypatch):
@@ -161,6 +231,18 @@ def test_pair_order_takes_each_literals_entities_once(monkeypatch):
         for positive in (True, False)
     }
     assert len(backbone) >= 300
+    # the first antecedent's first generate call yields a clause that passes
+    new = lit("newrel", people[0], people[1])
+
+    class AlwaysNew(StubBackend):
+        def generate(self, premises, commonsense, antecedent, target):
+            return [new]
+
+    engine = Engine(
+        make_problem(["father(person0, person1)"], "mother(person1, person2)"),
+        EngineConfig(),
+        AlwaysNew(),
+    )
     calls = []
     real = Atom.entities
 
@@ -169,15 +251,16 @@ def test_pair_order_takes_each_literals_entities_once(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(Atom, "entities", counting)
-    pair_order(backbone)
-    assert len(calls) <= len(backbone)
+    clause = engine.find_new_commonsense(Backbone(frozenset(backbone)))
+    assert clause is not None and clause.consequent == new
+    assert len(calls) == len(backbone)
 
 
 def test_pair_order_first_and_last():
     f_a = lit("F", Entity("A"))
     g_a = lit("G", Entity("A"))
     h_b = lit("H", Entity("B"))
-    order = pair_order([f_a, g_a, h_b])
+    order = list(pair_order(_entities_of(f_a, g_a, h_b), ()))
     assert order[0] == (f_a,)
     assert order[-1] == ()
     assert len(order) == 9 + 1
@@ -185,16 +268,12 @@ def test_pair_order_first_and_last():
 
 def test_pair_order_tie_broken_by_text():
     a, b = lit("beta", Entity("X")), lit("alpha", Entity("Y"))
-    order = pair_order([a, b])
+    order = list(pair_order(_entities_of(a, b), ()))
     assert order[0] == (b,)  # equal scores: alphabetical text first
 
 
 def test_pair_order_empty_backbone():
-    assert pair_order([]) == [()]
-
-
-def _entities_of(*lits):
-    return {l: l.entities() for l in lits}
+    assert list(pair_order({}, ())) == [()]
 
 
 def test_generation_targets_entity_style():
