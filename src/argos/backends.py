@@ -384,7 +384,7 @@ class OracleBackend(Backend):
         self._swaps = {
             p: [q for q in predicates if q.arity == p.arity and q != p] for p in predicates
         }
-        # the last premise sequence a noisy request keyed on, and its text
+        # the last premise sequence a seeded random key was built from, and its text
         self._premises_memo: tuple[tuple, str] = ((), "")
 
     # -- seeded randomness per request ------------------------------------
