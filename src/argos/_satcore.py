@@ -2,11 +2,12 @@
 
 MiniSat-style two-watched-literal propagation, first-UIP clause learning,
 activity-based decisions (highest activity first, the lowest variable index
-among equals), phase saving and Luby restarts. The decision order has two
-zones: a heapq of the bumped variables with lazy deletion, and after it an
-index scan of the variables that no conflict has bumped. There is no
-randomness anywhere: identical clause streams and identical assumption
-lists always produce identical behaviour.
+among equals), phase saving and Luby restarts. The decision order has three
+zones: a heapq of the bumped variables with lazy deletion, then the
+never-bumped variables of the caller's ``prefer`` sequence in its order,
+then an index scan of the rest that no conflict has bumped. There is no
+randomness anywhere: identical clause streams, assumption lists and
+``prefer`` sequences always produce identical behaviour.
 
 External literals are signed 1-indexed ints (DIMACS convention); internally
 a literal is ``2*v`` (positive) or ``2*v + 1`` (negative), and ``l ^ 1`` is its
@@ -66,6 +67,8 @@ class Solver:
         self.heap = []  # (-activity, variable) entries of bumped variables, some stale
         self.in_heap = [False]  # False from a pick until an unassignment pushes it back
         self.next_var = 1  # every variable of activity 0.0 below it is assigned
+        self.prefer = ()  # the solve's preferred variables
+        self.prefer_at = 0  # every preferred variable before it is assigned or bumped
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
@@ -168,6 +171,8 @@ class Solver:
             false_lit = trail[qhead] ^ 1
             qhead += 1
             ws = watches[false_lit]
+            if not ws:
+                continue
             j = moved = 0
             for clause in ws:
                 if clause[0] == false_lit:
@@ -307,6 +312,7 @@ class Solver:
             elif v < next_var and not activity[v]:
                 next_var = v
         self.next_var = next_var
+        self.prefer_at = 0
         del trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = len(self.trail)
@@ -314,18 +320,22 @@ class Solver:
             self._heap_rebuild()
 
     # -- decision order ------------------------------------------------------------
-    # The order is the most active variable first, the lowest index among
-    # equals: the variable a full scan for the most active one (first found
-    # among equals) would pick. It has two zones.
+    # The order is the most active variable first: the variable a full scan
+    # for the most active one would pick. Among the variables of activity
+    # 0.0, all equal, the solve's prefer sequence goes first, then the lowest
+    # index. It has three zones.
     # - The heap holds (-activity[v], v) for the variables of activity above
-    #   0, its smallest entry first. A bump leaves the variable's older
-    #   entries behind as stale; a pick clears in_heap, so an entry of an
-    #   unflagged variable is stale too, and a variable bumped while it is a
-    #   decision is pushed once, at its unassignment. Assigned variables are
-    #   dropped lazily.
-    # - The variables of activity 0.0, all equal, come after the heap in
-    #   index order: a scan from next_var, which an unassignment lowers. A
-    #   solve that meets no conflict pushes no heap entry at all.
+    #   0, its smallest entry first, so the lowest index among equals. A bump
+    #   leaves the variable's older entries behind as stale; a pick clears
+    #   in_heap, so an entry of an unflagged variable is stale too, and a
+    #   variable bumped while it is a decision is pushed once, at its
+    #   unassignment. Assigned variables are dropped lazily.
+    # - Once the heap holds no unassigned variable, the unassigned variables
+    #   of prefer that no conflict has bumped, in prefer's order: a cursor
+    #   from prefer_at, which every backjump resets to 0.
+    # - The rest of activity 0.0, in index order: a scan from next_var,
+    #   which an unassignment lowers. A solve that meets no conflict pushes
+    #   no heap entry at all.
 
     def _heap_rebuild(self):
         # a rescale can underflow an activity to 0.0: that variable leaves the
@@ -351,6 +361,16 @@ class Solver:
             in_heap[v] = False
             if value[v << 1] < 0:
                 return v
+        prefer = self.prefer
+        i = self.prefer_at
+        while i < len(prefer):
+            v = prefer[i]
+            i += 1
+            if value[v << 1] < 0 and not act[v]:
+                in_heap[v] = False
+                self.prefer_at = i  # the caller assigns v
+                return v
+        self.prefer_at = i
         v = self.next_var
         n = self.num_vars
         while v <= n:
@@ -364,16 +384,20 @@ class Solver:
 
     # -- main search -------------------------------------------------------------
 
-    def solve(self, assumptions=(), conflict_budget=-1):
+    def solve(self, assumptions=(), conflict_budget=-1, prefer=()):
         """Return SAT/UNSAT/UNKNOWN; UNKNOWN means the budget ran out.
 
         ``assumptions`` are signed external literals treated as temporary
         decisions: UNSAT means unsatisfiable under them (or globally when
-        they are empty). Learned clauses are kept across calls.
+        they are empty). Learned clauses are kept across calls. ``prefer``
+        is a sequence of declared variables that are decided, in its order,
+        before the other variables that no conflict has bumped.
         """
         if not self.ok:
             return UNSAT
         self._cancel_until(0)
+        self.prefer = prefer
+        self.prefer_at = 0
         self.model = None
         conflicts = 0
         restart_idx = 1
@@ -476,6 +500,11 @@ class Solver:
         out = [-(l >> 1) if l & 1 else l >> 1 for l in self.trail]
         self._cancel_until(0)
         return out
+
+    def restore_phases(self, saved):
+        """Make ``saved``, an earlier copy of ``phase``, the saved phases of
+        the variables it covers."""
+        self.phase[: len(saved)] = saved
 
     def set_phases(self, lits):
         """Save each signed external literal as its variable's phase, so the

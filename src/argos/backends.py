@@ -356,6 +356,28 @@ class OracleKB:
         return conclusion.verdict != INCONSISTENT
 
 
+def _named_entities(formulas) -> frozenset[Entity]:
+    return frozenset(e for f in formulas for e in formula_entities(f))
+
+
+class _Recent:
+    """``fn`` of the last sequence it was asked about, kept while equal
+    sequences recur, as a problem's premises and a search's antecedents do
+    across its requests. The pair is replaced whole and read once, so a
+    thread never sees one key beside another key's value."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.last: Optional[tuple] = None
+
+    def __call__(self, items):
+        key = tuple(items)
+        last = self.last
+        if last is None or last[0] != key:
+            last = self.last = (key, self.fn(key))
+        return last[1]
+
+
 class OracleBackend(Backend):
     """Deterministic stand-in for the language model.
 
@@ -384,8 +406,11 @@ class OracleBackend(Backend):
         self._swaps = {
             p: [q for q in predicates if q.arity == p.arity and q != p] for p in predicates
         }
-        # the last premise sequence a seeded random key was built from, and its text
-        self._premises_memo: tuple[tuple, str] = ((), "")
+        # the premises' text for seeded random keys, the entities they name
+        # for relevance, and an antecedent's KB matches for generation
+        self._premises_text = _Recent(_render_formulas)
+        self._premise_entities = _Recent(_named_entities)
+        self._matches = _Recent(self._matching_consequents)
 
     # -- seeded randomness per request ------------------------------------
 
@@ -396,15 +421,6 @@ class OracleBackend(Backend):
             h.update(b"\x1f")
             h.update(str(part).encode())
         return random.Random(int.from_bytes(h.digest()[:8], "big"))
-
-    def _premises_text(self, premises) -> str:
-        """``_render_formulas(premises)``, rendered once while the same premises
-        recur, as they do across one problem's requests."""
-        key = tuple(premises)
-        memo = self._premises_memo  # read once: the pair is replaced whole
-        if memo[0] != key:
-            memo = self._premises_memo = (key, _render_formulas(key))
-        return memo[1]
 
     # -- solve: depth-bounded forward chaining ------------------------------
 
@@ -420,20 +436,23 @@ class OracleBackend(Backend):
         one that left before it cheaper.
         """
         facts: dict[Literal, int] = {}
-        rules: list[HornRule] = list(self.kb.rules)
+        others = []
         for f in premises:
             l = formula_to_literal(f)
             if l is not None and l.is_ground:
                 facts[l] = 0
-                continue
-            r = HornRule.from_formula(f)
-            if r is not None and r.antecedent:
-                rules.append(r)
-        rules.extend(commonsense)
+            else:
+                others.append(f)
         limit = self.kb.reasoning_depth
         if limit is not None and limit <= 0:
             return facts
         cap = math.inf if limit is None else limit
+        rules: list[HornRule] = list(self.kb.rules)
+        for f in others:
+            r = HornRule.from_formula(f)
+            if r is not None and r.antecedent:
+                rules.append(r)
+        rules.extend(commonsense)
         # each rule under the signed predicate of each antecedent literal
         uses: dict[tuple, list[tuple[HornRule, int]]] = {}
         for rule in rules:
@@ -535,11 +554,13 @@ class OracleBackend(Backend):
         return out
 
     def generate(self, premises, commonsense, antecedent, target) -> list[Literal]:
-        candidates = self._matching_consequents(antecedent)
+        candidates = self._matches(antecedent)  # shared: filtered into a new list
         if isinstance(target, Entity):
             candidates = [c for c in candidates if target in c.entities()]
         elif isinstance(target, tuple):
             candidates = [c for c in candidates if tuple(c.atom.args) == tuple(target)]
+        else:
+            candidates = list(candidates)
         if self.kb.noise > 0.0 and candidates:
             # the key names the first and last literal, so that seeded noisy
             # runs reproduce the outputs they always gave
@@ -584,11 +605,7 @@ class OracleBackend(Backend):
         accepted clause, the context the wire prompt shows. An entity that
         the problem declares but never names is unknown here: the problem's
         whole universe would take one more parameter in every backend."""
-        known: set[Entity] = set()
-        for f in premises:
-            known |= formula_entities(f)
-        for c in commonsense:
-            known |= c.entities()
+        known = self._premise_entities(premises).union(*(c.entities() for c in commonsense))
         score = 1.0 if clause.entities() <= known else 0.0
         if self.kb.noise > 0.0:
             rng = self._rng(

@@ -47,8 +47,10 @@ class SatConclusion:
     budget_exceeded: bool = False
 
 
-def _satisfiable(solver: _satcore.Solver, assumptions: tuple, conflict_budget: int) -> bool:
-    res = solver.solve(assumptions, conflict_budget)
+def _satisfiable(
+    solver: _satcore.Solver, assumptions: tuple, conflict_budget: int, prefer: Sequence[int] = ()
+) -> bool:
+    res = solver.solve(assumptions, conflict_budget, prefer)
     if res == _satcore.UNKNOWN:
         raise SolverBudgetExceeded(f"conflict budget of {conflict_budget} exceeded")
     return res == _satcore.SAT
@@ -76,8 +78,13 @@ def compute_backbone(
     phases steer the search off every candidate (each gets the complement of
     its value, every other domain variable its value in the first model), so
     one countermodel can refute a candidate in each independent part of the
-    formula at once. Raises ``SolverBudgetExceeded`` when a probe exceeds
-    ``conflict_budget``.
+    formula at once. The probe decides the open candidates first, in domain
+    order, once the variables that conflicts have bumped are assigned, so a
+    probe's work follows its candidates, not every atom: the phases come
+    from one snapshot taken here (an auxiliary variable keeps the phase it
+    had then), and the candidates are filtered against each countermodel in
+    one pass. Raises ``SolverBudgetExceeded`` when a
+    probe exceeds ``conflict_budget``.
     """
     assumed = tuple(assumptions)
     atoms = {v: a for a, v in cs.var_map.items()}
@@ -86,18 +93,20 @@ def compute_backbone(
     implied = solver.propagated(assumed) or ()
     backbone = {abs(l): l for l in implied if abs(l) in first}
     candidate = {v: l for v, l in first.items() if v not in backbone}
+    solver.set_phases(first.values())
+    phases = solver.phase[:]
     for v in domain:
         if v not in candidate:
             continue
         lit = candidate[v]
-        solver.set_phases([-l if u in candidate else l for u, l in first.items()])
-        if not _satisfiable(solver, assumed + (-lit,), conflict_budget):
+        solver.restore_phases(phases)
+        solver.set_phases([-l for l in candidate.values()])
+        if not _satisfiable(solver, assumed + (-lit,), conflict_budget, list(candidate)):
             backbone[v] = lit
             del candidate[v]
         else:
-            for u, l in list(candidate.items()):
-                if solver.model_value(u) != (l > 0):
-                    del candidate[u]
+            values = solver.model
+            candidate = {u: l for u, l in candidate.items() if (values[u] == 1) == (l > 0)}
     return Backbone(
         frozenset(Literal(atoms[v], backbone[v] > 0) for v in domain if v in backbone)
     )

@@ -25,7 +25,8 @@ from argos.corpus import Problem, load_problem_file
 from argos.engine import CommonsenseClause
 from argos.errors import ArgosError, BackendError, BackendExhausted, CorpusError
 from argos.kinship import generate_kinship, kinship_kb
-from argos.logic import Atom, Entity, HornRule, Literal, Predicate, Var, lit_to_formula
+from argos.logic import Atom, Entity, HornRule, Literal, Predicate, Var, formula_to_literal
+from argos.logic import lit_to_formula
 from argos.parser import parse_formula, parse_literal
 
 from _oracles import naive_chain, reference_kb_decision, reference_matching_consequents
@@ -168,6 +169,23 @@ def _chains_agree(backend, premises, commonsense=()):
     fast = backend._chain(premises, commonsense)
     assert fast == naive_chain(backend.kb, premises, commonsense)
     return fast
+
+
+def test_depth_zero_chain_parses_no_rule(monkeypatch):
+    # At depth 0 only the stated facts count, so no premise is read as a rule.
+    rules = ["forall x (a(x) -> b(x))", "forall x forall y (b(x) & c(x, y) -> d(y))"]
+    premises = [parse_formula(t) for t in ["a(e)", "c(e, f)", *rules, "~d(g)"]]
+    real = HornRule.from_formula
+    parsed = []
+    monkeypatch.setattr(
+        HornRule, "from_formula", staticmethod(lambda f: parsed.append(f) or real(f))
+    )
+    for depth, parses in ((0, 0), (1, 2)):
+        backend = OracleBackend(_kb(rules, reasoning_depth=depth))
+        parsed.clear()
+        facts = backend._chain(premises, ())
+        assert len(parsed) == parses, depth
+        assert facts == naive_chain(backend.kb, premises, ())
 
 
 def test_chain_matches_naive_on_the_long_chain():
@@ -532,6 +550,74 @@ def test_noisy_oracle_renders_premises_once_while_they_recur(monkeypatch):
     # (a new list, then the grown list before it grows), then [mom, sister]
     # (the grown list after it grows, then a new list)
     assert len(renders) == 3
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.2])
+def test_oracle_generate_matches_each_antecedent_once(monkeypatch, noise):
+    # The search asks about each antecedent for several targets in a row;
+    # the shared backend matches it once and answers as a fresh one does.
+    problems, kinship = generate_kinship(3, 4, seed=404)
+    kb = dataclasses.replace(kinship, noise=noise, seed=9)
+    premises = problems[0].premises
+    facts = [l for l in map(formula_to_literal, premises) if l is not None]
+    entities = sorted({e for l in facts for e in l.entities()}, key=lambda e: e.name)
+    rng = random.Random(5)
+    requests = []
+    for _ in range(60):
+        antecedent = tuple(rng.sample(facts, rng.randint(0, 2)))
+        for _ in range(rng.randint(1, 3)):
+            target = rng.choice(
+                [None, rng.choice(entities), tuple(rng.sample(entities, 2))]
+            )
+            requests.append((antecedent, target))
+    fresh = [OracleBackend(kb).generate(premises, (), a, t) for a, t in requests]
+    matched = []
+    real = OracleBackend._matching_consequents
+    monkeypatch.setattr(
+        OracleBackend, "_matching_consequents",
+        lambda self, a: matched.append(a) or real(self, a),
+    )
+    shared = OracleBackend(kb)
+    for (antecedent, target), want in zip(requests, fresh):
+        got = shared.generate(premises, (), antecedent, target)
+        assert got == want, (antecedent, target)
+        got.append(None)  # a caller's list is its own
+    runs = sum(1 for i, (a, _) in enumerate(requests) if i == 0 or requests[i - 1][0] != a)
+    assert len(matched) == runs < len(requests)
+    assert sum(map(bool, fresh)) > 10
+
+
+def test_oracle_relevance_unions_premise_entities_once_while_they_recur(monkeypatch):
+    kb = _kb(FOX_RULES, noise=0.2, seed=4)
+    mom, sister = parse_formula("mom(A, B)"), parse_formula("sister(B, C)")
+    lit = parse_literal
+    clauses = [
+        _clause([lit("mom(A, B)")], lit("mom(A, C)")),
+        _clause([lit("mom(A, B)")], lit("knows(A, D)")),
+        _clause([lit("mom(A, B)")], lit("mom(D, B)")),
+    ]
+    grown = [mom]
+    requests = [([mom, sister], (), 0), ([mom, sister], (), 1), (grown, (), 0),
+                (grown, (clauses[1],), 2), (grown, (), 0), (grown, (), 0)]
+    fresh = []
+    for i, (premises, commonsense, c) in enumerate(requests):
+        if i == 4:
+            grown.append(sister)  # the same list, changed in place
+        fresh.append(OracleBackend(kb).relevance_score(premises, commonsense, clauses[c]))
+    grown.remove(sister)
+    unions = []
+    real = backends_module.formula_entities
+    monkeypatch.setattr(
+        backends_module, "formula_entities", lambda f: unions.append(f) or real(f)
+    )
+    shared = OracleBackend(kb)
+    for i, (premises, commonsense, c) in enumerate(requests):
+        if i == 4:
+            grown.append(sister)
+        assert shared.relevance_score(premises, commonsense, clauses[c]) == fresh[i], i
+    assert fresh[2] != fresh[4]  # the grown list names C
+    # one union per run of equal premises: [mom, sister], [mom], [mom, sister]
+    assert len(unions) == 2 + 1 + 2
 
 
 # --- oracle: scoring --------------------------------------------------------------

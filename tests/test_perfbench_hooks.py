@@ -34,5 +34,5 @@ def test_tracer_sees_grounding_and_encoding():
     # the emitted clauses and the solver's path on this problem; a change to
     # either fails here rather than in a benchmark run
     assert tracer.counts["cnf.clauses"] == 624 and tracer.counts["cnf.vars"] == 108
-    assert tracer.counts["satcore.solves"] == 37
-    assert tracer.counts["sat.backbone_probes"] == 25
+    assert tracer.counts["satcore.solves"] == 35
+    assert tracer.counts["sat.backbone_probes"] == 23

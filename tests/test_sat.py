@@ -593,6 +593,78 @@ def test_decision_heap_pops_a_bumped_variable_once_in_activity_order():
     assert [solver._pick_branch() for _ in range(7)] == want + [-1]
 
 
+# --- preferred variables -------------------------------------------------------------
+
+
+class _Recording(_satcore.Solver):
+    """The kernel, recording each variable it picks to decide (-1: none left)."""
+
+    def __init__(self, num_vars):
+        super().__init__(num_vars)
+        self.picked = []
+
+    def _pick_branch(self):
+        v = super()._pick_branch()
+        self.picked.append(v)
+        return v
+
+
+def test_unbumped_decisions_follow_prefer_then_index_order():
+    solver = _Recording(6)
+    assert solver.solve(prefer=[5, 2, 4]) == _satcore.SAT
+    assert solver.picked == [5, 2, 4, 1, 3, 6, -1]
+    solver.picked.clear()
+    assert solver.solve() == _satcore.SAT  # prefer holds for one solve only
+    assert solver.picked == [1, 2, 3, 4, 5, 6, -1]
+
+
+def test_bumped_variables_are_decided_before_preferred_ones():
+    solver = _Recording(6)
+    for v, bumps in [(6, 2), (3, 1)]:
+        for _ in range(bumps):
+            solver._bump(v)
+    assert solver.solve(prefer=[5, 3, 1]) == _satcore.SAT
+    # 3 is preferred but bumped: the heap decides it, and prefer skips it
+    assert solver.picked == [6, 3, 5, 1, 2, 4, -1]
+
+
+def test_assigned_preferred_variables_are_skipped():
+    solver = _Recording(6)
+    solver.add_clauses([[-2, 3]])
+    solver.set_phases([2])
+    assert solver.solve([-5], prefer=[5, 2, 3, 1]) == _satcore.SAT
+    # 5 is assumed, and deciding 2 true propagates 3
+    assert solver.picked == [2, 1, 4, 6, -1]
+
+
+def test_a_backjump_resets_the_prefer_cursor():
+    # Deciding 1, 3, 2 and 4 false falsifies (1 | 4 | 5) & (1 | 4 | -5); the
+    # learnt clause (4 | 1) backjumps to level 1 and unassigns 3 and 2, which
+    # no conflict bumped. After the heap's 5 they come from prefer again, in
+    # its order, not from the index scan.
+    solver = _Recording(6)
+    solver.add_clauses([[1, 4, 5], [1, 4, -5]])
+    assert solver.solve(prefer=[1, 3, 2, 4]) == _satcore.SAT
+    assert solver.conflict_count == 1
+    assert solver.picked == [1, 3, 2, 4, 5, 3, 2, 6, -1]
+
+
+def test_decide_conflicts_on_threshold_3cnf_are_pinned():
+    # Backbone probes prefer their candidates, but a variable that a conflict
+    # bumped still goes first: the sum equals the one recorded before probes
+    # had a preference. Every solve stays under 400 conflicts, where _luby(4)
+    # raises.
+    rng = random.Random(1)
+    conflicts = []
+    for _ in range(8):
+        n = rng.randint(40, 70)
+        session = SatSession([_clause_formula(c) for c in random_3cnf(rng, n, round(4.26 * n))])
+        session.decide()
+        conflicts.append(session.solver.conflict_count)
+    assert max(conflicts) < 400
+    assert sum(conflicts) == 1086
+
+
 # --- search trajectory ------------------------------------------------------------
 
 
