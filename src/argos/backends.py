@@ -28,6 +28,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .errors import ArgosError, BackendError, BackendExhausted, CorpusError
 from .errors import check_fields, is_int, is_number
 from .logic import (
+    RULE_ENTITIES,
     Atom,
     Entity,
     Formula,
@@ -37,6 +38,7 @@ from .logic import (
     formula_entities,
     formula_to_literal,
     iter_atoms,
+    rule_memo,
 )
 
 Target = Union[Entity, tuple, None]
@@ -152,8 +154,11 @@ class Backend(ABC):
 # --- prompt templates --------------------------------------------------------
 
 
+_TEXTS = rule_memo()  # str
+
+
 def _render_formulas(formulas: Iterable) -> str:
-    return ". ".join(str(f) for f in formulas)
+    return ". ".join([_TEXTS(str, f) for f in formulas])
 
 
 def cot_prompt(premises, commonsense, query, exemplars=()) -> str:
@@ -231,6 +236,9 @@ def _unify(pattern: Literal, fact: Literal, theta: dict) -> Optional[dict]:
 
 def _pred_key(l: Literal) -> tuple:
     return (l.atom.predicate, l.positive)
+
+
+_HORN_READINGS = rule_memo()  # HornRule.from_formula
 
 
 def _bind(patterns: Sequence[Literal], facts: Sequence[Literal], theta: dict) -> Optional[dict]:
@@ -357,7 +365,7 @@ class OracleKB:
 
 
 def _named_entities(formulas) -> frozenset[Entity]:
-    return frozenset(e for f in formulas for e in formula_entities(f))
+    return frozenset(e for f in formulas for e in RULE_ENTITIES(formula_entities, f))
 
 
 class _Recent:
@@ -449,7 +457,7 @@ class OracleBackend(Backend):
         cap = math.inf if limit is None else limit
         rules: list[HornRule] = list(self.kb.rules)
         for f in others:
-            r = HornRule.from_formula(f)
+            r = _HORN_READINGS(HornRule.from_formula, f)
             if r is not None and r.antecedent:
                 rules.append(r)
         rules.extend(commonsense)

@@ -3,8 +3,11 @@ definitional (Tseitin) encoding for every other formula.
 
 A universally quantified clause is a ``forall`` prefix over a disjunction of
 literals, reached through Or, Implies, Not and negated And, as in
-``forall x forall y (aunt(x, y) -> ~brother(x, y))``. It compiles once into a
-literal template, and its instances over the universe go straight into
+``forall x forall y (aunt(x, y) -> ~brother(x, y))``. Each such formula
+object compiles once per process into a literal template, with the readers
+that pick each instance's atoms (:func:`argos.logic.rule_memo`): a suite's
+problems share their rule objects, so a builder only interns the template's
+predicates and constants. Its instances over the universe go straight into
 integer clauses: no ground formula tree is built, and an atom already seen
 is found by its predicate and entity ids without building it again. Each
 template is expanded once per guard: one with the same signed literals and
@@ -156,56 +159,38 @@ class CnfBuilder:
             if isinstance(g, And):
                 parts += [g.right, g.left]
                 continue
-            template = _template(g)
+            template = _TEMPLATES(_template, g)
             if template is None or (template[0] and not self._members):
                 self._assert_ground(logic.ground(g, self._members), off)
                 continue
-            names, literals = template
+            names, literals, instances_key, readers, tail = template
             if names:
-                self._assert_instances(names, literals, off)
+                self._assert_instances(len(names), instances_key, readers, tail, off)
             else:
                 clause = [self.atom_var(a) if pos else -self.atom_var(a) for a, pos in literals]
                 self._add(clause + off)
 
-    def _assert_instances(self, names, literals, off) -> None:
-        """One clause per assignment of the universe to ``names`` (the first
-        name outermost, as :func:`argos.logic.ground` expands them).
+    def _assert_instances(
+        self, k: int, instances_key: tuple, readers: tuple, tail: tuple, off
+    ) -> None:
+        """One clause per assignment of the universe to a template's ``k``
+        names (the first name outermost, as :func:`argos.logic.ground`
+        expands them); see :func:`_template` for the other arguments.
 
         A template with the same signed literals, bound names and guard as
         one expanded before has only instances asserted before, so it is not
         expanded again.
         """
-        key = (frozenset(literals), frozenset(names), tuple(off))
+        key = (instances_key, tuple(off))
         if key in self._expanded:
             return
         self._expanded.add(key)
-        k = len(names)
-        slot = {name: i for i, name in enumerate(names)}
-        # Each literal reads its atom's key out of ``combo + tail``: the
-        # entity ids of one assignment, then the predicate and constant ids.
-        tail: list[int] = []
-        compiled = []
-        for atom, positive in literals:
-            positions = [k + len(tail)]
-            tail.append(self._intern(atom.predicate))
-            for a in atom.args:
-                if isinstance(a, Var):
-                    positions.append(slot[a.name])
-                else:
-                    positions.append(k + len(tail))
-                    tail.append(self._intern(a))
-            if len(positions) == 1:
-                key = (tail[-1],)
-                read = lambda vals, key=key: key  # noqa: E731
-            else:
-                read = itemgetter(*positions)
-            compiled.append((read, positive, atom.predicate))
-        tail_ids = tuple(tail)
+        tail_ids = tuple(map(self._intern, tail))
         atom_vars, clauses, symbols = self._atom_vars, self.cs.clauses, self._symbols
         for combo in product(self._member_ids, repeat=k):
             vals = combo + tail_ids
             clause = []
-            for read, positive, predicate in compiled:
+            for read, positive, predicate in readers:
                 key = read(vals)
                 v = atom_vars.get(key)
                 if v is None:
@@ -231,11 +216,22 @@ class CnfBuilder:
         self._add([self.encode(d) for d in _disjuncts(f)] + off)
 
 
-def _template(f: Formula) -> Optional[tuple[list[str], list[tuple[Atom, bool]]]]:
-    """The bound variable names and the signed atoms of a universally
-    quantified clause, or None when f is not one that the template path
-    takes: a repeated or unbound variable name, or more than
-    :data:`argos.logic.DEPTH_LIMIT` quantifiers, go to ``ground``."""
+def _template(f: Formula) -> Optional[tuple]:
+    """A universally quantified clause compiled apart from any builder, or
+    None when f is not one that the template path takes: a repeated or
+    unbound variable name, or more than :data:`argos.logic.DEPTH_LIMIT`
+    quantifiers, go to ``ground``.
+
+    The template is ``(names, literals, instances_key, readers, tail)``:
+    the bound names, outermost first, and the signed atoms in written order.
+    When there are names, ``instances_key`` is what two templates with the
+    same instances share, and ``readers`` hold, per literal, an
+    ``itemgetter`` that picks its atom's key out of ``combo + tail ids``,
+    its sign and its predicate. ``combo`` holds the entity ids of one
+    assignment, and ``tail`` the predicates and constants that a builder
+    interns, in the order it interns them. A quantifier-free clause has
+    None for the last three.
+    """
     names = []
     while isinstance(f, ForAll):
         names.append(f.var.name)
@@ -250,7 +246,31 @@ def _template(f: Formula) -> Optional[tuple[list[str], list[tuple[Atom, bool]]]]
         for a in atom.args:
             if isinstance(a, Var) and a.name not in bound:
                 return None
-    return names, literals
+    if not names:
+        return (), literals, None, None, None
+    k = len(names)
+    slot = {name: i for i, name in enumerate(names)}
+    tail: list = []
+    readers = []
+    for atom, positive in literals:
+        positions = [k + len(tail)]
+        tail.append(atom.predicate)
+        for a in atom.args:
+            if isinstance(a, Var):
+                positions.append(slot[a.name])
+            else:
+                positions.append(k + len(tail))
+                tail.append(a)
+        if len(positions) == 1:  # keyed by its predicate id alone, still a tuple
+            read = itemgetter(slice(positions[0], positions[0] + 1))
+        else:
+            read = itemgetter(*positions)
+        readers.append((read, positive, atom.predicate))
+    key = (frozenset(literals), frozenset(names))
+    return tuple(names), tuple(literals), key, tuple(readers), tuple(tail)
+
+
+_TEMPLATES = logic.rule_memo()  # _template
 
 
 def _clause_literals(f: Formula, positive: bool) -> Optional[list[tuple[Atom, bool]]]:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ArgosError, CorpusError
-from .logic import Entity, Formula, formula_entities
+from .logic import RULE_ENTITIES, Entity, Formula, formula_entities
 from .parser import parse_formula
 
 RESERVED_FILES = {"kb.json", "config.json", "exemplars.json"}
@@ -37,7 +37,9 @@ class Problem:
         or a withheld rule names; scanned on the first call, then kept."""
         if self._universe is None:
             formulas = [*self.premises, self.query, *self.withheld_rules]
-            self._universe = frozenset(self.entities).union(*map(formula_entities, formulas))
+            self._universe = frozenset(self.entities).union(
+                *[RULE_ENTITIES(formula_entities, f) for f in formulas]
+            )
         return self._universe
 
 

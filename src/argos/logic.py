@@ -9,6 +9,7 @@ clause-form conversion by :mod:`argos.cnf`.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
@@ -155,8 +156,15 @@ class Iff(Formula):
     right: Formula
 
 
+class _WeaklyReferable(Formula):
+    """A rule_memo entry lives only as long as its formula. Only ForAll needs
+    this slot: it would make every other node bigger."""
+
+    __slots__ = ("__weakref__",)
+
+
 @dataclass(frozen=True, slots=True)
-class ForAll(Formula):
+class ForAll(_WeaklyReferable):
     var: Var
     body: Formula
 
@@ -224,6 +232,60 @@ def formula_entities(f: Formula) -> frozenset[Entity]:
     for atom in iter_atoms(f):
         out.update(atom.entities())
     return frozenset(out)
+
+
+# --- per-rule memos ----------------------------------------------------------
+
+RULE_MEMO_SIZE = 4096  # entries a memo holds before it is cleared
+
+
+def rule_memo():
+    """A memo for a pure function of formulas: ``memo(fn, f)`` is ``fn(f)``,
+    computed once per universally quantified formula object.
+
+    A suite's problems share one rule base: a generator or loader builds
+    each rule once and lists the same object in every problem, while facts
+    and queries are new per problem. So the memo keeps ``fn(f)`` for a
+    ``ForAll`` formula, keyed by ``id(f)``, and calls ``fn`` straight
+    through for any other formula. Equality would be the wrong key: a rule's
+    hash recurses through its frozen dataclasses in Python and costs about
+    as much as the work it would save. The memo is a closure, not an object
+    with ``__call__``, because calling one costs less, and a plain clause
+    set sends every one of its clauses through it.
+
+    An entry holds a weak reference to its formula and is read only for
+    that same object. It is dropped when the formula dies, before the id
+    can be reused, so a memo never keeps the rules of a suite that is gone,
+    and threads that race on it may compute a value twice but never read a
+    wrong one. ``memo.entries`` holds at most :data:`RULE_MEMO_SIZE` of
+    them and is cleared when full. Each memo serves one function, and its
+    values must be immutable, because every caller gets the same one.
+    """
+    entries: dict[int, tuple] = {}
+
+    def memo(fn, f):
+        if not isinstance(f, ForAll):
+            return fn(f)
+        key = id(f)
+        entry = entries.get(key)
+        if entry is not None and entry[0]() is f:
+            return entry[1]
+        value = fn(f)
+        if len(entries) >= RULE_MEMO_SIZE:
+            entries.clear()
+
+        def drop(ref):
+            if entries.get(key, (None,))[0] is ref:
+                entries.pop(key, None)
+
+        entries[key] = (weakref.ref(f, drop), value)
+        return value
+
+    memo.entries = entries
+    return memo
+
+
+RULE_ENTITIES = rule_memo()  # formula_entities
 
 
 # --- Horn rules --------------------------------------------------------------

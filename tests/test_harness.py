@@ -1,8 +1,11 @@
+import copy
 import dataclasses
+from collections import Counter
 
 import pytest
 
-from argos.backends import OracleBackend, OracleKB
+from argos import backends, cnf, corpus, logic
+from argos.backends import OracleBackend, OracleKB, _render_formulas
 from argos.corpus import Problem
 from argos.engine import CommonsenseClause, Engine, EngineConfig, SolveResult
 from argos.errors import ArgosError
@@ -22,7 +25,7 @@ from argos.harness import (
     useful_clause_count,
 )
 from argos.kinship import generate_kinship
-from argos.logic import Entity, formula_to_literal
+from argos.logic import Entity, ForAll, HornRule, formula_to_literal
 from argos.parser import parse_formula, parse_literal
 from argos.sat import SatSession
 
@@ -77,6 +80,69 @@ def test_sc_baseline_costs_exactly_n():
         record = run_sc_baseline(p, config, backend, 7)
         assert record.cot_calls == 7
     assert backend.samples == 4 * 7
+
+
+def _clear_rule_memos():
+    for memo in (cnf._TEMPLATES, backends._HORN_READINGS, backends._TEXTS, logic.RULE_ENTITIES):
+        memo.entries.clear()
+
+
+def _per_problem_views(problem, backend):
+    """Everything the baselines derive from a problem's premises."""
+    fresh = dataclasses.replace(problem)  # its universe is not kept yet
+    members = fresh.universe()
+    cs = SatSession(problem.premises, problem.query, universe=members).builder.cs
+    return (
+        members,
+        cs.clauses,
+        list(cs.var_map.items()),
+        cs.aux_vars,
+        backend._chain(problem.premises, ()),
+        _render_formulas(problem.premises),
+    )
+
+
+def test_shared_and_copied_rules_give_equal_outputs():
+    # The kinship generator shares its rule objects across problems, so
+    # they hit the rule memos; deep copies miss them.
+    problems, _, _, backend = kinship_setup(30, 4, seed=606, reasoning_depth=2)
+    for i, problem in enumerate(problems):
+        if i == len(problems) // 2:
+            _clear_rule_memos()
+        copied = dataclasses.replace(problem, premises=copy.deepcopy(problem.premises))
+        assert _per_problem_views(problem, backend) == _per_problem_views(copied, backend)
+
+
+def test_each_shared_rule_compiles_once(monkeypatch):
+    problems, _, config, backend = kinship_setup(30, 4, seed=606, reasoning_depth=2)
+    _clear_rule_memos()
+    compiled = {}
+
+    def counting(name, fn):
+        counts = compiled[name] = Counter()
+
+        def wrapper(f):
+            if isinstance(f, ForAll):
+                counts[id(f)] += 1
+            return fn(f)
+
+        return wrapper
+
+    monkeypatch.setattr(cnf, "_template", counting("template", cnf._template))
+    monkeypatch.setattr(HornRule, "from_formula",
+                        staticmethod(counting("horn", HornRule.from_formula)))
+    monkeypatch.setattr(logic, "format_formula", counting("text", logic.format_formula))
+    entities = counting("entities", logic.formula_entities)
+    monkeypatch.setattr(corpus, "formula_entities", entities)
+    monkeypatch.setattr(backends, "formula_entities", entities)
+    for problem in problems:
+        run_sat_baseline(problem, config)
+        run_sc_baseline(problem, config, backend, 20)
+    rules = {id(f) for p in problems for f in p.premises if isinstance(f, ForAll)}
+    assert len(rules) == 132
+    for name, counts in compiled.items():
+        assert rules <= counts.keys(), name
+        assert set(counts.values()) == {1}, name
 
 
 def test_run_suite_end_to_end_noiseless():

@@ -1,14 +1,17 @@
 import random
+import weakref
 
 import pytest
 
 from argos.errors import ArityError, GroundingError
 from argos.logic import (
+    RULE_MEMO_SIZE,
     And,
     Atom,
     AtomNode,
     Entity,
     ForAll,
+    HornRule,
     Implies,
     Literal,
     Not,
@@ -17,6 +20,7 @@ from argos.logic import (
     ground,
     iter_atoms,
     lit,
+    rule_memo,
 )
 from argos.parser import parse_formula
 
@@ -152,3 +156,45 @@ def test_formula_structural_equality():
     assert Implies(a, b) == Implies(a, b)
     assert And(a, b) != And(b, a)
     assert Not(Not(a)) != a
+
+
+def test_rule_memo_keeps_only_quantified_formulas():
+    calls = []
+
+    def text(f):
+        calls.append(f)
+        return str(f)
+
+    memo = rule_memo()
+    accepted = HornRule((lit("F", Entity("A")),), lit("G", Entity("A"))).to_formula()
+    unquantified = [parse_formula("x1 | ~x2 | x3"), parse_formula("F(A)"), accepted]
+    assert isinstance(accepted, Implies)
+    for f in unquantified * 2:
+        assert memo(text, f) == str(f)
+    assert calls == unquantified * 2 and not memo.entries
+    rule = parse_formula("forall x (F(x) -> G(x))")
+    assert [memo(text, rule) for _ in range(3)] == [str(rule)] * 3
+    assert calls[-1] is rule and len(calls) == 7
+    # an entry is read only for the very object it was made for
+    twin = parse_formula(str(rule))
+    memo.entries[id(rule)] = (weakref.ref(twin), "stale")
+    assert memo(text, rule) == str(rule)
+
+
+def test_rule_memo_drops_the_entry_of_a_dead_formula():
+    memo = rule_memo()
+    kept, dropped = (parse_formula(f"forall x (F(x) -> {q}(x))") for q in "GH")
+    assert [memo(str, kept), memo(str, dropped)] == [str(kept), str(dropped)]
+    del dropped
+    assert list(memo.entries) == [id(kept)]
+
+
+def test_rule_memo_stays_within_its_bound():
+    memo = rule_memo()
+    body = Implies(AtomNode(Atom(Predicate("F", 1), (Var("x"),))),
+                   AtomNode(Atom(Predicate("G", 0), ())))
+    rules = [ForAll(Var(f"v{i}"), body) for i in range(RULE_MEMO_SIZE + 100)]
+    for rule in rules + rules[:10] + rules[-10:]:
+        assert memo(str, rule) == str(rule)
+        assert len(memo.entries) <= RULE_MEMO_SIZE
+    assert memo.entries
