@@ -4,11 +4,12 @@ definitional (Tseitin) encoding for every other formula.
 A universally quantified clause is a ``forall`` prefix over a disjunction of
 literals, reached through Or, Implies, Not and negated And, as in
 ``forall x forall y (aunt(x, y) -> ~brother(x, y))``. Each such formula
-object compiles once per process into a literal template, with the readers
-that pick each instance's atoms (:func:`argos.logic.rule_memo`): a suite's
-problems share their rule objects, so a builder only interns the template's
-predicates and constants. Its instances over the universe go straight into
-integer clauses: no ground formula tree is built, and an atom already seen
+object compiles once into a literal template, with the readers that pick
+each instance's atoms, kept as one of its views
+(:func:`argos.logic.rule_view`): a suite's problems share their rule
+objects, so a builder only interns the template's predicates and
+constants. Its instances over the universe go straight into integer
+clauses: no ground formula tree is built, and an atom already seen
 is found by its predicate and entity ids without building it again. Each
 template is expanded once per guard: one with the same signed literals and
 bound names as a template expanded before, such as the mirror
@@ -159,16 +160,33 @@ class CnfBuilder:
             if isinstance(g, And):
                 parts += [g.right, g.left]
                 continue
-            template = _TEMPLATES(_template, g)
-            if template is None or (template[0] and not self._members):
-                self._assert_ground(logic.ground(g, self._members), off)
-                continue
-            names, literals, instances_key, readers, tail = template
-            if names:
-                self._assert_instances(len(names), instances_key, readers, tail, off)
+            if isinstance(g, ForAll):
+                template = logic.rule_view(_template, g)
+                if template is not None and self._members:
+                    self._assert_instances(*template, off)
+                    continue
             else:
-                clause = [self.atom_var(a) if pos else -self.atom_var(a) for a, pos in literals]
-                self._add(clause + off)
+                clause = self._clause(g)
+                if clause is not None:
+                    self._add(clause + off)
+                    continue
+            self._assert_ground(logic.ground(g, self._members), off)
+
+    def _clause(self, f: Formula) -> Optional[list[int]]:
+        """The one clause of a quantifier-free disjunction of literals, in
+        written order, or None when f is not one or an atom is not ground."""
+        literals: list = []
+        if not _clause_literals(f, True, literals):
+            return None
+        var_map, clause = self.cs.var_map, []
+        for atom, positive in literals:
+            v = var_map.get(atom)
+            if v is None:  # var_map holds ground atoms only
+                if not atom.is_ground:
+                    return None
+                v = self.atom_var(atom)
+            clause.append(v if positive else -v)
+        return clause
 
     def _assert_instances(
         self, k: int, instances_key: tuple, readers: tuple, tail: tuple, off
@@ -216,21 +234,19 @@ class CnfBuilder:
         self._add([self.encode(d) for d in _disjuncts(f)] + off)
 
 
-def _template(f: Formula) -> Optional[tuple]:
+def _template(f: ForAll) -> Optional[tuple]:
     """A universally quantified clause compiled apart from any builder, or
     None when f is not one that the template path takes: a repeated or
     unbound variable name, or more than :data:`argos.logic.DEPTH_LIMIT`
     quantifiers, go to ``ground``.
 
-    The template is ``(names, literals, instances_key, readers, tail)``:
-    the bound names, outermost first, and the signed atoms in written order.
-    When there are names, ``instances_key`` is what two templates with the
-    same instances share, and ``readers`` hold, per literal, an
-    ``itemgetter`` that picks its atom's key out of ``combo + tail ids``,
-    its sign and its predicate. ``combo`` holds the entity ids of one
-    assignment, and ``tail`` the predicates and constants that a builder
-    interns, in the order it interns them. A quantifier-free clause has
-    None for the last three.
+    The template is ``(k, instances_key, readers, tail)``: the number of
+    bound names, what two templates with the same instances share, and,
+    per literal in written order, an ``itemgetter`` that picks its atom's
+    key out of ``combo + tail ids``, its sign and its predicate. ``combo``
+    holds the entity ids of one assignment, the first name outermost, and
+    ``tail`` the predicates and constants that a builder interns, in the
+    order it interns them.
     """
     names = []
     while isinstance(f, ForAll):
@@ -238,16 +254,9 @@ def _template(f: Formula) -> Optional[tuple]:
         f = f.body
     if len(names) > logic.DEPTH_LIMIT or len(set(names)) < len(names):
         return None
-    literals = _clause_literals(f, True)
-    if literals is None:
+    literals: list = []
+    if not _clause_literals(f, True, literals):
         return None
-    bound = set(names)
-    for atom, _ in literals:
-        for a in atom.args:
-            if isinstance(a, Var) and a.name not in bound:
-                return None
-    if not names:
-        return (), literals, None, None, None
     k = len(names)
     slot = {name: i for i, name in enumerate(names)}
     tail: list = []
@@ -257,6 +266,8 @@ def _template(f: Formula) -> Optional[tuple]:
         tail.append(atom.predicate)
         for a in atom.args:
             if isinstance(a, Var):
+                if a.name not in slot:
+                    return None
                 positions.append(slot[a.name])
             else:
                 positions.append(k + len(tail))
@@ -267,30 +278,24 @@ def _template(f: Formula) -> Optional[tuple]:
             read = itemgetter(*positions)
         readers.append((read, positive, atom.predicate))
     key = (frozenset(literals), frozenset(names))
-    return tuple(names), tuple(literals), key, tuple(readers), tuple(tail)
+    return k, key, tuple(readers), tuple(tail)
 
 
-_TEMPLATES = logic.rule_memo()  # _template
-
-
-def _clause_literals(f: Formula, positive: bool) -> Optional[list[tuple[Atom, bool]]]:
-    """The literals of the disjunction equivalent to f (to ~f when not
-    ``positive``), left to right, or None when there is none."""
+def _clause_literals(f: Formula, positive: bool, out: list) -> bool:
+    """Append the literals of the disjunction equivalent to f (to ~f when
+    not ``positive``) to ``out``, left to right; False when there is none."""
     if isinstance(f, AtomNode):
-        return [(f.atom, positive)]
+        out.append((f.atom, positive))
+        return True
     if isinstance(f, Not):
-        return _clause_literals(f.operand, not positive)
+        return _clause_literals(f.operand, not positive, out)
     if positive and isinstance(f, Or):
-        left, right = _clause_literals(f.left, True), _clause_literals(f.right, True)
-    elif positive and isinstance(f, Implies):
-        left, right = _clause_literals(f.left, False), _clause_literals(f.right, True)
-    elif not positive and isinstance(f, And):
-        left, right = _clause_literals(f.left, False), _clause_literals(f.right, False)
-    else:
-        return None
-    if left is None or right is None:
-        return None
-    return left + right
+        return _clause_literals(f.left, True, out) and _clause_literals(f.right, True, out)
+    if positive and isinstance(f, Implies):
+        return _clause_literals(f.left, False, out) and _clause_literals(f.right, True, out)
+    if not positive and isinstance(f, And):
+        return _clause_literals(f.left, False, out) and _clause_literals(f.right, False, out)
+    return False
 
 
 def _squash(f: Formula) -> Formula:

@@ -222,6 +222,7 @@ def generate_kinship(
     depths = list(range(2, chain_depth + 1))
     exclusions = exclusion_axioms()
     signature: dict[str, int] = {}
+    rules: dict[str, Formula] = {}  # each withheld rule parsed once, shared
     problems = []
     for i in range(count):
         depth = depths[i % len(depths)]
@@ -250,6 +251,8 @@ def generate_kinship(
             )
             if rule not in used_rules:
                 used_rules.append(rule)
+            if rule not in rules:
+                rules[rule] = parse_formula(rule, signature=signature)
             folded_so_far = compose(folded_so_far, r)
         problem = Problem(
             id=f"kinship-{seed}-{i:04d}",
@@ -258,9 +261,7 @@ def generate_kinship(
             query=query,
             text=_story(facts, (query_rel, people[0], people[-1])),
             gold_label=label,
-            withheld_rules=[
-                parse_formula(t, signature=signature) for t in used_rules
-            ],
+            withheld_rules=[rules[t] for t in used_rules],
         )
         if validate:
             check_restored(problem, problem.id)

@@ -1,15 +1,16 @@
 """Logical structures: entities, predicates, atoms, literals, formula trees
 and the Horn rules that the oracle holds and the clause search abduces.
 
-Everything here is immutable and hashable, so values can be shared freely
-across threads. Grounding (quantifier expansion over a finite entity
-universe) also lives here. Concrete syntax is handled by :mod:`argos.parser`,
-clause-form conversion by :mod:`argos.cnf`.
+Everything here is an immutable, hashable value, so values can be shared
+freely across threads. A universally quantified formula also carries views
+(:func:`rule_view`): a cache of what other modules derive from that very
+object, which is no part of its value. Grounding (quantifier expansion over
+a finite entity universe) also lives here. Concrete syntax is handled by
+:mod:`argos.parser`, clause-form conversion by :mod:`argos.cnf`.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
@@ -156,15 +157,15 @@ class Iff(Formula):
     right: Formula
 
 
-class _WeaklyReferable(Formula):
-    """A rule_memo entry lives only as long as its formula. Only ForAll needs
-    this slot: it would make every other node bigger."""
+class _Viewed(Formula):
+    """Holds the views of :func:`rule_view`. Only ForAll has this slot: it
+    would make every other node bigger."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("_views",)
 
 
 @dataclass(frozen=True, slots=True)
-class ForAll(_WeaklyReferable):
+class ForAll(_Viewed):
     var: Var
     body: Formula
 
@@ -234,58 +235,35 @@ def formula_entities(f: Formula) -> frozenset[Entity]:
     return frozenset(out)
 
 
-# --- per-rule memos ----------------------------------------------------------
-
-RULE_MEMO_SIZE = 4096  # entries a memo holds before it is cleared
+# --- rule views --------------------------------------------------------------
 
 
-def rule_memo():
-    """A memo for a pure function of formulas: ``memo(fn, f)`` is ``fn(f)``,
-    computed once per universally quantified formula object.
+def rule_view(fn, f):
+    """``fn(f)`` for a pure function ``fn`` of formulas, computed once per
+    universally quantified formula object.
 
     A suite's problems share one rule base: a generator or loader builds
     each rule once and lists the same object in every problem, while facts
-    and queries are new per problem. So the memo keeps ``fn(f)`` for a
-    ``ForAll`` formula, keyed by ``id(f)``, and calls ``fn`` straight
-    through for any other formula. Equality would be the wrong key: a rule's
-    hash recurses through its frozen dataclasses in Python and costs about
-    as much as the work it would save. The memo is a closure, not an object
-    with ``__call__``, because calling one costs less, and a plain clause
-    set sends every one of its clauses through it.
-
-    An entry holds a weak reference to its formula and is read only for
-    that same object. It is dropped when the formula dies, before the id
-    can be reused, so a memo never keeps the rules of a suite that is gone,
-    and threads that race on it may compute a value twice but never read a
-    wrong one. ``memo.entries`` holds at most :data:`RULE_MEMO_SIZE` of
-    them and is cleared when full. Each memo serves one function, and its
-    values must be immutable, because every caller gets the same one.
+    and queries are new per problem. So a ``ForAll`` keeps ``fn(f)`` in its
+    own ``_views`` slot, keyed by ``fn``, and the views die with the rule;
+    any other formula goes straight to ``fn``. A view is not a field:
+    equality, hashing, ``repr``, pickling and copying ignore it, so an equal
+    or copied rule computes its own. Threads that race on one rule may
+    compute a view twice, never read a wrong one. Every caller gets the same
+    value, so it must be immutable.
     """
-    entries: dict[int, tuple] = {}
-
-    def memo(fn, f):
-        if not isinstance(f, ForAll):
-            return fn(f)
-        key = id(f)
-        entry = entries.get(key)
-        if entry is not None and entry[0]() is f:
-            return entry[1]
-        value = fn(f)
-        if len(entries) >= RULE_MEMO_SIZE:
-            entries.clear()
-
-        def drop(ref):
-            if entries.get(key, (None,))[0] is ref:
-                entries.pop(key, None)
-
-        entries[key] = (weakref.ref(f, drop), value)
+    if not isinstance(f, ForAll):
+        return fn(f)
+    try:
+        views = f._views
+    except AttributeError:
+        views = {}
+        object.__setattr__(f, "_views", views)
+    try:
+        return views[fn]
+    except KeyError:
+        value = views[fn] = fn(f)
         return value
-
-    memo.entries = entries
-    return memo
-
-
-RULE_ENTITIES = rule_memo()  # formula_entities
 
 
 # --- Horn rules --------------------------------------------------------------

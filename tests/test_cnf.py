@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -28,6 +29,7 @@ from argos.sat import SatSession
 
 from _oracles import (
     cnf_models_mask,
+    random_3cnf,
     random_ground_formula,
     random_quantified_formula,
     semantic_models_mask,
@@ -380,3 +382,43 @@ def test_ground_horn_rule_is_one_clause():
     a, b, c = (cs.var_map[parse_formula(n).atom] for n in "ABC")
     assert cs.clauses == [[-a, -b, c]]
     assert not cs.aux_vars and cs.num_vars == 3
+
+
+def _encoding_digests(cs) -> tuple:
+    def digest(value) -> str:
+        return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+    return (
+        digest(cs.clauses),
+        digest([(str(atom), v) for atom, v in cs.var_map.items()]),
+        digest(sorted(cs.aux_vars)),
+        len(cs.clauses),
+        cs.num_vars,
+    )
+
+
+def test_encoding_is_pinned():
+    # Every clause, literal order and variable number, as the encoder made
+    # them before rule templates were kept on the rule objects.
+    problems, _ = generate_kinship(3, 4, seed=404)
+    p = problems[2]
+    session = SatSession(p.premises, p.query, universe=p.universe())
+    session.add_guarded(p.withheld_rules)
+    assert _encoding_digests(session.builder.cs) == (
+        "d201bdaf72323a90", "3e5c655b8f0c1ecb", "ae3d24ff1ccc920a", 1904, 302
+    )
+    atoms: dict = {}
+
+    def literal(l):
+        atom = atoms.setdefault(abs(l), _atom(f"x{abs(l)}"))
+        return atom if l > 0 else Not(atom)
+
+    formulas = []
+    for clause in random_3cnf(random.Random(25), 40, 170):
+        f = literal(clause[0])
+        for l in clause[1:]:
+            f = Or(f, literal(l))
+        formulas.append(f)
+    assert _encoding_digests(SatSession(formulas).builder.cs) == (
+        "c6527b3b1bc195ab", "280c90845959d4f4", "4f53cda18c2baa0c", 170, 40
+    )

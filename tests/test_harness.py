@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 from collections import Counter
 
 import pytest
@@ -82,11 +83,6 @@ def test_sc_baseline_costs_exactly_n():
     assert backend.samples == 4 * 7
 
 
-def _clear_rule_memos():
-    for memo in (cnf._TEMPLATES, backends._HORN_READINGS, backends._TEXTS, logic.RULE_ENTITIES):
-        memo.entries.clear()
-
-
 def _per_problem_views(problem, backend):
     """Everything the baselines derive from a problem's premises."""
     fresh = dataclasses.replace(problem)  # its universe is not kept yet
@@ -104,18 +100,20 @@ def _per_problem_views(problem, backend):
 
 def test_shared_and_copied_rules_give_equal_outputs():
     # The kinship generator shares its rule objects across problems, so
-    # they hit the rule memos; deep copies miss them.
+    # they reuse the rule views; deep copies carry none and compute them.
     problems, _, _, backend = kinship_setup(30, 4, seed=606, reasoning_depth=2)
-    for i, problem in enumerate(problems):
-        if i == len(problems) // 2:
-            _clear_rule_memos()
+    for problem in problems:
         copied = dataclasses.replace(problem, premises=copy.deepcopy(problem.premises))
         assert _per_problem_views(problem, backend) == _per_problem_views(copied, backend)
 
 
 def test_each_shared_rule_compiles_once(monkeypatch):
-    problems, _, config, backend = kinship_setup(30, 4, seed=606, reasoning_depth=2)
-    _clear_rule_memos()
+    problems, kb, config, backend = kinship_setup(30, 4, seed=606, reasoning_depth=2)
+    # the generator shares each withheld rule among the problems that use it
+    withheld = {id(f): str(f) for p in problems for f in p.withheld_rules}
+    assert len(withheld) == len(set(withheld.values())) < sum(
+        len(p.withheld_rules) for p in problems
+    )
     compiled = {}
 
     def counting(name, fn):
@@ -138,11 +136,36 @@ def test_each_shared_rule_compiles_once(monkeypatch):
     for problem in problems:
         run_sat_baseline(problem, config)
         run_sc_baseline(problem, config, backend, 20)
+        run_argos(problem, config, backend, kb, check_corruption=True)
     rules = {id(f) for p in problems for f in p.premises if isinstance(f, ForAll)}
     assert len(rules) == 132
     for name, counts in compiled.items():
         assert rules <= counts.keys(), name
         assert set(counts.values()) == {1}, name
+    assert withheld.keys() <= compiled["template"].keys()
+    assert withheld.keys() <= compiled["entities"].keys()
+
+
+def _live_rules() -> int:
+    gc.collect()
+    return sum(isinstance(o, ForAll) for o in gc.get_objects())
+
+
+def _baselines_suite() -> int:
+    """Run the sat and sc20 baselines over a suite; the live rules at its end."""
+    problems, _, config, backend = kinship_setup(12, 4, seed=606, reasoning_depth=2)
+    for problem in problems:
+        run_sat_baseline(problem, config)
+        run_sc_baseline(problem, config, backend, 20)
+    return _live_rules()
+
+
+def test_a_finished_suite_leaves_no_rule_alive():
+    # A rule's views live on the rule, so nothing keeps a rule once its
+    # suite is gone.
+    before = _live_rules()
+    assert _baselines_suite() > before
+    assert _live_rules() == before
 
 
 def test_run_suite_end_to_end_noiseless():

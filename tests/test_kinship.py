@@ -111,6 +111,17 @@ def test_generator_soundness_restored_rules_decide_query():
         assert conclusion.verdict == expected, p.id
 
 
+def test_generator_shares_rule_objects_across_problems():
+    problems, _ = generate_kinship(12, 4, seed=5, validate=False)
+    exclusions = problems[0].premises[-132:]
+    withheld: dict = {}
+    for p in problems:
+        assert all(a is b for a, b in zip(p.premises[-132:], exclusions))
+        for f in p.withheld_rules:
+            assert withheld.setdefault(str(f), f) is f
+    assert len(withheld) < sum(len(p.withheld_rules) for p in problems)
+
+
 def test_generator_determinism():
     a, _ = generate_kinship(5, 3, seed=11, validate=False)
     b, _ = generate_kinship(5, 3, seed=11, validate=False)

@@ -1,11 +1,11 @@
+import copy
+import pickle
 import random
-import weakref
 
 import pytest
 
 from argos.errors import ArityError, GroundingError
 from argos.logic import (
-    RULE_MEMO_SIZE,
     And,
     Atom,
     AtomNode,
@@ -20,7 +20,7 @@ from argos.logic import (
     ground,
     iter_atoms,
     lit,
-    rule_memo,
+    rule_view,
 )
 from argos.parser import parse_formula
 
@@ -158,43 +158,58 @@ def test_formula_structural_equality():
     assert Not(Not(a)) != a
 
 
-def test_rule_memo_keeps_only_quantified_formulas():
+def _counting(fn):
     calls = []
 
-    def text(f):
+    def counted(f):
         calls.append(f)
-        return str(f)
+        return fn(f)
 
-    memo = rule_memo()
+    return counted, calls
+
+
+def test_rule_view_passes_other_formulas_through():
+    text, calls = _counting(str)
     accepted = HornRule((lit("F", Entity("A")),), lit("G", Entity("A"))).to_formula()
     unquantified = [parse_formula("x1 | ~x2 | x3"), parse_formula("F(A)"), accepted]
     assert isinstance(accepted, Implies)
     for f in unquantified * 2:
-        assert memo(text, f) == str(f)
-    assert calls == unquantified * 2 and not memo.entries
+        assert rule_view(text, f) == str(f)
+    assert calls == unquantified * 2
+    assert not any(hasattr(f, "_views") for f in unquantified)
+
+
+def test_rule_view_computes_once_per_rule_and_function():
     rule = parse_formula("forall x (F(x) -> G(x))")
-    assert [memo(text, rule) for _ in range(3)] == [str(rule)] * 3
-    assert calls[-1] is rule and len(calls) == 7
-    # an entry is read only for the very object it was made for
+    text, texts = _counting(str)
+    horn, readings = _counting(HornRule.from_formula)
+    assert [rule_view(text, rule) for _ in range(3)] == [str(rule)] * 3
+    assert [rule_view(horn, rule) for _ in range(3)] == [HornRule.from_formula(rule)] * 3
+    assert texts == [rule] and readings == [rule]
+    # a None view is kept too: this rule has no Horn reading
+    other = parse_formula("forall x (F(x) | G(x))")
+    horn_other, calls = _counting(HornRule.from_formula)
+    assert [rule_view(horn_other, other) for _ in range(2)] == [None, None]
+    assert calls == [other]
+
+
+def test_equal_rules_compute_their_own_views():
+    rule = parse_formula("forall x (F(x) -> G(x))")
     twin = parse_formula(str(rule))
-    memo.entries[id(rule)] = (weakref.ref(twin), "stale")
-    assert memo(text, rule) == str(rule)
+    text, calls = _counting(str)
+    assert rule == twin and rule is not twin
+    assert rule_view(text, rule) == rule_view(text, twin) == str(rule)
+    assert calls == [rule, twin] and calls[1] is twin
 
 
-def test_rule_memo_drops_the_entry_of_a_dead_formula():
-    memo = rule_memo()
-    kept, dropped = (parse_formula(f"forall x (F(x) -> {q}(x))") for q in "GH")
-    assert [memo(str, kept), memo(str, dropped)] == [str(kept), str(dropped)]
-    del dropped
-    assert list(memo.entries) == [id(kept)]
-
-
-def test_rule_memo_stays_within_its_bound():
-    memo = rule_memo()
-    body = Implies(AtomNode(Atom(Predicate("F", 1), (Var("x"),))),
-                   AtomNode(Atom(Predicate("G", 0), ())))
-    rules = [ForAll(Var(f"v{i}"), body) for i in range(RULE_MEMO_SIZE + 100)]
-    for rule in rules + rules[:10] + rules[-10:]:
-        assert memo(str, rule) == str(rule)
-        assert len(memo.entries) <= RULE_MEMO_SIZE
-    assert memo.entries
+def test_copied_rules_carry_no_views():
+    rule = parse_formula("forall x forall y (F(x, y) -> G(y, x))")
+    text, calls = _counting(str)
+    rule_view(text, rule)
+    assert calls == [rule]
+    for copied in (pickle.loads(pickle.dumps(rule)), copy.deepcopy(rule), copy.copy(rule)):
+        assert copied == rule and hash(copied) == hash(rule) and repr(copied) == repr(rule)
+        assert not hasattr(copied, "_views")
+        assert rule_view(text, copied) == str(rule)
+        assert calls[-1] is copied
+    assert len(calls) == 4
