@@ -181,12 +181,18 @@ class CnfBuilder:
         var_map, clause = self.cs.var_map, []
         for atom, positive in literals:
             v = var_map.get(atom)
-            if v is None:  # var_map holds ground atoms only
-                if not atom.is_ground:
-                    return None
-                v = self.atom_var(atom)
+            if v is None:
+                break
             clause.append(v if positive else -v)
-        return clause
+        else:
+            return clause  # var_map holds ground atoms only
+        # a new atom: number none unless every atom is ground
+        if not all(atom.is_ground for atom, _ in literals):
+            return None
+        return [
+            self.atom_var(atom) if positive else -self.atom_var(atom)
+            for atom, positive in literals
+        ]
 
     def _assert_instances(
         self, k: int, instances_key: tuple, readers: tuple, tail: tuple, off

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ArgosError, CorpusError
-from .logic import Entity, ForAll, Formula, formula_entities, rule_view
+from .logic import Entity, Formula, formula_entities, rule_view
 from .parser import parse_formula
 
 RESERVED_FILES = {"kb.json", "config.json", "exemplars.json"}
@@ -155,27 +155,15 @@ def save_problem(problem: Problem, path) -> None:
 
 
 def load_corpus(path) -> list[Problem]:
-    """Load every problem file in a directory, sorted by filename.
-
-    Each file is parsed and checked on its own; then each universally
-    quantified premise or withheld rule is replaced by the first equal one
-    in the corpus, so the problems share one object per rule and its views
-    (:func:`argos.logic.rule_view`).
-    """
+    """Load every problem file in a directory, sorted by filename."""
     root = Path(path)
     if not root.is_dir():
         raise CorpusError(f"{root}: not a corpus directory")
     problems = []
-    rules: dict[ForAll, ForAll] = {}
     for f in sorted(root.glob("*.json")):
         if f.name in RESERVED_FILES:
             continue
-        problem = load_problem_file(f)
-        for formulas in (problem.premises, problem.withheld_rules):
-            for i, g in enumerate(formulas):
-                if isinstance(g, ForAll):
-                    formulas[i] = rules.setdefault(g, g)
-        problems.append(problem)
+        problems.append(load_problem_file(f))
     return problems
 
 

@@ -250,6 +250,17 @@ def test_template_errors_match_ground(case):
     assert str(got.value) == str(want.value)
 
 
+def test_rejected_clause_numbers_no_atom():
+    b = CnfBuilder([Entity("A")])
+    b.assert_formula(_atom("H", Entity("A")))
+    before = (dict(b.cs.var_map), b.cs.num_vars, len(b.cs.clauses))
+    # ground atoms, one of them new, ahead of a free variable
+    f = Or(Or(_atom("H", Entity("A")), _atom("G", Entity("A"))), _atom("F", Var("x")))
+    with pytest.raises(GroundingError):
+        b.assert_formula(f)
+    assert (dict(b.cs.var_map), b.cs.num_vars, len(b.cs.clauses)) == before
+
+
 def test_shadowed_variable_falls_back_to_ground():
     # The inner x shadows the outer one, as ground() reads it.
     f = parse_formula("forall x forall x (F(x) -> G(x))")

@@ -12,7 +12,6 @@ from argos.corpus import (
 )
 from argos.errors import CorpusError
 from argos.kinship import generate_kinship
-from argos.logic import ForAll
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -129,22 +128,6 @@ def test_save_load_round_trip(tmp_path):
         assert a.gold_label == b.gold_label
         assert [str(f) for f in a.withheld_rules] == [str(f) for f in b.withheld_rules]
         assert a.text == b.text and a.text
-
-
-def test_load_corpus_shares_equal_rules(tmp_path):
-    problems, _ = generate_kinship(12, 4, seed=2, validate=False)
-    for i, p in enumerate(problems):
-        save_problem(p, tmp_path / f"{i:04d}.json")
-    loaded = load_corpus(tmp_path)
-    rules: dict = {}
-    for p in loaded:
-        # the values are those of the file parsed on its own
-        assert p == load_problem_file(tmp_path / f"{p.id[-4:]}.json")
-        for f in p.premises + p.withheld_rules:
-            if isinstance(f, ForAll):
-                assert rules.setdefault(f, f) is f
-    withheld = [f for p in loaded for f in p.withheld_rules]
-    assert 132 < len(rules) < 132 + len(withheld)
 
 
 def test_reserved_files_skipped(tmp_path):
