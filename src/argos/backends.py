@@ -22,6 +22,7 @@ import re
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -112,28 +113,69 @@ def assemble_vote(samples: Sequence[CotSample], k: int) -> SolveVote:
     )
 
 
+class Context:
+    """One problem's request state, made once per problem and passed to
+    every request about it.
+
+    It holds the premises as a tuple, so it is a snapshot of the sequence it
+    was made from, and derives from them, once each and on first use, what
+    backends read on many requests: their text, the entities they name and
+    their predicate signature. It also keeps the oracle's last generation
+    lookup, so a backend itself holds no state that a request writes.
+    """
+
+    def __init__(self, premises: Iterable[Formula]):
+        self.premises = tuple(premises)
+        # (backend, antecedent, its KB matches), replaced whole and read
+        # once, so a thread never sees one key beside another key's value
+        self.matches: Optional[tuple] = None
+
+    @cached_property
+    def text(self) -> str:
+        """The premises as prompts show them, and as seeded keys name them."""
+        return _render_formulas(self.premises)
+
+    @cached_property
+    def entities(self) -> frozenset[Entity]:
+        """The entities the premises name."""
+        return frozenset(e for f in self.premises for e in rule_view(formula_entities, f))
+
+    @cached_property
+    def signature(self) -> dict[str, int]:
+        """Each predicate name of the premises with its first-seen arity."""
+        signature: dict[str, int] = {}
+        for f in self.premises:
+            for a in iter_atoms(f):
+                signature.setdefault(a.predicate.name, a.predicate.arity)
+        return signature
+
+
 class Backend(ABC):
-    """Uniform interface for solve, generate, and the two scorers."""
+    """Uniform interface for solve, generate, and the two scorers.
+
+    Every request about a problem's premises takes that problem's
+    :class:`Context`; ``commonsense`` is the clauses accepted so far.
+    """
 
     def solve(
         self,
-        premises: Sequence[Formula],
+        context: Context,
         commonsense: Sequence,
         query: Formula,
         k: int,
     ) -> SolveVote:
         if k < 1:
             raise ValueError("k must be at least 1")
-        return assemble_vote(self._cot_samples(premises, commonsense, query, k), k)
+        return assemble_vote(self._cot_samples(context, commonsense, query, k), k)
 
     @abstractmethod
-    def _cot_samples(self, premises, commonsense, query, k) -> list[CotSample]:
+    def _cot_samples(self, context, commonsense, query, k) -> list[CotSample]:
         ...
 
     @abstractmethod
     def generate(
         self,
-        premises: Sequence[Formula],
+        context: Context,
         commonsense: Sequence,
         antecedent: tuple[Literal, ...],
         target: Target,
@@ -146,7 +188,7 @@ class Backend(ABC):
         ...
 
     @abstractmethod
-    def relevance_score(self, premises, commonsense, clause) -> float:
+    def relevance_score(self, context, commonsense, clause) -> float:
         ...
 
 
@@ -157,7 +199,7 @@ def _render_formulas(formulas: Iterable) -> str:
     return ". ".join([rule_view(str, f) for f in formulas])
 
 
-def cot_prompt(premises, commonsense, query, exemplars=()) -> str:
+def cot_prompt(context: Context, commonsense, query, exemplars=()) -> str:
     parts = []
     for ex in exemplars:
         parts.append(
@@ -170,7 +212,7 @@ def cot_prompt(premises, commonsense, query, exemplars=()) -> str:
         )
     parts.append(
         "Here are some facts and rules: "
-        + _render_formulas(premises)
+        + context.text
         + "\nHere is some additional info we found: "
         + _render_formulas(commonsense)
         + f"\nTrue or false: {query}?"
@@ -180,8 +222,9 @@ def cot_prompt(premises, commonsense, query, exemplars=()) -> str:
 
 
 def generate_prompt_entity(antecedent_text, entity, known_predicates) -> str:
+    blank = "__" if entity is None else f"__({entity})"
     return (
-        f"Fill in the blank with a known predicate: {antecedent_text} implies __({entity}).\n"
+        f"Fill in the blank with a known predicate: {antecedent_text} implies {blank}.\n"
         f"Known predicates are: {', '.join(known_predicates)}\n"
         "Answer:"
     )
@@ -200,10 +243,10 @@ def commonsense_prompt(clause_text: str, style: str) -> str:
     return f"{question}\nRule: {clause_text}\nAnswer:"
 
 
-def relevance_prompt(premises, commonsense, clause_text: str) -> str:
-    context = _render_formulas(list(premises) + [str(c) for c in commonsense])
+def relevance_prompt(context: Context, commonsense, clause_text: str) -> str:
+    shown = ". ".join(t for t in (context.text, _render_formulas(commonsense)) if t)
     return (
-        f"Here are some facts and rules: {context}\n"
+        f"Here are some facts and rules: {shown}\n"
         f"Does the following new rule seem contextually relevant to the facts and rules? {clause_text}\n"
         "Answer:"
     )
@@ -357,28 +400,6 @@ class OracleKB:
         return conclusion.verdict != INCONSISTENT
 
 
-def _named_entities(formulas) -> frozenset[Entity]:
-    return frozenset(e for f in formulas for e in rule_view(formula_entities, f))
-
-
-class _Recent:
-    """``fn`` of the last sequence it was asked about, kept while equal
-    sequences recur, as a problem's premises and a search's antecedents do
-    across its requests. The pair is replaced whole and read once, so a
-    thread never sees one key beside another key's value."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.last: Optional[tuple] = None
-
-    def __call__(self, items):
-        key = tuple(items)
-        last = self.last
-        if last is None or last[0] != key:
-            last = self.last = (key, self.fn(key))
-        return last[1]
-
-
 class OracleBackend(Backend):
     """Deterministic stand-in for the language model.
 
@@ -407,11 +428,6 @@ class OracleBackend(Backend):
         self._swaps = {
             p: [q for q in predicates if q.arity == p.arity and q != p] for p in predicates
         }
-        # the premises' text for seeded random keys, the entities they name
-        # for relevance, and an antecedent's KB matches for generation
-        self._premises_text = _Recent(_render_formulas)
-        self._premise_entities = _Recent(_named_entities)
-        self._matches = _Recent(self._matching_consequents)
 
     # -- seeded randomness per request ------------------------------------
 
@@ -486,8 +502,8 @@ class OracleBackend(Backend):
                         heapq.heappush(heap, (base + 1, next(tie), derived))
         return facts
 
-    def _cot_samples(self, premises, commonsense, query, k) -> list[CotSample]:
-        facts = self._chain(premises, commonsense)
+    def _cot_samples(self, context, commonsense, query, k) -> list[CotSample]:
+        facts = self._chain(context.premises, commonsense)
         qlit = formula_to_literal(query)
         derived: Optional[bool] = None
         steps = 0
@@ -507,7 +523,7 @@ class OracleBackend(Backend):
         # so an unsure oracle can never clear a vote threshold above 1/2.
         rng = self._rng(
             "solve",
-            self._premises_text(premises),
+            context.text,
             _render_formulas(commonsense),
             str(query),
             k,
@@ -554,8 +570,16 @@ class OracleBackend(Backend):
                     out.append(derived)
         return out
 
-    def generate(self, premises, commonsense, antecedent, target) -> list[Literal]:
-        candidates = self._matches(antecedent)  # shared: filtered into a new list
+    def _matches(self, context: Context, antecedent: tuple[Literal, ...]) -> list[Literal]:
+        """``_matching_consequents(antecedent)``, kept on ``context`` while a
+        search asks about one antecedent for several targets in a row."""
+        last = context.matches
+        if last is None or last[0] is not self or last[1] != antecedent:
+            last = context.matches = (self, antecedent, self._matching_consequents(antecedent))
+        return last[2]
+
+    def generate(self, context, commonsense, antecedent, target) -> list[Literal]:
+        candidates = self._matches(context, antecedent)  # shared: filtered into a new list
         if isinstance(target, Entity):
             candidates = [c for c in candidates if target in c.entities()]
         elif isinstance(target, tuple):
@@ -566,8 +590,7 @@ class OracleBackend(Backend):
             # the key names the first and last literal, so that seeded noisy
             # runs reproduce the outputs they always gave
             ends = (antecedent[0], antecedent[-1]) if antecedent else (None, None)
-            rng = self._rng("generate", *ends, target,
-                            self._premises_text(premises), len(commonsense))
+            rng = self._rng("generate", *ends, target, context.text, len(commonsense))
             corrupted = []
             for c in candidates:
                 if rng.random() < self.kb.noise:
@@ -601,17 +624,15 @@ class OracleBackend(Backend):
                 score = 1.0 - score
         return score
 
-    def relevance_score(self, premises, commonsense, clause) -> float:
+    def relevance_score(self, context, commonsense, clause) -> float:
         """1 iff every entity of ``clause`` is named by the premises or by an
         accepted clause, the context the wire prompt shows. An entity that
         the problem declares but never names is unknown here: the problem's
         whole universe would take one more parameter in every backend."""
-        known = self._premise_entities(premises).union(*(c.entities() for c in commonsense))
+        known = context.entities.union(*(c.entities() for c in commonsense))
         score = 1.0 if clause.entities() <= known else 0.0
         if self.kb.noise > 0.0:
-            rng = self._rng(
-                "relevance", self._premises_text(premises), len(commonsense), str(clause)
-            )
+            rng = self._rng("relevance", context.text, len(commonsense), str(clause))
             if rng.random() < self.kb.noise:
                 score = 1.0 - score
         return score
@@ -718,8 +739,8 @@ class WireBackend(Backend):
         except (KeyError, IndexError, TypeError):
             raise BackendError(f"malformed completion response: {data!r}")
 
-    def _cot_samples(self, premises, commonsense, query, k) -> list[CotSample]:
-        prompt = cot_prompt(premises, commonsense, query, self.exemplars)
+    def _cot_samples(self, context, commonsense, query, k) -> list[CotSample]:
+        prompt = cot_prompt(context, commonsense, query, self.exemplars)
         samples = []
         for _ in range(k):
             data = self._request(
@@ -771,17 +792,14 @@ class WireBackend(Backend):
         positive = "no" if style == CONTRADICTION_STYLE else "yes"
         return self._yes_no_probability(prompt, positive)
 
-    def relevance_score(self, premises, commonsense, clause) -> float:
-        prompt = relevance_prompt(premises, commonsense, str(clause))
+    def relevance_score(self, context, commonsense, clause) -> float:
+        prompt = relevance_prompt(context, commonsense, str(clause))
         return self._yes_no_probability(prompt, "yes")
 
-    def generate(self, premises, commonsense, antecedent, target) -> list[Literal]:
+    def generate(self, context, commonsense, antecedent, target) -> list[Literal]:
         antecedent_text = " & ".join(map(str, antecedent)) or "the context"
         # the predicate vocabulary: each name with its first-seen arity
-        signature: dict[str, int] = {}
-        for f in premises:
-            for a in iter_atoms(f):
-                signature.setdefault(a.predicate.name, a.predicate.arity)
+        signature = dict(context.signature)
         for c in commonsense:
             for l in c.literals:
                 signature.setdefault(l.atom.predicate.name, l.atom.predicate.arity)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Collection, Iterator, Mapping, Optional, Sequence
 
-from .backends import CONTRADICTION_STYLE, TRUTH_STYLE, Backend, SolveVote
+from .backends import CONTRADICTION_STYLE, TRUTH_STYLE, Backend, Context, SolveVote
 from .errors import BackendError, BackendExhausted, check_fields, is_int, is_number, one_of
 from .logic import Entity, HornRule, Literal, formula_to_literal, ground
 from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, INCONSISTENT, Backbone, SatSession
@@ -172,6 +172,7 @@ class Engine:
         self.problem = problem
         self.config = config
         self.backend = backend
+        self.context = Context(problem.premises)  # what every backend request reads
         self.trace: list[dict] = []
         self.accepted: list[CommonsenseClause] = []
         self.selectors: list[int] = []  # one per accepted clause, in order
@@ -217,9 +218,7 @@ class Engine:
         return True
 
     def _vote(self) -> SolveVote:
-        vote = self.backend.solve(
-            self.problem.premises, self.accepted, self.problem.query, self.config.k
-        )
+        vote = self.backend.solve(self.context, self.accepted, self.problem.query, self.config.k)
         self.cot += self.config.k
         self.last_vote = vote
         self._emit(
@@ -398,9 +397,7 @@ class Engine:
                 antecedent, config.generation_style, GENERATION_TARGETS, entities_of
             )
             for target in targets:
-                candidates = self.backend.generate(
-                    self.problem.premises, self.accepted, antecedent, target
-                )
+                candidates = self.backend.generate(self.context, self.accepted, antecedent, target)
                 for cand in candidates:
                     clause = CommonsenseClause(antecedent, cand, 0.0, 0.0)
                     key = clause.key()
@@ -420,9 +417,7 @@ class Engine:
                     cs_score = self.backend.commonsense_score(
                         clause, config.score_style
                     )
-                    rel_score = self.backend.relevance_score(
-                        self.problem.premises, self.accepted, clause
-                    )
+                    rel_score = self.backend.relevance_score(self.context, self.accepted, clause)
                     accepted = cs_score > config.tau and rel_score > config.tau
                     self._emit(
                         "candidate",

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .backends import Backend
+from .backends import Backend, Context
 from .corpus import Problem
 from .engine import (
     DECIDED_BY_FALLBACK,
@@ -131,7 +131,7 @@ def run_sc_baseline(
     problem: Problem, config: EngineConfig, backend: Backend, n: int
 ) -> ProblemRecord:
     """One n-sample vote on the bare premises; exactly n chain-of-thought calls."""
-    vote = backend.solve(problem.premises, (), problem.query, n)
+    vote = backend.solve(Context(problem.premises), (), problem.query, n)
     return ProblemRecord(
         problem_id=problem.id,
         system=f"sc{n}",
@@ -233,7 +233,8 @@ def _worker(args):
         if m:
             return run_sc_baseline(problem, config, backend, int(m.group(1))), None
         raise ArgosError(f"unknown system {system!r}")
-    except ArgosError as exc:
+    except Exception as exc:  # one problem's failure is its row's, never the suite's
+        error = str(exc) if isinstance(exc, ArgosError) else f"{type(exc).__name__}: {exc}"
         record = ProblemRecord(
             problem_id=problem.id,
             system=system,
@@ -243,7 +244,7 @@ def _worker(args):
             iterations=0,
             cot_calls=0,
             confidence=0.0,
-            error=str(exc),
+            error=error,
         )
         return record, None
 

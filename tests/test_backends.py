@@ -14,6 +14,7 @@ import argos.backends as backends_module
 from argos.backends import (
     CONTRADICTION_STYLE,
     TRUTH_STYLE,
+    Context,
     CotSample,
     OracleBackend,
     OracleKB,
@@ -112,7 +113,7 @@ def test_oracle_derived_query_unanimous():
     kb = _kb(["forall x (penguin(x) -> bird(x))"])
     backend = OracleBackend(kb)
     premises = [parse_formula("penguin(tux)")]
-    vote = backend.solve(premises, (), parse_formula("bird(tux)"), 5)
+    vote = backend.solve(Context(premises), (), parse_formula("bird(tux)"), 5)
     assert vote.answer is True
     assert vote.vote_fraction == 1.0
 
@@ -121,7 +122,7 @@ def test_oracle_derived_negative_query():
     kb = _kb(["forall x (penguin(x) -> ~flies(x))"])
     backend = OracleBackend(kb)
     vote = backend.solve(
-        [parse_formula("penguin(tux)")], (), parse_formula("flies(tux)"), 5
+        Context([parse_formula("penguin(tux)")]), (), parse_formula("flies(tux)"), 5
     )
     assert vote.answer is False
     assert vote.vote_fraction == 1.0
@@ -134,11 +135,12 @@ def test_oracle_beyond_depth_guesses_at_majority_floor():
         ["forall x (a(x) -> b(x))", "forall x (b(x) -> c(x))"], reasoning_depth=1
     )
     backend = OracleBackend(kb)
-    vote = backend.solve([parse_formula("a(e)")], (), parse_formula("c(e)"), 5)
+    vote = backend.solve(Context([parse_formula("a(e)")]), (), parse_formula("c(e)"), 5)
     assert vote.vote_fraction == pytest.approx(0.6)
     # within depth it derives fine
     kb2 = _kb(["forall x (a(x) -> b(x))", "forall x (b(x) -> c(x))"], reasoning_depth=2)
-    vote2 = OracleBackend(kb2).solve([parse_formula("a(e)")], (), parse_formula("c(e)"), 5)
+    context = Context([parse_formula("a(e)")])
+    vote2 = OracleBackend(kb2).solve(context, (), parse_formula("c(e)"), 5)
     assert vote2.vote_fraction == 1.0
     assert vote2.answer is True
 
@@ -146,7 +148,7 @@ def test_oracle_beyond_depth_guesses_at_majority_floor():
 def test_oracle_depth_zero_answers_only_stated_facts():
     kb = _kb(["forall x (a(x) -> b(x))"], reasoning_depth=0)
     backend = OracleBackend(kb)
-    vote = backend.solve([parse_formula("a(e)")], (), parse_formula("b(e)"), 5)
+    vote = backend.solve(Context([parse_formula("a(e)")]), (), parse_formula("b(e)"), 5)
     assert vote.vote_fraction == pytest.approx(0.6)  # guesses
 
 
@@ -159,7 +161,7 @@ def test_oracle_chains_to_a_fixpoint_past_a_hundred_rounds():
     premises = [parse_formula("reach(n0)")] + [
         parse_formula(f"next(n{i}, n{i + 1})") for i in range(120)
     ]
-    vote = OracleBackend(kb).solve(premises, (), parse_formula("reach(n120)"), 5)
+    vote = OracleBackend(kb).solve(Context(premises), (), parse_formula("reach(n120)"), 5)
     assert vote.answer is True
     assert vote.vote_fraction == 1.0
     assert all(s.raw_text.startswith("Derived after 120 ") for s in vote.samples)
@@ -333,7 +335,7 @@ def test_oracle_vote_skips_an_existential_premise():
     assert _chains_agree(backend, premises) == {
         parse_literal("a(e)"): 0, parse_literal("b(e)"): 1,
     }
-    vote = backend.solve(premises, (), parse_formula("b(e)"), 5)
+    vote = backend.solve(Context(premises), (), parse_formula("b(e)"), 5)
     assert vote.answer is True
     assert vote.vote_fraction == 1.0
 
@@ -345,7 +347,7 @@ def test_oracle_uses_accepted_commonsense_in_derivations():
         [parse_literal("a(e)")], parse_literal("b(e)")
     )
     vote = backend.solve(
-        [parse_formula("a(e)")], [clause], parse_formula("b(e)"), 5
+        Context([parse_formula("a(e)")]), [clause], parse_formula("b(e)"), 5
     )
     assert vote.answer is True
     assert vote.vote_fraction == 1.0
@@ -356,12 +358,12 @@ def test_oracle_solve_determinism_and_request_keying():
     b1, b2 = OracleBackend(kb), OracleBackend(kb)
     premises = [parse_formula("a(e)")]
     q = parse_formula("c(e)")
-    v1 = b1.solve(premises, (), q, 5)
-    v2 = b2.solve(premises, (), q, 5)
+    v1 = b1.solve(Context(premises), (), q, 5)
+    v2 = b2.solve(Context(premises), (), q, 5)
     assert [s.raw_text for s in v1.samples] == [s.raw_text for s in v2.samples]
     # each request draws its own stream: no two underived queries guess alike
     def guesses(name):
-        vote = b1.solve(premises, (), parse_formula(f"{name}(e)"), 5)
+        vote = b1.solve(Context(premises), (), parse_formula(f"{name}(e)"), 5)
         return tuple(s.answer for s in vote.samples)
 
     assert len({guesses(name) for name in "cdfgh"}) == 5
@@ -372,8 +374,8 @@ def test_cot_accounting():
     backend = OracleBackend(kb)
     premises = [parse_formula("turns_white(fox, winter)")]
     query = parse_formula("absorbs(white, sun)")
-    assert len(backend.solve(premises, (), query, 5).samples) == 5
-    assert len(backend.solve(premises, (), query, 3).samples) == 3
+    assert len(backend.solve(Context(premises), (), query, 5).samples) == 5
+    assert len(backend.solve(Context(premises), (), query, 3).samples) == 3
 
 
 # --- oracle: generation ---------------------------------------------------------
@@ -383,7 +385,7 @@ def test_oracle_generate_single_literal_rule_match():
     kb = _kb(FOX_RULES)
     backend = OracleBackend(kb)
     l = parse_literal("turns_white(fox, winter)")
-    out = backend.generate([], (), (l,), Entity("fox"))
+    out = backend.generate(Context([]), (), (l,), Entity("fox"))
     assert [str(c) for c in out] == ["reflects(fox, sun)"]
 
 
@@ -392,10 +394,10 @@ def test_oracle_generate_composition_by_pair_target():
     backend = OracleBackend(kb)
     l1 = parse_literal("mom(A, B)")
     l2 = parse_literal("sister(B, C)")
-    out = backend.generate([], (), (l1, l2), (Entity("A"), Entity("C")))
+    out = backend.generate(Context([]), (), (l1, l2), (Entity("A"), Entity("C")))
     assert [str(c) for c in out] == ["mom(A, C)"]
     # and in reversed argument roles
-    out2 = backend.generate([], (), (l2, l1), (Entity("A"), Entity("C")))
+    out2 = backend.generate(Context([]), (), (l2, l1), (Entity("A"), Entity("C")))
     assert [str(c) for c in out2] == ["mom(A, C)"]
 
 
@@ -408,7 +410,7 @@ def test_oracle_generate_answers_in_rule_text_order():
     backend = OracleBackend(dataclasses.replace(kb, rules=kb.rules[::-1]))
     assert str(backend.kb.rules[0]) > str(backend.kb.rules[1])
     antecedent = (parse_literal("mom(A, B)"), parse_literal("sister(B, C)"))
-    out = backend.generate([], (), antecedent, None)
+    out = backend.generate(Context([]), (), antecedent, None)
     assert [str(c) for c in out] == ["mom(A, C)", "ancestor(A, B)"]
 
 
@@ -453,15 +455,15 @@ def test_oracle_generate_no_matching_rule_is_empty():
     kb = _kb(FOX_RULES)
     backend = OracleBackend(kb)
     l = parse_literal("shines(sun, winter)")
-    assert backend.generate([], (), (l,), Entity("sun")) == []
+    assert backend.generate(Context([]), (), (l,), Entity("sun")) == []
 
 
 def test_oracle_generate_noise_corrupts_deterministically():
     kb = _kb(FOX_RULES, noise=0.99, seed=5)
     backend = OracleBackend(kb)
     l = parse_literal("turns_white(fox, winter)")
-    out1 = backend.generate([], (), (l,), Entity("fox"))
-    out2 = backend.generate([], (), (l,), Entity("fox"))
+    out1 = backend.generate(Context([]), (), (l,), Entity("fox"))
+    out2 = backend.generate(Context([]), (), (l,), Entity("fox"))
     assert out1 == out2
     assert [str(c) for c in out1] != ["reflects(fox, sun)"]
 
@@ -508,12 +510,28 @@ def test_noisy_generation_outputs_are_pinned():
         ((b, a), None,
          ["sibling(A, C)", "ancestor(A, B)", "~parent(A, B)", "female(B)", "sibling(B, C)"]),
     ]
+    context = Context(premises)
     for antecedent, target, want in pinned:
-        got = backend.generate(premises, (), antecedent, target)
+        got = backend.generate(context, (), antecedent, target)
         assert [str(c) for c in got] == want, (antecedent, target)
 
 
-def test_noisy_oracle_renders_premises_once_while_they_recur(monkeypatch):
+def test_a_context_is_a_snapshot_of_its_premises():
+    backend = OracleBackend(_kb(FOX_RULES))
+    mom, sister = parse_formula("mom(A, B)"), parse_formula("sister(B, C)")
+    clause = _clause([parse_literal("mom(A, B)")], parse_literal("mom(A, C)"))
+
+    def ask(context):
+        return (backend.relevance_score(context, (), clause),
+                backend.solve(context, (), parse_formula("sister(B, C)"), 5))
+
+    premises = [mom, sister]
+    context = Context(premises)
+    premises.remove(sister)  # before any request reads the context
+    assert ask(context) == ask(Context([mom, sister])) != ask(Context(premises))
+
+
+def test_noisy_oracle_renders_premises_once_per_context(monkeypatch):
     kb = _kb([
         "forall x forall y (mom(x, y) -> parent(x, y))",
         "forall x forall y (sister(x, y) -> sibling(x, y))",
@@ -521,41 +539,36 @@ def test_noisy_oracle_renders_premises_once_while_they_recur(monkeypatch):
     ], noise=0.5, seed=11)
     mom, sister = parse_formula("mom(A, B)"), parse_formula("sister(B, C)")
     a, b = parse_literal("mom(A, B)"), parse_literal("sister(B, C)")
-    grown = [mom]
-    requests = [([mom, sister], (a,)), ([mom, sister], (b,)), ([mom], (a,)),
-                (grown, (a,)), (grown, (b,)), ([mom, sister], (a, b))]
+    problems = [(mom, sister), (mom,)]
+    antecedents = [(a,), (b,), (a, b), (a,)]
     clause = _clause([a], parse_literal("parent(A, B)"))
+    query = parse_formula("parent(A, C)")  # underived: the vote guesses from a seeded key
 
-    def ask(backend, premises, antecedent):
-        return (backend.generate(premises, (), antecedent, Entity("A")),
-                backend.relevance_score(premises, (), clause))
+    def ask(backend, context, antecedent):
+        return (backend.generate(context, (), antecedent, Entity("A")),
+                backend.relevance_score(context, (), clause),
+                backend.solve(context, (), query, 5))
 
-    fresh = []
-    for i, (premises, antecedent) in enumerate(requests):
-        if i == 4:
-            grown.append(sister)  # the same list, changed in place
-        fresh.append(ask(OracleBackend(kb), premises, antecedent))
-    grown.remove(sister)
+    fresh = [ask(OracleBackend(kb), Context(premises), antecedent)
+             for premises in problems for antecedent in antecedents]
     renders = []
     real = backends_module._render_formulas
     monkeypatch.setattr(
-        backends_module, "_render_formulas", lambda fs: renders.append(1) or real(fs)
+        backends_module, "_render_formulas", lambda fs: renders.append(tuple(fs)) or real(fs)
     )
     shared = OracleBackend(kb)
-    for i, (premises, antecedent) in enumerate(requests):
-        if i == 4:
-            grown.append(sister)
-        assert ask(shared, premises, antecedent) == fresh[i], i
-    # one render for each run of equal premises: [mom, sister], then [mom]
-    # (a new list, then the grown list before it grows), then [mom, sister]
-    # (the grown list after it grows, then a new list)
-    assert len(renders) == 3
+    contexts = [Context(premises) for premises in problems]
+    got = [ask(shared, context, antecedent) for context in contexts for antecedent in antecedents]
+    assert got == fresh
+    # the votes also render their (empty) commonsense, once per request
+    assert [r for r in renders if r] == problems
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.2])
 def test_oracle_generate_matches_each_antecedent_once(monkeypatch, noise):
     # The search asks about each antecedent for several targets in a row;
-    # the shared backend matches it once and answers as a fresh one does.
+    # over one context the shared backend matches it once and answers as a
+    # fresh one does.
     problems, kinship = generate_kinship(3, 4, seed=404)
     kb = dataclasses.replace(kinship, noise=noise, seed=9)
     premises = problems[0].premises
@@ -570,24 +583,29 @@ def test_oracle_generate_matches_each_antecedent_once(monkeypatch, noise):
                 [None, rng.choice(entities), tuple(rng.sample(entities, 2))]
             )
             requests.append((antecedent, target))
-    fresh = [OracleBackend(kb).generate(premises, (), a, t) for a, t in requests]
+    fresh = [OracleBackend(kb).generate(Context(premises), (), a, t) for a, t in requests]
     matched = []
     real = OracleBackend._matching_consequents
     monkeypatch.setattr(
         OracleBackend, "_matching_consequents",
         lambda self, a: matched.append(a) or real(self, a),
     )
-    shared = OracleBackend(kb)
+    shared, context = OracleBackend(kb), Context(premises)
     for (antecedent, target), want in zip(requests, fresh):
-        got = shared.generate(premises, (), antecedent, target)
+        got = shared.generate(context, (), antecedent, target)
         assert got == want, (antecedent, target)
         got.append(None)  # a caller's list is its own
     runs = sum(1 for i, (a, _) in enumerate(requests) if i == 0 or requests[i - 1][0] != a)
     assert len(matched) == runs < len(requests)
     assert sum(map(bool, fresh)) > 10
+    # the matches a context keeps are its last backend's: another KB matches anew
+    antecedent, target = next(r for r, want in zip(requests, fresh) if want)
+    assert shared.generate(context, (), antecedent, target)
+    other = OracleBackend(dataclasses.replace(kb, rules=()))
+    assert other.generate(context, (), antecedent, target) == []
 
 
-def test_oracle_relevance_unions_premise_entities_once_while_they_recur(monkeypatch):
+def test_oracle_relevance_unions_premise_entities_once_per_context(monkeypatch):
     kb = _kb(FOX_RULES, noise=0.2, seed=4)
     mom, sister = parse_formula("mom(A, B)"), parse_formula("sister(B, C)")
     lit = parse_literal
@@ -596,28 +614,26 @@ def test_oracle_relevance_unions_premise_entities_once_while_they_recur(monkeypa
         _clause([lit("mom(A, B)")], lit("knows(A, D)")),
         _clause([lit("mom(A, B)")], lit("mom(D, B)")),
     ]
-    grown = [mom]
-    requests = [([mom, sister], (), 0), ([mom, sister], (), 1), (grown, (), 0),
-                (grown, (clauses[1],), 2), (grown, (), 0), (grown, (), 0)]
-    fresh = []
-    for i, (premises, commonsense, c) in enumerate(requests):
-        if i == 4:
-            grown.append(sister)  # the same list, changed in place
-        fresh.append(OracleBackend(kb).relevance_score(premises, commonsense, clauses[c]))
-    grown.remove(sister)
+    problems = [[mom, sister], [mom]]
+    requests = [((), 0), ((), 1), ((clauses[1],), 2), ((), 2), ((), 0)]
+    fresh = [
+        OracleBackend(kb).relevance_score(Context(premises), commonsense, clauses[c])
+        for premises in problems for commonsense, c in requests
+    ]
     unions = []
     real = backends_module.formula_entities
     monkeypatch.setattr(
         backends_module, "formula_entities", lambda f: unions.append(f) or real(f)
     )
     shared = OracleBackend(kb)
-    for i, (premises, commonsense, c) in enumerate(requests):
-        if i == 4:
-            grown.append(sister)
-        assert shared.relevance_score(premises, commonsense, clauses[c]) == fresh[i], i
-    assert fresh[2] != fresh[4]  # the grown list names C
-    # one union per run of equal premises: [mom, sister], [mom], [mom, sister]
-    assert len(unions) == 2 + 1 + 2
+    got = [
+        shared.relevance_score(context, commonsense, clauses[c])
+        for context in map(Context, problems) for commonsense, c in requests
+    ]
+    assert got == fresh
+    assert fresh[0] != fresh[len(requests)]  # only the first premises name C
+    # one union per context: [mom, sister], then [mom]
+    assert unions == [mom, sister, mom]
 
 
 # --- oracle: scoring --------------------------------------------------------------
@@ -717,8 +733,8 @@ def test_oracle_relevance():
     premises = [parse_formula("mom(A, B)"), parse_formula("sister(B, C)")]
     on_topic = _clause([parse_literal("mom(A, B)")], parse_literal("mom(A, C)"))
     off_topic = _clause([], parse_literal("sky_is(blue)"))
-    assert backend.relevance_score(premises, (), on_topic) == 1.0
-    assert backend.relevance_score(premises, (), off_topic) == 0.0
+    assert backend.relevance_score(Context(premises), (), on_topic) == 1.0
+    assert backend.relevance_score(Context(premises), (), off_topic) == 0.0
 
 
 def test_oracle_relevance_accepts_entities_from_prior_clauses():
@@ -727,8 +743,8 @@ def test_oracle_relevance_accepts_entities_from_prior_clauses():
     premises = [parse_formula("mom(A, B)")]
     prior = _clause([parse_literal("mom(A, B)")], parse_literal("knows(A, D)"))
     clause = _clause([parse_literal("mom(A, B)")], parse_literal("mom(D, B)"))
-    assert backend.relevance_score(premises, (), clause) == 0.0
-    assert backend.relevance_score(premises, [prior], clause) == 1.0
+    assert backend.relevance_score(Context(premises), (), clause) == 0.0
+    assert backend.relevance_score(Context(premises), [prior], clause) == 1.0
 
 
 def test_oracle_relevance_knows_only_named_entities():
@@ -742,11 +758,11 @@ def test_oracle_relevance_knows_only_named_entities():
     )
     lit = parse_literal
     introduced = _clause([lit("mom(A, B)")], lit("knows(A, New)"))
-    assert backend.relevance_score(problem.premises, [introduced], _clause(
+    assert backend.relevance_score(Context(problem.premises), [introduced], _clause(
         [lit("mom(A, B)")], lit("mom(New, B)"))) == 1.0
-    assert backend.relevance_score(problem.premises, [introduced], _clause(
+    assert backend.relevance_score(Context(problem.premises), [introduced], _clause(
         [lit("mom(A, B)")], lit("mom(Nobody, B)"))) == 0.0
-    assert backend.relevance_score(problem.premises, [introduced], _clause(
+    assert backend.relevance_score(Context(problem.premises), [introduced], _clause(
         [lit("mom(A, B)")], lit("mom(Z, B)"))) == 0.0
 
 
@@ -885,7 +901,7 @@ def test_wire_cot_sampling_and_confidence():
 
     backend = WireBackend("http://server/v1/completions", "test-model", post=post)
     vote = backend.solve(
-        [parse_formula("turns_white(fox, winter)")], (),
+        Context([parse_formula("turns_white(fox, winter)")]), (),
         parse_formula("absorbs(white, sun)"), 5,
     )
     assert vote.answer is False
@@ -916,7 +932,7 @@ def test_wire_score_softmax_and_budget():
     assert backend.commonsense_score(clause, "truth") == pytest.approx(
         e_yes / (e_yes + e_no)
     )
-    assert backend.relevance_score([], (), clause) == pytest.approx(
+    assert backend.relevance_score(Context([]), (), clause) == pytest.approx(
         e_yes / (e_yes + e_no)
     )
     assert all(r["max_tokens"] == 1 for r in requests_seen)
@@ -949,10 +965,8 @@ def test_wire_generation_budget_and_parsing():
 
     backend = WireBackend("http://server", "m", post=post)
     premises = [parse_formula("drinksCoffee(Rina)"), parse_formula("Loves(Mary, Sam)")]
-    out = backend.generate(
-        premises, (), (parse_literal("drinksCoffee(Rina)"), parse_literal("Loves(Mary, Sam)")),
-        Entity("Rina"),
-    )
+    antecedent = (parse_literal("drinksCoffee(Rina)"), parse_literal("Loves(Mary, Sam)"))
+    out = backend.generate(Context(premises), (), antecedent, Entity("Rina"))
     assert [str(l) for l in out] == ["productive(Rina)"]
     assert requests_seen[0]["max_tokens"] == 25
     assert "Fill in the blank with a known predicate" in requests_seen[0]["prompt"]
@@ -968,16 +982,49 @@ def test_wire_generation_prompt_names_the_antecedent():
 
     backend = WireBackend("http://server", "m", post=post)
     a, b = parse_literal("drinksCoffee(Rina)"), parse_literal("Loves(Mary, Sam)")
+    context = Context([])
     for antecedent in [(a, b), (a,), ()]:
-        backend.generate([], (), antecedent, Entity("Rina"))
-    backend.generate([], (), (b, a), (Entity("Mary"), Entity("Sam")))
+        backend.generate(context, (), antecedent, Entity("Rina"))
+    backend.generate(context, (), (b, a), (Entity("Mary"), Entity("Sam")))
+    for antecedent in [(a,), ()]:  # untargeted: a propositional blank
+        backend.generate(context, (), antecedent, None)
     assert [p.splitlines()[0] for p in prompts] == [
         "Fill in the blank with a known predicate: "
         "drinksCoffee(Rina) & Loves(Mary, Sam) implies __(Rina).",
         "Fill in the blank with a known predicate: drinksCoffee(Rina) implies __(Rina).",
         "Fill in the blank with a known predicate: the context implies __(Rina).",
         "If Loves(Mary, Sam) & drinksCoffee(Rina) then __(Mary,Sam). Fill in the blank.",
+        "Fill in the blank with a known predicate: drinksCoffee(Rina) implies __.",
+        "Fill in the blank with a known predicate: the context implies __.",
     ]
+
+
+def test_wire_generation_walks_the_premises_once_per_context(monkeypatch):
+    prompts = []
+
+    def post(url, json=None, headers=None, timeout=None):
+        prompts.append(json["prompt"])
+        return FakeResponse(completion("productive"))
+
+    premises = [parse_formula("drinksCoffee(Rina)"), parse_formula("Loves(Mary, Sam)"),
+                parse_formula("forall x (drinksCoffee(x) -> awake(x))")]
+    a = parse_literal("drinksCoffee(Rina)")
+    accepted = _clause([a], parse_literal("productive(Rina)"))
+    requests = [((), (a,), Entity("Rina")), ((accepted,), (a,), None), ((), (), Entity("Sam"))]
+    fresh = []
+    for commonsense, antecedent, target in requests:
+        backend = WireBackend("http://server", "m", post=post)
+        fresh.append(backend.generate(Context(premises), commonsense, antecedent, target))
+    walked = []
+    real = backends_module.iter_atoms
+    monkeypatch.setattr(backends_module, "iter_atoms", lambda f: walked.append(f) or real(f))
+    backend, context = WireBackend("http://server", "m", post=post), Context(premises)
+    got = [backend.generate(context, commonsense, antecedent, target)
+           for commonsense, antecedent, target in requests]
+    assert got == fresh
+    assert prompts[len(requests):] == prompts[:len(requests)]
+    assert "Known predicates are: Loves, awake, drinksCoffee, productive" in prompts[1]
+    assert walked == premises
 
 
 def test_wire_generation_unparseable_is_dropped():
@@ -985,7 +1032,7 @@ def test_wire_generation_unparseable_is_dropped():
         return FakeResponse(completion("???!"))
 
     backend = WireBackend("http://server", "m", post=post)
-    out = backend.generate([], (), (parse_literal("a(x1)"),), Entity("x1"))
+    out = backend.generate(Context([]), (), (parse_literal("a(x1)"),), Entity("x1"))
     assert out == []
 
 
@@ -996,7 +1043,7 @@ def test_wire_generation_arity_conflict_is_dropped():
     backend = WireBackend("http://server", "m", post=post)
     premises = [parse_formula("knows(Rina, Sam)")]
     out = backend.generate(
-        premises, (), (parse_literal("knows(Rina, Sam)"),), Entity("Rina"),
+        Context(premises), (), (parse_literal("knows(Rina, Sam)"),), Entity("Rina"),
     )
     assert out == []
 
@@ -1061,7 +1108,7 @@ def test_wire_rate_limit_retries_after_the_header():
     post, calls = _rate_limited([FakeResponse({}, 429, {"Retry-After": "7"})])
     sleeps = []
     backend = WireBackend("http://server", "m", post=post, backoff=0.5, sleep=sleeps.append)
-    assert backend.relevance_score([], (), _clause([], parse_literal("b(x1)"))) > 0.5
+    assert backend.relevance_score(Context([]), (), _clause([], parse_literal("b(x1)"))) > 0.5
     assert len(calls) == 2
     assert sleeps == [7]
 
@@ -1072,7 +1119,7 @@ def test_wire_rate_limit_unparseable_header_backs_off():
     )
     sleeps = []
     backend = WireBackend("http://server", "m", post=post, backoff=0.5, sleep=sleeps.append)
-    backend.relevance_score([], (), _clause([], parse_literal("b(x1)")))
+    backend.relevance_score(Context([]), (), _clause([], parse_literal("b(x1)")))
     assert len(calls) == 3
     assert sleeps == [0.5, 1.0]
 
@@ -1113,7 +1160,7 @@ def test_wire_retries_server_errors_then_succeeds():
         return FakeResponse(completion("", top=[{"Yes": -0.2, "No": -0.9}]))
 
     backend = WireBackend("http://server", "m", post=post, sleep=lambda s: None)
-    score = backend.relevance_score([], (), _clause([], parse_literal("b(x1)")))
+    score = backend.relevance_score(Context([]), (), _clause([], parse_literal("b(x1)")))
     assert score > 0.5
     assert len(calls) == 3
 
@@ -1135,5 +1182,5 @@ def test_wire_auth_header():
         return FakeResponse(completion("", top=[{"Yes": -0.2, "No": -0.9}]))
 
     backend = WireBackend("http://server", "m", api_token="secret", post=post)
-    backend.relevance_score([], (), _clause([], parse_literal("b(x1)")))
+    backend.relevance_score(Context([]), (), _clause([], parse_literal("b(x1)")))
     assert seen.get("Authorization") == "Bearer secret"

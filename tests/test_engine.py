@@ -53,7 +53,7 @@ class StubBackend(Backend):
         self.fail_after_votes = fail_after_votes
         self.votes_issued = 0
 
-    def _cot_samples(self, premises, commonsense, query, k):
+    def _cot_samples(self, context, commonsense, query, k):
         if self.fail_after_votes is not None and self.votes_issued >= self.fail_after_votes:
             raise BackendExhausted("scripted failure")
         self.votes_issued += 1
@@ -62,13 +62,13 @@ class StubBackend(Backend):
         samples += [CotSample(not self.answer, 0.4, str(not self.answer))] * (k - n_yes)
         return samples
 
-    def generate(self, premises, commonsense, antecedent, target):
+    def generate(self, context, commonsense, antecedent, target):
         return list(self.candidates.get(frozenset(antecedent), []))
 
     def commonsense_score(self, clause, style="contradiction"):
         return self.commonsense
 
-    def relevance_score(self, premises, commonsense, clause):
+    def relevance_score(self, context, commonsense, clause):
         return self.relevance
 
 
@@ -209,9 +209,9 @@ def test_clause_search_cost_on_the_kinship_suite():
     calls = []
 
     class Counting(OracleBackend):
-        def generate(self, premises, commonsense, antecedent, target):
+        def generate(self, context, commonsense, antecedent, target):
             calls.append(antecedent)
-            return super().generate(premises, commonsense, antecedent, target)
+            return super().generate(context, commonsense, antecedent, target)
 
     backend = Counting(kb)
     config = EngineConfig(
@@ -235,7 +235,7 @@ def test_pair_order_takes_each_literals_entities_once(monkeypatch):
     new = lit("newrel", people[0], people[1])
 
     class AlwaysNew(StubBackend):
-        def generate(self, premises, commonsense, antecedent, target):
+        def generate(self, context, commonsense, antecedent, target):
             return [new]
 
     engine = Engine(
@@ -434,7 +434,7 @@ def test_cot_bound_holds_when_search_never_ends():
     counter = [0]
 
     class EndlessBackend(StubBackend):
-        def generate(self, premises, commonsense, antecedent, target):
+        def generate(self, context, commonsense, antecedent, target):
             counter[0] += 1
             return [parse_literal(f"fresh_{counter[0]}(E)")]
 
@@ -453,7 +453,7 @@ def test_gamma_exhausts_when_votes_never_pass():
     counter = [0]
 
     class EndlessBackend(StubBackend):
-        def generate(self, premises, commonsense, antecedent, target):
+        def generate(self, context, commonsense, antecedent, target):
             counter[0] += 1
             return [parse_literal(f"fresh_{counter[0]}(E)")]
 
@@ -597,11 +597,11 @@ def test_exhaustion_after_vote_falls_back():
 class _AbstainingBackend(StubBackend):
     """Every sample abstains; generation fails at the transport."""
 
-    def _cot_samples(self, premises, commonsense, query, k):
+    def _cot_samples(self, context, commonsense, query, k):
         self.votes_issued += 1
         return [CotSample(None, 0.0, "no answer")] * k
 
-    def generate(self, premises, commonsense, antecedent, target):
+    def generate(self, context, commonsense, antecedent, target):
         raise BackendExhausted("scripted failure")
 
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import pickle
 from collections import Counter
 
 import pytest
@@ -68,8 +69,8 @@ class _SampleCountingOracle(OracleBackend):
         super().__init__(kb)
         self.samples = 0
 
-    def _cot_samples(self, premises, commonsense, query, k):
-        samples = super()._cot_samples(premises, commonsense, query, k)
+    def _cot_samples(self, context, commonsense, query, k):
+        samples = super()._cot_samples(context, commonsense, query, k)
         self.samples += len(samples)
         return samples
 
@@ -199,6 +200,45 @@ def test_run_suite_parallel_matches_serial():
     assert records_csv(serial.records["argos"]) == records_csv(parallel.records["argos"])
     assert records_csv(serial.records["sat"]) == records_csv(parallel.records["sat"])
     assert serial.traces == parallel.traces
+
+
+class _QueryFailingOracle(OracleBackend):
+    """The oracle, raising an error that is not an ``ArgosError`` on every
+    vote about one query."""
+
+    def __init__(self, kb, query):
+        super().__init__(kb)
+        self.query = query
+
+    def _cot_samples(self, context, commonsense, query, k):
+        if query == self.query:
+            raise ValueError("scripted failure")
+        return super()._cot_samples(context, commonsense, query, k)
+
+
+def test_run_suite_records_an_unexpected_error_on_its_row():
+    problems, kb, config, _ = kinship_setup(count=4, depth=2)
+    backend = _QueryFailingOracle(kb, problems[1].query)
+    serial, parallel = (
+        run_suite(problems, config, backend, systems=["argos", "sc5"], kb=kb, jobs=jobs)
+        for jobs in (1, 2)
+    )
+    for system in ("argos", "sc5"):
+        assert records_csv(serial.records[system]) == records_csv(parallel.records[system])
+        assert len(serial.records[system]) == len(problems)
+    errors = {r.problem_id: r.error for r in serial.records["sc5"] if r.error}
+    assert errors == {problems[1].id: "ValueError: scripted failure"}
+
+
+def test_a_solved_problem_leaves_the_backend_as_it_was():
+    # every request about the problem keeps its state on the engine's context
+    problems, kb, config, backend = kinship_setup(count=2)
+    before = pickle.dumps(backend)
+    for problem in problems:
+        record, trace = run_argos(problem, config, backend, kb)
+        assert record.decided_by == "sat" and record.iterations > 0
+        assert any(e["event"] == "candidate" for e in trace)
+    assert pickle.dumps(backend) == before
 
 
 def test_run_suite_determinism_byte_identical():
