@@ -31,14 +31,19 @@ from .errors import check_fields, is_int, is_number
 from .logic import (
     Atom,
     Entity,
+    ForAll,
     Formula,
     HornRule,
+    Implies,
     Literal,
-    Var,
+    bind,
     formula_entities,
     formula_to_literal,
+    instantiate,
     iter_atoms,
     rule_view,
+    signed_predicate,
+    unify,
 )
 
 Target = Union[Entity, tuple, None]
@@ -119,9 +124,10 @@ class Context:
 
     It holds the premises as a tuple, so it is a snapshot of the sequence it
     was made from, and derives from them, once each and on first use, what
-    backends read on many requests: their text, the entities they name and
-    their predicate signature. It also keeps the oracle's last generation
-    lookup, so a backend itself holds no state that a request writes.
+    backends and the engine read on many requests: their text, the entities
+    they name, their predicate signature, and their split into facts and
+    rules. It also keeps the oracle's last generation lookup, so a backend
+    itself holds no state that a request writes.
     """
 
     def __init__(self, premises: Iterable[Formula]):
@@ -148,6 +154,20 @@ class Context:
             for a in iter_atoms(f):
                 signature.setdefault(a.predicate.name, a.predicate.arity)
         return signature
+
+    @cached_property
+    def facts(self) -> tuple[Literal, ...]:
+        """The premises that are ground literals, in order."""
+        literals = map(formula_to_literal, self.premises)
+        return tuple([l for l in literals if l is not None and l.is_ground])
+
+    @cached_property
+    def rules(self) -> tuple[HornRule, ...]:
+        """The Horn readings of the premises that have an antecedent, in
+        order. Only an implication, universally closed or not, has one."""
+        read = HornRule.from_formula
+        readings = [rule_view(read, f) for f in self.premises if isinstance(f, (ForAll, Implies))]
+        return tuple([r for r in readings if r is not None and r.antecedent])
 
 
 class Backend(ABC):
@@ -255,68 +275,15 @@ def relevance_prompt(context: Context, commonsense, clause_text: str) -> str:
 # --- the deterministic knowledge-base oracle ---------------------------------
 
 
-def _unify(pattern: Literal, fact: Literal, theta: dict) -> Optional[dict]:
-    if pattern.positive != fact.positive:
-        return None
-    if pattern.atom.predicate != fact.atom.predicate:
-        return None
-    th = dict(theta)
-    for p_arg, f_arg in zip(pattern.atom.args, fact.atom.args):
-        if isinstance(p_arg, Var):
-            bound = th.get(p_arg.name)
-            if bound is None:
-                th[p_arg.name] = f_arg
-            elif bound != f_arg:
-                return None
-        elif p_arg != f_arg:
-            return None
-    return th
-
-
-def _pred_key(l: Literal) -> tuple:
-    return (l.atom.predicate, l.positive)
-
-
-def _bind(patterns: Sequence[Literal], facts: Sequence[Literal], theta: dict) -> Optional[dict]:
-    """Extend ``theta`` so each pattern unifies with the fact beside it, or None."""
-    for pattern, fact in zip(patterns, facts):
-        theta = _unify(pattern, fact, theta)
-        if theta is None:
-            return None
-    return theta
-
-
-def _instantiate(pattern: Literal, theta: dict) -> Optional[Literal]:
-    args = []
-    for a in pattern.atom.args:
-        if isinstance(a, Var):
-            value = theta.get(a.name)
-            if value is None:
-                return None
-            args.append(value)
-        else:
-            args.append(a)
-    return Literal(Atom(pattern.atom.predicate, tuple(args)), pattern.positive)
-
-
-def _check_rule(r: HornRule) -> None:
-    """Fail unless the oracle's rule lookup can answer ``r``: at most two
-    antecedent literals, and every consequent variable bound by them."""
-    if len(r.antecedent) > 2:
-        raise ArgosError(f"rule antecedent too long: {r}")
-    bound = {a for l in r.antecedent for a in l.atom.args if isinstance(a, Var)}
-    if any(isinstance(a, Var) and a not in bound for a in r.consequent.atom.args):
-        raise ArgosError(f"rule consequent has a variable its antecedent does not bind: {r}")
-
-
-@dataclass
+@dataclass(frozen=True)
 class OracleKB:
     """Rule base plus the knobs that shape the stand-in model's behaviour.
 
     ``reasoning_depth`` bounds how many rule applications a derivation may
     use before the solve subroutine gives up and guesses (None: unbounded).
     ``noise`` flips each scoring decision, and corrupts each generated
-    candidate, independently with that probability (seeded).
+    candidate, independently with that probability (seeded). A KB is frozen,
+    so the formulas it builds from its rules when it is made never go stale.
     """
 
     rules: tuple[HornRule, ...]
@@ -335,7 +302,11 @@ class OracleKB:
     def __post_init__(self):
         check_fields(self, self.FIELDS)
         for r in self.rules:
-            _check_rule(r)
+            r.check()
+        # built here, not per call, so every corruption check restores the
+        # same formula objects; a value, not a field, so it stays out of
+        # equality, repr and the knobs
+        object.__setattr__(self, "_formulas", tuple(r.to_formula() for r in self.rules))
 
     @classmethod
     def from_formulas(cls, formulas: Iterable[Formula], check: bool = True, **knobs) -> "OracleKB":
@@ -347,7 +318,7 @@ class OracleKB:
                 r = HornRule.from_formula(f)
                 if r is None:
                     raise ArgosError(f"not a Horn rule: {f}")
-                _check_rule(r)
+                r.check()
             except ArgosError as exc:
                 raise ArgosError(f"rules[{i}]: {exc}") from exc
             rules.append(r)
@@ -387,8 +358,8 @@ class OracleKB:
             payload["reasoning_depth"] = self.reasoning_depth
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
-    def formulas(self) -> list[Formula]:
-        return [r.to_formula() for r in self.rules]
+    def formulas(self) -> tuple[Formula, ...]:
+        return self._formulas
 
     def is_consistent(self) -> bool:
         from .sat import INCONSISTENT, SatSession
@@ -415,7 +386,7 @@ class OracleBackend(Backend):
         self._by_signature: dict[frozenset, list[tuple[int, HornRule]]] = {}
         ordered = sorted((rule for rule in kb.rules if rule.antecedent), key=str)
         for place, rule in enumerate(ordered):
-            sig = frozenset((l.atom.predicate, l.positive) for l in rule.antecedent)
+            sig = frozenset(map(signed_predicate, rule.antecedent))
             self._by_signature.setdefault(sig, []).append((place, rule))
         # the KB's ground facts, in rule-base order
         self._facts = tuple(dict.fromkeys(
@@ -441,7 +412,7 @@ class OracleBackend(Backend):
 
     # -- solve: depth-bounded forward chaining ------------------------------
 
-    def _chain(self, premises, commonsense) -> dict[Literal, int]:
+    def _chain(self, context: Context, commonsense) -> dict[Literal, int]:
         """Least rule-application counts for every derivable ground literal.
 
         A cost-ordered worklist (Knuth 1977, "A generalization of Dijkstra's
@@ -452,31 +423,18 @@ class OracleBackend(Backend):
         exceeds each of them, and a fact that leaves later can never make
         one that left before it cheaper.
         """
-        facts: dict[Literal, int] = {}
-        others = []
-        for f in premises:
-            l = formula_to_literal(f)
-            if l is not None and l.is_ground:
-                facts[l] = 0
-            else:
-                others.append(f)
-        limit = self.kb.reasoning_depth
-        if limit is not None and limit <= 0:
+        facts = dict.fromkeys(context.facts, 0)
+        cap = math.inf if self.kb.reasoning_depth is None else self.kb.reasoning_depth
+        if cap <= 0:
             return facts
-        cap = math.inf if limit is None else limit
-        rules: list[HornRule] = list(self.kb.rules)
-        for f in others:
-            r = rule_view(HornRule.from_formula, f)
-            if r is not None and r.antecedent:
-                rules.append(r)
-        rules.extend(commonsense)
+        rules = [*self.kb.rules, *context.rules, *commonsense]
         # each rule under the signed predicate of each antecedent literal
         uses: dict[tuple, list[tuple[HornRule, int]]] = {}
         for rule in rules:
             if not rule.antecedent and rule.consequent.is_ground:
                 facts[rule.consequent] = 0
             for place, l in enumerate(rule.antecedent):
-                uses.setdefault(_pred_key(l), []).append((rule, place))
+                uses.setdefault(signed_predicate(l), []).append((rule, place))
         tie = itertools.count()  # Literal is not orderable
         heap = [(0, next(tie), l) for l in facts]
         done: dict[tuple, list[Literal]] = {}  # popped facts, by signed predicate
@@ -484,26 +442,26 @@ class OracleBackend(Backend):
             cost, _, fact = heapq.heappop(heap)
             if cost > facts[fact] or cost >= cap:
                 continue  # a cheaper entry was popped, or nothing it derives fits
-            key = _pred_key(fact)
+            key = signed_predicate(fact)
             done.setdefault(key, []).append(fact)
             for rule, place in uses.get(key, ()):
-                theta = _unify(rule.antecedent[place], fact, {})
+                theta = unify(rule.antecedent[place], fact, {})
                 if theta is None:
                     continue
                 joins = [(theta, cost)]
                 if len(rule.antecedent) == 2:
                     other = rule.antecedent[1 - place]
-                    joins = [(_unify(other, g, theta), cost + facts[g])
-                             for g in done.get(_pred_key(other), ())]
+                    joins = [(unify(other, g, theta), cost + facts[g])
+                             for g in done.get(signed_predicate(other), ())]
                 for th, base in joins:
-                    derived = None if th is None else _instantiate(rule.consequent, th)
+                    derived = None if th is None else instantiate(rule.consequent, th)
                     if derived is not None and base + 1 < facts.get(derived, cap + 1):
                         facts[derived] = base + 1
                         heapq.heappush(heap, (base + 1, next(tie), derived))
         return facts
 
     def _cot_samples(self, context, commonsense, query, k) -> list[CotSample]:
-        facts = self._chain(context.premises, commonsense)
+        facts = self._chain(context, commonsense)
         qlit = formula_to_literal(query)
         derived: Optional[bool] = None
         steps = 0
@@ -546,7 +504,7 @@ class OracleBackend(Backend):
             return list(self._facts)
         out: list[Literal] = []
         seen = set()
-        ante_sig = {(l.atom.predicate, l.positive) for l in antecedent}
+        ante_sig = set(map(signed_predicate, antecedent))
         # the rules whose signature is a subset of the antecedent's, in text order
         subsets = [frozenset([s]) for s in ante_sig]
         if len(ante_sig) == 2:
@@ -561,10 +519,10 @@ class OracleBackend(Backend):
             else:  # a two-literal rule may match one literal twice
                 orders = [antecedent * 2]
             for order in orders:
-                theta = _bind(rule.antecedent, order, {})
+                theta = bind(rule.antecedent, order, {})
                 if theta is None:
                     continue
-                derived = _instantiate(rule.consequent, theta)
+                derived = instantiate(rule.consequent, theta)
                 if derived is not None and derived.is_ground and derived not in seen:
                     seen.add(derived)
                     out.append(derived)

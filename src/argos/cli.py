@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .backends import OracleBackend, OracleKB, WireBackend
+from .backends import Context, OracleBackend, OracleKB, WireBackend
 from .corpus import (
     load_corpus,
     load_corpus_config,
@@ -266,10 +266,9 @@ def cmd_gen(args) -> int:
     exemplars = []
     for p in exemplar_problems:
         answer = "True" if p.gold_label else "False"
-        facts = [str(f) for f in p.premises if not str(f).startswith("forall")]
         exemplars.append(
             {
-                "premises": facts,
+                "premises": [str(l) for l in Context(p.premises).facts],
                 "commonsense": [],
                 "query": str(p.query),
                 "cot": f"{p.text} Working through the chain of relations step by"

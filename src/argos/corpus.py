@@ -188,7 +188,14 @@ def load_corpus_config(path) -> dict:
     return load_json_object(cfg, CONFIG_KEYS) if cfg.exists() else {}
 
 
+EXEMPLAR_KEYS = {"premises": list, "commonsense": list, "query": str, "cot": str}
+
+
 def load_exemplars(path) -> list[dict]:
+    """The few-shot exemplars in ``path``'s ``exemplars.json``, if present.
+    Each is an object whose keys are among :data:`EXEMPLAR_KEYS`: lists of
+    formula texts under ``premises`` and ``commonsense``, and texts under
+    ``query`` and ``cot``."""
     f = Path(path) / "exemplars.json"
     if not f.exists():
         return []
@@ -198,4 +205,12 @@ def load_exemplars(path) -> list[dict]:
         raise CorpusError(f"{f}: unreadable exemplars: {exc}") from exc
     if not isinstance(data, list) or not all(isinstance(e, dict) for e in data):
         raise CorpusError(f"{f}: expected a JSON array of objects")
+    for i, exemplar in enumerate(data):
+        for key, v in exemplar.items():
+            kind = EXEMPLAR_KEYS.get(key)
+            if kind is None:
+                raise CorpusError(f"{f}: [{i}]: unknown key {key!r}")
+            if not isinstance(v, kind) or kind is list and not all(isinstance(t, str) for t in v):
+                want = "a list of strings" if kind is list else "a string"
+                raise CorpusError(f"{f}: [{i}]: field {key!r} must be {want}")
     return data

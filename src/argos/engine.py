@@ -25,7 +25,7 @@ from typing import Collection, Iterator, Mapping, Optional, Sequence
 
 from .backends import CONTRADICTION_STYLE, TRUTH_STYLE, Backend, Context, SolveVote
 from .errors import BackendError, BackendExhausted, check_fields, is_int, is_number, one_of
-from .logic import Entity, HornRule, Literal, formula_to_literal, ground
+from .logic import Entity, HornRule, Literal, ground
 from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, INCONSISTENT, Backbone, SatSession
 
 GENERATION_ENTITY = "entity"
@@ -181,10 +181,6 @@ class Engine:
         self.cot = 0
         self.iteration = 0
         self.universe = problem.universe()
-        # the problem's explicit facts, which the clause search scans first
-        self.premise_literals = frozenset(
-            l for l in map(formula_to_literal, problem.premises) if l is not None and l.is_ground
-        )
         self._reground()
 
     # -- plumbing ------------------------------------------------------------
@@ -391,7 +387,7 @@ class Engine:
         config = self.config
         backbone_lits = backbone.literals
         entities_of = {l: l.entities() for l in backbone_lits}
-        explicit = self.premise_literals.union(c.consequent for c in self.accepted)
+        explicit = {*self.context.facts, *(c.consequent for c in self.accepted)}
         for antecedent in pair_order(entities_of, explicit):
             targets = generation_targets(
                 antecedent, config.generation_style, GENERATION_TARGETS, entities_of

@@ -196,12 +196,11 @@ def run_argos(
     config: EngineConfig,
     backend: Backend,
     kb=None,
-    check_corruption: bool = True,
 ) -> tuple[ProblemRecord, list[dict]]:
     engine = Engine(problem, config, backend)
     result = engine.solve()
     corrupted: Optional[bool] = None
-    if check_corruption and (problem.withheld_rules or kb is not None):
+    if problem.withheld_rules or kb is not None:
         corrupted = corruption_check(engine, kb)
     record = ProblemRecord(
         problem_id=problem.id,
@@ -220,13 +219,10 @@ def run_argos(
 
 
 def _worker(args):
-    problem, config, backend, kb, system, check_corruption = args
+    problem, config, backend, kb, system = args
     try:
         if system == "argos":
-            record, trace = run_argos(
-                problem, config, backend, kb, check_corruption
-            )
-            return record, trace
+            return run_argos(problem, config, backend, kb)
         if system == "sat":
             return run_sat_baseline(problem, config), None
         m = _SC_RE.match(system)
@@ -273,7 +269,6 @@ def run_suite(
     backend: Backend,
     systems: Iterable[str] = ("argos",),
     kb=None,
-    check_corruption: bool = True,
     jobs: int = 1,
 ) -> RunMetrics:
     """Run each of ``systems`` on every problem and aggregate the metrics.
@@ -285,7 +280,7 @@ def run_suite(
     systems = parse_system_names(systems)
     metrics = RunMetrics()
     tasks = [
-        (problem, config, backend, kb, system, check_corruption)
+        (problem, config, backend, kb, system)
         for system in systems
         for problem in problems
     ]

@@ -1,5 +1,8 @@
 """Logical structures: entities, predicates, atoms, literals, formula trees
-and the Horn rules that the oracle holds and the clause search abduces.
+and the Horn rules that the oracle holds and the clause search abduces,
+with the matcher that unifies a rule's literals with ground facts
+(:func:`unify`, :func:`bind`, :func:`instantiate`) and the check that a
+rule is one it can match (:meth:`HornRule.check`).
 
 Everything here is an immutable, hashable value, so values can be shared
 freely across threads. A universally quantified formula also carries views
@@ -12,9 +15,9 @@ a finite entity universe) also lives here. Concrete syntax is handled by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import ArityError, GroundingError
+from .errors import ArgosError, ArityError, GroundingError
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,6 +293,15 @@ class HornRule:
     def key(self) -> tuple:
         return (frozenset(self.antecedent), self.consequent)
 
+    def check(self) -> None:
+        """Fail unless matching can answer the rule: at most two antecedent
+        literals, and every consequent variable bound by them."""
+        if len(self.antecedent) > 2:
+            raise ArgosError(f"rule antecedent too long: {self}")
+        bound = {a for l in self.antecedent for a in l.atom.args if isinstance(a, Var)}
+        if any(isinstance(a, Var) and a not in bound for a in self.consequent.atom.args):
+            raise ArgosError(f"rule consequent has a variable its antecedent does not bind: {self}")
+
     def to_formula(self) -> Formula:
         """The implication, universally closed over its variables in name order."""
         body = lit_to_formula(self.consequent)
@@ -329,6 +341,57 @@ class HornRule:
         if not self.antecedent:
             return str(self.consequent)
         return " & ".join(str(l) for l in self.antecedent) + f" -> {self.consequent}"
+
+
+# --- matching rule literals against ground facts -------------------------------
+#
+# A substitution ``theta`` maps variable names to entities. Each function
+# returns a new one and never changes the caller's.
+
+
+def signed_predicate(l: Literal) -> tuple:
+    """The key under which a pattern and the facts it may unify with meet."""
+    return (l.atom.predicate, l.positive)
+
+
+def unify(pattern: Literal, fact: Literal, theta: dict) -> Optional[dict]:
+    """``theta`` extended so that ``pattern`` becomes ``fact``, or None."""
+    if pattern.positive != fact.positive or pattern.atom.predicate != fact.atom.predicate:
+        return None
+    th = dict(theta)
+    for p_arg, f_arg in zip(pattern.atom.args, fact.atom.args):
+        if isinstance(p_arg, Var):
+            bound = th.get(p_arg.name)
+            if bound is None:
+                th[p_arg.name] = f_arg
+            elif bound != f_arg:
+                return None
+        elif p_arg != f_arg:
+            return None
+    return th
+
+
+def bind(patterns: Sequence[Literal], facts: Sequence[Literal], theta: dict) -> Optional[dict]:
+    """``theta`` extended so each pattern unifies with the fact beside it, or None."""
+    for pattern, fact in zip(patterns, facts):
+        theta = unify(pattern, fact, theta)
+        if theta is None:
+            return None
+    return theta
+
+
+def instantiate(pattern: Literal, theta: dict) -> Optional[Literal]:
+    """``pattern`` under ``theta``, or None if it leaves a variable unbound."""
+    args = []
+    for a in pattern.atom.args:
+        if isinstance(a, Var):
+            value = theta.get(a.name)
+            if value is None:
+                return None
+            args.append(value)
+        else:
+            args.append(a)
+    return Literal(Atom(pattern.atom.predicate, tuple(args)), pattern.positive)
 
 
 # --- grounding -------------------------------------------------------------

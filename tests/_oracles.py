@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from argos.backends import _bind, _instantiate, _unify
 from argos.errors import ArgosError
 from argos.kinship import _MAX_DERIVABLE, RELATIONS, compose, derivable_relations
 from argos.logic import (
@@ -37,8 +36,11 @@ from argos.logic import (
     Not,
     Or,
     Var,
+    bind,
     formula_to_literal,
     ground,
+    instantiate,
+    unify,
 )
 from argos.sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, SatSession
 
@@ -408,10 +410,10 @@ def reference_matching_consequents(kb, antecedent) -> list:
         else:
             orders = [(antecedent[0], antecedent[0])]
         for order in orders:
-            theta = _bind(rule.antecedent, order, {})
+            theta = bind(rule.antecedent, order, {})
             if theta is None:
                 continue
-            derived = _instantiate(rule.consequent, theta)
+            derived = instantiate(rule.consequent, theta)
             if derived is not None and derived.is_ground and derived not in seen:
                 seen.add(derived)
                 out.append(derived)
@@ -428,12 +430,12 @@ def reference_kb_decision(kb, clause):
     for flip, expected in ((False, True), (True, False)):
         want = cons.negate() if flip else cons
         for rule in kb.rules:
-            theta0 = _unify(rule.consequent, want, {})
+            theta0 = unify(rule.consequent, want, {})
             if theta0 is None:
                 continue
             n = len(rule.antecedent)
             if n == 0:
-                if _instantiate(rule.consequent, theta0) == want:
+                if instantiate(rule.consequent, theta0) == want:
                     return expected
                 continue
             pool = list(ante)
@@ -442,8 +444,8 @@ def reference_kb_decision(kb, clause):
             if n > len(pool):
                 continue
             for order in itertools.permutations(pool, n):
-                theta = _bind(rule.antecedent, order, theta0)
-                if theta is not None and _instantiate(rule.consequent, theta) == want:
+                theta = bind(rule.antecedent, order, theta0)
+                if theta is not None and instantiate(rule.consequent, theta) == want:
                     return expected
     return None
 
@@ -508,7 +510,7 @@ def naive_chain(kb, premises, commonsense) -> dict:
                 continue
             first = rule.antecedent[0]
             for f1 in list(by_pred.get((first.atom.predicate, first.positive), ())):
-                th1 = _unify(first, f1, {})
+                th1 = unify(first, f1, {})
                 if th1 is None:
                     continue
                 if len(rule.antecedent) == 1:
@@ -517,11 +519,11 @@ def naive_chain(kb, premises, commonsense) -> dict:
                     second = rule.antecedent[1]
                     matches = []
                     for f2 in list(by_pred.get((second.atom.predicate, second.positive), ())):
-                        th2 = _unify(second, f2, th1)
+                        th2 = unify(second, f2, th1)
                         if th2 is not None:
                             matches.append(((f1, f2), th2))
                 for used, theta in matches:
-                    derived = _instantiate(rule.consequent, theta)
+                    derived = instantiate(rule.consequent, theta)
                     if derived is None or not derived.is_ground:
                         continue
                     cost = sum(facts[u] for u in used) + 1

@@ -248,9 +248,7 @@ def test_criterion_6_flip_direction():
     kb = dataclasses.replace(kb, reasoning_depth=2, seed=606)
     backend = OracleBackend(kb)
     config = dataclasses.replace(_suite_config(), seed=606)
-    metrics = run_suite(
-        problems, config, backend, systems=["argos", "sc5"], kb=kb, check_corruption=False
-    )
+    metrics = run_suite(problems, config, backend, systems=["argos", "sc5"], kb=kb)
     buckets = [b for b in metrics.flip_buckets if b.count > 0]
     sc_accs = [b.sc_correct / b.count for b in buckets]
     argos_accs = [b.argos_correct / b.count for b in buckets]
@@ -347,7 +345,6 @@ def test_criterion_8_noise_robustness():
         backend,
         systems=["argos", "sat"],
         kb=kb,
-        check_corruption=False,
     )
     argos_records = metrics.records["argos"]
     crashes = [r for r in argos_records if r.error]

@@ -168,7 +168,7 @@ def test_oracle_chains_to_a_fixpoint_past_a_hundred_rounds():
 
 
 def _chains_agree(backend, premises, commonsense=()):
-    fast = backend._chain(premises, commonsense)
+    fast = backend._chain(Context(premises), commonsense)
     assert fast == naive_chain(backend.kb, premises, commonsense)
     return fast
 
@@ -185,7 +185,7 @@ def test_depth_zero_chain_parses_no_rule(monkeypatch):
     for depth, parses in ((0, 0), (1, 2)):
         backend = OracleBackend(_kb(rules, reasoning_depth=depth))
         parsed.clear()
-        facts = backend._chain(premises, ())
+        facts = backend._chain(Context(premises), ())
         assert len(parsed) == parses, depth
         assert facts == naive_chain(backend.kb, premises, ())
 
@@ -319,7 +319,7 @@ def test_chain_pops_each_fact_once_at_its_final_cost(monkeypatch):
         for depth in (None, 2):
             popped.clear()
             backend = OracleBackend(OracleKB(kb_rules, reasoning_depth=depth))
-            facts = backend._chain(premises, commonsense)
+            facts = backend._chain(Context(premises), commonsense)
             costs = [cost for cost, _ in popped]
             assert costs == sorted(costs)
             final = [fact for cost, fact in popped if cost == facts[fact]]
@@ -529,6 +529,29 @@ def test_a_context_is_a_snapshot_of_its_premises():
     context = Context(premises)
     premises.remove(sister)  # before any request reads the context
     assert ask(context) == ask(Context([mom, sister])) != ask(Context(premises))
+
+
+def test_a_context_splits_its_premises_into_facts_and_rules():
+    texts = [
+        "sister(B, C)",
+        "forall x forall y (mom(x, y) -> parent(x, y))",
+        "forall x exists y (mom(x, y))",  # an existential is no rule
+        "~mom(C, A)",
+        "forall x (female(x))",  # a rule without an antecedent is left out
+        "mom(A, B)",
+        "forall x (mom(x, A) & sister(x, B) -> aunt(x, C))",
+        "mom(B, C) | mom(C, B)",  # a disjunction is neither
+    ]
+    premises = [parse_formula(t) for t in texts]
+    context = Context(premises)
+    premises.clear()  # a context keeps what it was made from
+    facts = ("sister(B, C)", "~mom(C, A)", "mom(A, B)")
+    assert context.facts == tuple(parse_literal(t) for t in facts)
+    assert [str(r) for r in context.rules] == [
+        "mom(x, y) -> parent(x, y)",
+        "mom(x, A) & sister(x, B) -> aunt(x, C)",
+    ]
+    assert context.facts is context.facts and context.rules is context.rules
 
 
 def test_noisy_oracle_renders_premises_once_per_context(monkeypatch):

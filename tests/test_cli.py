@@ -9,6 +9,7 @@ import pytest
 
 from argos import cli
 from argos.cli import main
+from argos.corpus import load_exemplars
 from argos.engine import EngineConfig
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -86,6 +87,8 @@ def test_gen_solve_bench_round_trip(tmp_path, capsys):
     files = sorted(f.name for f in corpus.iterdir())
     assert files == ["0000.json", "0001.json", "0002.json", "0003.json",
                      "config.json", "exemplars.json", "kb.json"]
+    # the exemplars it writes pass the check that loading them makes
+    assert len(load_exemplars(corpus)) == 4
 
     code, out, err = run_cli(
         capsys, "solve", str(corpus / "0000.json"), "--oracle-depth", "0"
@@ -308,6 +311,18 @@ def test_bad_exemplars_exit_2_naming_the_file(tmp_path, capsys):
         code, out, err = run_cli(capsys, "solve", str(problem), *wire)
         assert code == 2
         assert str(exemplars) in err
+    # each exemplar is checked, and the error names its place
+    for text, error in (
+        ('[{"query": "q"}, {"premises": "p(A)"}]', "[1]: field 'premises' must be a list of strings"),
+        ('[{"commonsense": ["p(A)", 1]}]', "[0]: field 'commonsense' must be a list of strings"),
+        ('[{"query": ["q"]}]', "[0]: field 'query' must be a string"),
+        ('[{"cot": null}]', "[0]: field 'cot' must be a string"),
+        ('[{"answer": "True"}]', "[0]: unknown key 'answer'"),
+    ):
+        exemplars.write_text(text)
+        code, out, err = run_cli(capsys, "solve", str(problem), *wire)
+        assert code == 2
+        assert f"{exemplars}: {error}" in err and "Traceback" not in err
 
 
 def test_trace_with_a_non_json_line_exits_2(tmp_path, capsys):

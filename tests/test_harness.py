@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from argos import backends, cnf, corpus, logic
-from argos.backends import OracleBackend, OracleKB, _render_formulas
+from argos.backends import Context, OracleBackend, OracleKB, _render_formulas
 from argos.corpus import Problem
 from argos.engine import CommonsenseClause, Engine, EngineConfig, SolveResult
 from argos.errors import ArgosError
@@ -94,7 +94,7 @@ def _per_problem_views(problem, backend):
         cs.clauses,
         list(cs.var_map.items()),
         cs.aux_vars,
-        backend._chain(problem.premises, ()),
+        backend._chain(Context(problem.premises), ()),
         _render_formulas(problem.premises),
     )
 
@@ -137,7 +137,7 @@ def test_each_shared_rule_compiles_once(monkeypatch):
     for problem in problems:
         run_sat_baseline(problem, config)
         run_sc_baseline(problem, config, backend, 20)
-        run_argos(problem, config, backend, kb, check_corruption=True)
+        run_argos(problem, config, backend, kb)
     rules = {id(f) for p in problems for f in p.premises if isinstance(f, ForAll)}
     assert len(rules) == 132
     for name, counts in compiled.items():
@@ -279,6 +279,25 @@ def test_corruption_kb_instances_are_clean():
     metrics = run_suite(problems, config, backend, kb=kb)
     for record in metrics.records["argos"]:
         assert record.corrupted is False
+
+
+def test_restoring_the_kb_compiles_each_rule_once(monkeypatch):
+    # Without withheld rules each corruption check restores the KB's rules,
+    # the same formula objects for every problem, so the 44 KB rules compile
+    # once each, as do the 132 exclusion axioms that the problems share.
+    problems, kb, config, backend = kinship_setup(count=4)
+    problems = [dataclasses.replace(p, withheld_rules=[]) for p in problems]
+    compiled = []
+    real = cnf._template
+    monkeypatch.setattr(cnf, "_template", lambda f: compiled.append(f) or real(f))
+    for problem in problems:
+        record, _ = run_argos(problem, config, backend, kb)
+        assert record.corrupted is False
+    assert len(kb.rules) == 44
+    assert len(compiled) == len({id(f) for f in compiled}) == 44 + 132
+    assert kb.formulas() is kb.formulas()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        kb.rules = ()
 
 
 def test_corruption_detects_adversarial_clause():

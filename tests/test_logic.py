@@ -17,10 +17,13 @@ from argos.logic import (
     Not,
     Predicate,
     Var,
+    bind,
     ground,
+    instantiate,
     iter_atoms,
     lit,
     rule_view,
+    unify,
 )
 from argos.parser import parse_formula
 
@@ -213,3 +216,44 @@ def test_copied_rules_carry_no_views():
         assert rule_view(text, copied) == str(rule)
         assert calls[-1] is copied
     assert len(calls) == 4
+
+
+# --- matching --------------------------------------------------------------------
+
+X, Y = Var("x"), Var("y")
+A, B = Entity("A"), Entity("B")
+
+
+def test_unify_binds_variables_and_keeps_constants():
+    theta = {"y": B}
+    assert unify(lit("F", X, Y), lit("F", A, B), theta) == {"x": A, "y": B}
+    assert unify(lit("F", X, A), lit("F", B, A), {}) == {"x": B}
+    assert unify(lit("F", X, X), lit("F", A, A), {}) == {"x": A}
+    assert theta == {"y": B}
+
+
+@pytest.mark.parametrize("pattern,fact,theta", [
+    (lit("F", X, positive=False), lit("F", A), {}),  # sign
+    (lit("F", X), lit("G", A), {}),  # predicate
+    (lit("F", X, A), lit("F", A, B), {}),  # constant
+    (lit("F", X, X), lit("F", A, B), {}),  # rebinding within the pattern
+    (lit("F", X), lit("F", A), {"x": B}),  # rebinding what theta binds
+])
+def test_unify_fails_and_leaves_theta_unchanged(pattern, fact, theta):
+    before = dict(theta)
+    assert unify(pattern, fact, theta) is None
+    assert theta == before
+
+
+def test_bind_unifies_each_pattern_with_the_fact_beside_it():
+    patterns = (lit("F", X, Y), lit("G", Y))
+    theta = {}
+    assert bind(patterns, (lit("F", A, B), lit("G", B)), theta) == {"x": A, "y": B}
+    assert bind(patterns, (lit("F", A, B), lit("G", A)), theta) is None
+    assert theta == {}
+
+
+def test_instantiate_needs_every_variable_bound():
+    assert instantiate(lit("F", X, A, positive=False), {"x": B}) == lit("F", B, A, positive=False)
+    assert instantiate(lit("F", X, Y), {"x": A}) is None
+    assert instantiate(lit("F", A), {}) == lit("F", A)
