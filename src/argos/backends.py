@@ -41,6 +41,7 @@ from .logic import (
     formula_to_literal,
     instantiate,
     iter_atoms,
+    lit,
     rule_view,
     signed_predicate,
     unify,
@@ -56,6 +57,12 @@ TRUTH_STYLE = "truth"
 MAX_GENERATE_TOKENS = 25
 MAX_SCORE_TOKENS = 1
 MAX_COT_TOKENS = 300
+# the wire backend's request policy: CoT sampling temperature, per-POST
+# timeout, POSTs per request, and the first retry's wait, doubled per attempt
+COT_TEMPERATURE = 0.7
+REQUEST_TIMEOUT_S = 60.0
+MAX_ATTEMPTS = 3
+BACKOFF_S = 1.0
 # The longest Retry-After a 429 may ask for before the request gives up.
 MAX_RETRY_AFTER_S = 60
 
@@ -354,8 +361,7 @@ class OracleKB:
 
     def to_file(self, path) -> None:
         payload = {"rules": [str(f) for f in self.formulas()]}
-        if self.reasoning_depth is not None:
-            payload["reasoning_depth"] = self.reasoning_depth
+        payload.update((key, getattr(self, key)) for key in self.FIELDS)
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
     def formulas(self) -> tuple[Formula, ...]:
@@ -599,6 +605,21 @@ class OracleBackend(Backend):
 # --- the wire backend ---------------------------------------------------------
 
 
+def _read_completion(data) -> tuple[str, dict]:
+    """The text and logprobs of a completion body's first choice; logprobs
+    absent or null reads as ``{}``. Any other shape is a BackendError naming
+    the body."""
+    try:
+        first = data["choices"][0]
+        text, logprobs = first["text"], first.get("logprobs")
+    except (KeyError, IndexError, TypeError):
+        text = logprobs = None
+    logprobs = {} if logprobs is None else logprobs
+    if not (isinstance(text, str) and isinstance(logprobs, dict)):
+        raise BackendError(f"malformed completion response: {data!r}")
+    return text, logprobs
+
+
 def _retry_after(resp, default: float) -> float:
     """Seconds a 429 response asks to wait: its ``Retry-After`` header when that
     is a whole number of seconds, else ``default``."""
@@ -620,11 +641,13 @@ class WireBackend(Backend):
     ``prompt``, ``max_tokens``, ``temperature`` and ``logprobs`` (top-k count);
     the response must carry ``choices[0].text`` and
     ``choices[0].logprobs.tokens`` / ``token_logprobs`` / ``top_logprobs``.
-    Transport failures (``OSError``), 5xx and 429 responses retry with
-    exponential backoff before giving up. A 429 whose ``Retry-After`` header
+    Each request makes up to ``MAX_ATTEMPTS`` POSTs of ``REQUEST_TIMEOUT_S``
+    each. Transport failures (``OSError``), 5xx and 429 responses retry after
+    ``BACKOFF_S`` doubled per attempt. A 429 whose ``Retry-After`` header
     is a whole number of seconds waits that long instead, and one above
     ``MAX_RETRY_AFTER_S`` ends the request at once. Any other 4xx response or
-    any other exception ends the request at once.
+    any other exception ends the request at once. ``post`` and ``sleep``
+    replace the transport and the wait.
     """
 
     def __init__(
@@ -632,10 +655,6 @@ class WireBackend(Backend):
         endpoint: str,
         model: str,
         api_token: Optional[str] = None,
-        timeout: float = 60.0,
-        retries: int = 3,
-        backoff: float = 1.0,
-        cot_temperature: float = 0.7,
         exemplars: Sequence[dict] = (),
         post=None,
         sleep=time.sleep,
@@ -643,10 +662,6 @@ class WireBackend(Backend):
         self.endpoint = endpoint
         self.model = model
         self.api_token = api_token
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.cot_temperature = cot_temperature
         self.exemplars = list(exemplars)
         if post is None:
             import requests
@@ -655,7 +670,10 @@ class WireBackend(Backend):
         self._post = post
         self._sleep = sleep
 
-    def _request(self, prompt: str, max_tokens: int, temperature: float, logprobs: int) -> dict:
+    def _request(
+        self, prompt: str, max_tokens: int, temperature: float, logprobs: int
+    ) -> tuple[str, dict]:
+        """The text and logprobs of the completion of ``prompt``."""
         headers = {"Content-Type": "application/json"}
         if self.api_token:
             headers["Authorization"] = f"Bearer {self.api_token}"
@@ -667,11 +685,11 @@ class WireBackend(Backend):
             "logprobs": logprobs,
         }
         last_error: Optional[Exception] = None
-        for attempt in range(self.retries):
-            delay = self.backoff * (2**attempt)
+        for attempt in range(MAX_ATTEMPTS):
+            delay = BACKOFF_S * (2**attempt)
             try:
                 resp = self._post(
-                    self.endpoint, json=body, headers=headers, timeout=self.timeout
+                    self.endpoint, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S
                 )
                 status = getattr(resp, "status_code", 200)
                 if status == 429:
@@ -681,44 +699,35 @@ class WireBackend(Backend):
                     raise BackendError(f"server error {status}")
                 if status >= 400:
                     raise BackendExhausted(f"request rejected with status {status}")
-                return resp.json()
+                data = resp.json()
+                break
             except BackendExhausted:
                 raise
             except (OSError, BackendError) as exc:  # transport failure, 5xx or 429: retry
                 last_error = exc
-                if attempt + 1 < self.retries:
+                if attempt + 1 < MAX_ATTEMPTS:
                     self._sleep(delay)
-        raise BackendExhausted(f"all {self.retries} attempts failed: {last_error}")
-
-    @staticmethod
-    def _choice(data: dict) -> dict:
-        try:
-            return data["choices"][0]
-        except (KeyError, IndexError, TypeError):
-            raise BackendError(f"malformed completion response: {data!r}")
+        else:
+            raise BackendExhausted(f"all {MAX_ATTEMPTS} attempts failed: {last_error}")
+        return _read_completion(data)
 
     def _cot_samples(self, context, commonsense, query, k) -> list[CotSample]:
         prompt = cot_prompt(context, commonsense, query, self.exemplars)
         samples = []
         for _ in range(k):
-            data = self._request(
-                prompt, MAX_COT_TOKENS, self.cot_temperature, 5
-            )
-            choice = self._choice(data)
-            text = choice.get("text", "")
+            text, logprobs = self._request(prompt, MAX_COT_TOKENS, COT_TEMPERATURE, 5)
             answer = extract_answer(text)
             confidence = 0.0
             if answer is not None:
-                confidence = self._answer_confidence(choice, answer)
+                confidence = self._answer_confidence(logprobs, answer)
             samples.append(CotSample(answer, confidence, text))
         return samples
 
     @staticmethod
-    def _answer_confidence(choice: dict, answer: bool) -> float:
+    def _answer_confidence(logprobs: dict, answer: bool) -> float:
         """Generation probability of the sample's final answer token."""
-        lp = choice.get("logprobs") or {}
-        tokens = lp.get("tokens") or []
-        token_lps = lp.get("token_logprobs") or []
+        tokens = logprobs.get("tokens") or []
+        token_lps = logprobs.get("token_logprobs") or []
         want = "true" if answer else "false"
         for tok, tok_lp in zip(reversed(tokens), reversed(token_lps)):
             if tok is None or tok_lp is None:
@@ -728,10 +737,8 @@ class WireBackend(Backend):
         return 0.5
 
     def _yes_no_probability(self, prompt: str, positive: str) -> float:
-        data = self._request(prompt, MAX_SCORE_TOKENS, 0.0, 20)
-        choice = self._choice(data)
-        lp = choice.get("logprobs") or {}
-        top = lp.get("top_logprobs") or []
+        _, logprobs = self._request(prompt, MAX_SCORE_TOKENS, 0.0, 20)
+        top = logprobs.get("top_logprobs") or []
         table = top[0] if top else {}
         best = {"yes": None, "no": None}
         for token, value in table.items():
@@ -765,37 +772,36 @@ class WireBackend(Backend):
             prompt = generate_prompt_pair(antecedent_text, target[0], target[1])
         else:
             prompt = generate_prompt_entity(antecedent_text, target, sorted(signature))
-        data = self._request(prompt, MAX_GENERATE_TOKENS, 0.0, 0)
-        text = self._choice(data).get("text", "")
-        lit = self._parse_generated(text, target, signature)
-        return [lit] if lit is not None else []
+        text, _ = self._request(prompt, MAX_GENERATE_TOKENS, 0.0, 0)
+        generated = self._parse_generated(text, target, signature)
+        return [generated] if generated is not None else []
 
     @staticmethod
     def _parse_generated(text, target, signature: dict[str, int]) -> Optional[Literal]:
+        """The ground literal the first line of ``text`` names, or None.
+
+        A 0-ary answer to a targeted request takes the target's entities as
+        its arguments. Untargeted, a 0-ary name the signature lacks is kept
+        only on a propositional problem, one whose signature has no predicate
+        of positive arity. An answer whose arity conflicts with the
+        signature's is dropped.
+        """
         from .parser import parse_literal
 
-        line = text.strip().splitlines()[0].strip().rstrip(".") if text.strip() else ""
-        if not line:
-            return None
-        bare = re.fullmatch(r"~?\s*[A-Za-z_][A-Za-z0-9_]*", line)
-        if bare:
-            name = line.lstrip("~ ").strip()
-            positive = not line.startswith("~")
-            if isinstance(target, tuple):
-                line = f"{name}({target[0]}, {target[1]})"
-            elif isinstance(target, Entity):
-                line = f"{name}({target})"
-            else:
-                line = name
-            if not positive:
-                line = "~" + line
+        line = (text.strip().splitlines() or [""])[0].strip().rstrip(".")
         try:
-            lit = parse_literal(line)
+            parsed = parse_literal(line)
         except ArgosError:
             return None
-        name = lit.atom.predicate.name
-        if name in signature and signature[name] != lit.atom.predicate.arity:
+        name = parsed.atom.predicate.name
+        if parsed.atom.predicate.arity == 0:
+            if target is not None:
+                args = target if isinstance(target, tuple) else (target,)
+                parsed = lit(name, *args, positive=parsed.positive)
+            elif name not in signature and any(a > 0 for a in signature.values()):
+                return None
+        if name in signature and signature[name] != parsed.atom.predicate.arity:
             return None
-        if not lit.is_ground:
+        if not parsed.is_ground:
             return None
-        return lit
+        return parsed

@@ -830,10 +830,13 @@ def test_kb_file_round_trip(tmp_path):
     kb = _kb(
         ["forall x forall y forall z (mom(x, y) & sister(y, z) -> mom(x, z))"],
         reasoning_depth=2,
+        noise=0.2,
+        seed=7,
     )
     path = tmp_path / "kb.json"
     kb.to_file(path)
     loaded = OracleKB.from_file(path)
+    assert loaded == kb
     assert loaded.rules == kb.rules
     assert loaded.reasoning_depth == 2
     overridden = OracleKB.from_file(path, reasoning_depth=0, noise=0.1, seed=9)
@@ -1059,6 +1062,34 @@ def test_wire_generation_unparseable_is_dropped():
     assert out == []
 
 
+def test_wire_generation_reads_the_answer_as_one_literal():
+    first_order = [parse_formula("drinksCoffee(Rina)"), parse_formula("Loves(Mary, Sam)"),
+                   parse_formula("forall x (drinksCoffee(x) -> awake(x))")]
+    propositional = [parse_formula("p"), parse_formula("p -> r")]
+    rina, pair = Entity("Rina"), (Entity("Mary"), Entity("Sam"))
+    cases = [
+        (first_order, None, "brandnew", []),  # a new 0-ary name on a first-order problem
+        (first_order, None, "awake", []),  # a known unary name: an arity conflict
+        (first_order, None, "brandnew(Rina)", ["brandnew(Rina)"]),
+        (first_order, None, "~awake(Rina).\nmore", ["~awake(Rina)"]),
+        (first_order, rina, "~productive", ["~productive(Rina)"]),
+        (first_order, rina, "productive(Sam)", ["productive(Sam)"]),
+        (first_order, pair, "likes", ["likes(Mary, Sam)"]),
+        (first_order, rina, "Loves", []),  # Loves is binary
+        (first_order, rina, "", []),
+        (propositional, None, "q", ["q"]),
+        (propositional, None, "~q", ["~q"]),
+        (propositional, None, "p", ["p"]),
+    ]
+    for premises, target, answer, expected in cases:
+        def post(url, json=None, headers=None, timeout=None):
+            return FakeResponse(completion(answer))
+
+        backend = WireBackend("http://server", "m", post=post)
+        out = backend.generate(Context(premises), (), (), target)
+        assert [str(l) for l in out] == expected, (answer, target)
+
+
 def test_wire_generation_arity_conflict_is_dropped():
     def post(url, json=None, headers=None, timeout=None):
         return FakeResponse(completion("knows(Rina)"))
@@ -1079,13 +1110,11 @@ def test_wire_retries_then_exhausts():
         calls.append(1)
         raise ConnectionError("refused")
 
-    backend = WireBackend(
-        "http://server", "m", post=post, retries=3, backoff=0.5, sleep=sleeps.append
-    )
+    backend = WireBackend("http://server", "m", post=post, sleep=sleeps.append)
     with pytest.raises(BackendExhausted):
         backend.commonsense_score(_clause([], parse_literal("b(x1)")))
     assert len(calls) == 3
-    assert sleeps == [0.5, 1.0]
+    assert sleeps == [1.0, 2.0]
 
 
 def test_wire_programming_error_is_not_retried():
@@ -1130,7 +1159,7 @@ def _rate_limited(responses):
 def test_wire_rate_limit_retries_after_the_header():
     post, calls = _rate_limited([FakeResponse({}, 429, {"Retry-After": "7"})])
     sleeps = []
-    backend = WireBackend("http://server", "m", post=post, backoff=0.5, sleep=sleeps.append)
+    backend = WireBackend("http://server", "m", post=post, sleep=sleeps.append)
     assert backend.relevance_score(Context([]), (), _clause([], parse_literal("b(x1)"))) > 0.5
     assert len(calls) == 2
     assert sleeps == [7]
@@ -1141,17 +1170,17 @@ def test_wire_rate_limit_unparseable_header_backs_off():
         [FakeResponse({}, 429, {"Retry-After": v}) for v in ("soon", "-3")]
     )
     sleeps = []
-    backend = WireBackend("http://server", "m", post=post, backoff=0.5, sleep=sleeps.append)
+    backend = WireBackend("http://server", "m", post=post, sleep=sleeps.append)
     backend.relevance_score(Context([]), (), _clause([], parse_literal("b(x1)")))
     assert len(calls) == 3
-    assert sleeps == [0.5, 1.0]
+    assert sleeps == [1.0, 2.0]
 
 
 def test_wire_rate_limit_on_every_attempt_exhausts():
     post, calls = _rate_limited([FakeResponse({}, 429)] * 3)
     sleeps = []
     backend = WireBackend(
-        "http://server", "m", api_token="tok-secret", post=post, retries=3, sleep=sleeps.append
+        "http://server", "m", api_token="tok-secret", post=post, sleep=sleeps.append
     )
     with pytest.raises(BackendExhausted) as info:
         backend.commonsense_score(_clause([], parse_literal("b(x1)")))
@@ -1189,12 +1218,48 @@ def test_wire_retries_server_errors_then_succeeds():
 
 
 def test_wire_malformed_response_is_backend_error():
-    def post(url, json=None, headers=None, timeout=None):
-        return FakeResponse({"unexpected": True})
+    bodies = [
+        {"unexpected": True},
+        {"choices": []},
+        {"choices": ["oops"]},
+        {"choices": [{"text": 5}]},
+        {"choices": [{"logprobs": {}}]},
+        {"choices": [{"text": "Yes", "logprobs": ["Yes"]}]},
+        ["choices"],
+    ]
+    context = Context([parse_formula("a(Rina)")])
+    requests = {
+        "vote": lambda b: b.solve(context, (), parse_formula("b(Rina)"), 1),
+        "generation": lambda b: b.generate(
+            context, (), (parse_literal("a(Rina)"),), Entity("Rina")),
+        "score": lambda b: b.commonsense_score(_clause([], parse_literal("b(x1)"))),
+    }
+    for body in bodies:
+        for kind, request in requests.items():
+            calls = []
 
-    backend = WireBackend("http://server", "m", post=post, sleep=lambda s: None)
-    with pytest.raises(BackendError):
-        backend.commonsense_score(_clause([], parse_literal("b(x1)")))
+            def post(url, json=None, headers=None, timeout=None):
+                calls.append(1)
+                return FakeResponse(body)
+
+            backend = WireBackend("http://server", "m", post=post, sleep=lambda s: None)
+            with pytest.raises(BackendError, match="malformed completion response") as info:
+                request(backend)
+            assert not isinstance(info.value, BackendExhausted), (body, kind)
+            assert repr(body) in str(info.value), (body, kind)
+            assert len(calls) == 1, (body, kind)  # not retried
+
+
+def test_wire_absent_or_null_logprobs_read_as_empty():
+    for choice in ({"text": "Answer: True"}, {"text": "Answer: True", "logprobs": None}):
+        def post(url, json=None, headers=None, timeout=None):
+            return FakeResponse({"choices": [choice]})
+
+        backend = WireBackend("http://server", "m", post=post)
+        vote = backend.solve(Context([]), (), parse_formula("b(Rina)"), 2)
+        assert vote.answer is True
+        assert vote.weighted_confidence == 0.5  # no answer token: half
+        assert backend.commonsense_score(_clause([], parse_literal("b(x1)"))) == 0.0
 
 
 def test_wire_auth_header():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -75,6 +76,70 @@ def test_solve_writes_trace_and_dimacs(tmp_path, capsys):
     assert events[-1]["event"] == "result"
     assert dimacs.read_text().splitlines()[0].startswith("c var 1 = ")
     assert any(l.startswith("p cnf ") for l in dimacs.read_text().splitlines())
+
+
+def _solve_over_the_wire(tmp_path, capsys, monkeypatch, respond):
+    """``argos solve --backend wire`` on a winter-fox copy with one exemplar
+    beside it, against a server stood in for by ``respond(body)``, which
+    returns (status, response body). Returns the exit code, stdout, stderr
+    and the (url, body, headers) of each request."""
+    import requests
+
+    requests_seen = []
+
+    def post(url, json=None, headers=None, timeout=None):
+        requests_seen.append((url, json, headers))
+        status, body = respond(json)
+        return SimpleNamespace(status_code=status, headers={}, json=lambda: body)
+
+    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setenv("ARGOS_API_TOKEN", "tok-cli")
+    problem = tmp_path / "problem.json"
+    problem.write_text((FIXTURES / "winter_fox" / "problem.json").read_text())
+    exemplar = {"premises": ["cold(snow)"], "commonsense": [], "query": "white(snow)",
+                "cot": "Snow is cold, and cold snow is white. Answer: True"}
+    (tmp_path / "exemplars.json").write_text(json.dumps([exemplar]))
+    code, out, err = run_cli(
+        capsys, "solve", str(problem), "--backend", "wire",
+        "--endpoint", "http://llm.test/v1/completions", "--model", "fox-7b",
+    )
+    return code, out, err, requests_seen
+
+
+def test_solve_over_the_wire_sends_model_token_and_exemplars(tmp_path, capsys, monkeypatch):
+    def respond(body):
+        if "True or false" in body["prompt"]:
+            return 200, {"choices": [{"text": "It reflects the sun. Answer: False"}]}
+        return 200, {"choices": [{"text": "???"}]}  # no candidate clause
+
+    code, out, err, seen = _solve_over_the_wire(tmp_path, capsys, monkeypatch, respond)
+    assert code == 0
+    assert out.startswith("False (fallback, 0 clauses)")
+    assert len(seen) > 5
+    for url, body, headers in seen:
+        assert url == "http://llm.test/v1/completions"
+        assert body["model"] == "fox-7b"
+        assert headers["Authorization"] == "Bearer tok-cli"
+    first_cot = seen[0][1]["prompt"]
+    assert first_cot.startswith("Here are some facts and rules: cold(snow)\n")
+    assert "\nAnswer: Snow is cold, and cold snow is white. Answer: True\n" in first_cot
+    assert first_cot.endswith("True or false: absorbs(white, sun)?\nAnswer:")
+    assert "tok-cli" not in out + err
+
+
+@pytest.mark.parametrize(
+    "status, body", [(404, {}), (200, {"choices": ["oops"]}), (200, {"choices": [{"text": 5}]})],
+    ids=["rejected", "choice-not-an-object", "text-not-a-string"],
+)
+def test_solve_over_the_wire_exits_3_on_a_bad_response(tmp_path, capsys, monkeypatch, status, body):
+    code, out, err, seen = _solve_over_the_wire(
+        tmp_path, capsys, monkeypatch, lambda request: (status, body)
+    )
+    assert code == 3
+    assert err.splitlines()[-1].startswith("backend error: ")
+    assert "Traceback" not in err
+    assert len(seen) == 1
+    assert out == ""
 
 
 def test_gen_solve_bench_round_trip(tmp_path, capsys):

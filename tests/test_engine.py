@@ -377,6 +377,42 @@ def test_inconsistent_premises_route_to_fallback_vote():
     assert result.cot_calls == 5
 
 
+def test_inconsistent_premises_with_an_exhausted_backend_fall_back_degenerate():
+    problem = make_problem(["A", "~A"], "B")
+    result = solve(problem, EngineConfig(), StubBackend(fail_after_votes=0))
+    assert result.inconsistent
+    assert result.decided_by == "fallback"
+    assert result.degenerate
+    assert result.verdict is False
+    assert result.cot_calls == 0
+    errors = [e for e in result.trace if e["event"] == "backend_error"]
+    assert [e["error"] for e in errors] == ["transport exhausted during fallback vote"]
+    assert result.trace[-1]["reason"] == "inconsistent_premises"
+
+
+def test_gamma_floor_without_a_vote_falls_back():
+    problem = make_problem(["A"], "Q")
+    backend = StubBackend()
+    result = solve(problem, EngineConfig(gamma0=0.5, max_cot=0), backend)
+    assert result.decided_by == "fallback"
+    assert result.degenerate
+    assert result.trace[-1]["reason"] == "gamma_floor_no_vote"
+    assert backend.votes_issued == 0
+
+
+def test_gamma_floor_takes_one_vote_as_the_self_consistency_answer():
+    problem = make_problem(["A"], "Q")
+    backend = StubBackend(answer=False, fraction=0.6)
+    config = EngineConfig(gamma0=0.5)
+    result = solve(problem, config, backend)
+    assert result.decided_by == "self-consistency"
+    assert result.verdict is False
+    assert result.confidence == pytest.approx(0.6)
+    assert result.trace[-1]["reason"] == "gamma_floor"
+    assert result.cot_calls == config.k
+    assert backend.votes_issued == 1
+
+
 def test_sc_path_after_one_acceptance():
     # undecidable symbolically, but the backend votes unanimously: the second
     # pass compares 1.0 against gamma = 0.9 and concludes by self-consistency

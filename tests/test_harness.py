@@ -75,6 +75,16 @@ class _SampleCountingOracle(OracleBackend):
         return samples
 
 
+def test_sat_baseline_decides_what_the_premises_entail():
+    signature = {}
+    premises = [parse_formula(t, signature=signature) for t in ("p(A)", "forall x (p(x) -> q(x))")]
+    for query, verdict in (("q(A)", True), ("~q(A)", False)):
+        problem = Problem(id=query, entities={Entity("A")}, premises=premises,
+                          query=parse_formula(query, signature=signature))
+        record = run_sat_baseline(problem, EngineConfig())
+        assert (record.verdict, record.decided_by, record.confidence) == (verdict, "sat", 1.0)
+
+
 def test_sc_baseline_costs_exactly_n():
     problems, kb, config, _ = kinship_setup(count=4)
     backend = _SampleCountingOracle(kb)
