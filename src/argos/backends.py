@@ -341,13 +341,10 @@ class OracleKB:
         from .corpus import load_json_object
         from .parser import parse_formula
 
-        data = load_json_object(path, ("rules", *cls.FIELDS))
-        rules = data.get("rules")
-        if not isinstance(rules, list) or not all(isinstance(t, str) for t in rules):
-            raise CorpusError(f"{path}: expected a 'rules' array of strings")
+        data = load_json_object(path, {"rules": list, **dict.fromkeys(cls.FIELDS)}, ("rules",))
         signature: dict[str, int] = {}
         formulas = []
-        for i, text in enumerate(rules):
+        for i, text in enumerate(data["rules"]):
             try:
                 formulas.append(parse_formula(text, signature=signature))
             except ArgosError as exc:
@@ -476,12 +473,9 @@ class OracleBackend(Backend):
                 derived, steps = True, facts[qlit]
             elif qlit.negate() in facts:
                 derived, steps = False, facts[qlit.negate()]
-        samples = []
         if derived is not None:
             text = f"Derived after {steps} rule application(s). Answer: {derived}"
-            for _ in range(k):
-                samples.append(CotSample(extract_answer(text), 1.0, text))
-            return samples
+            return [CotSample(derived, 1.0, text)] * k
         # Underived: the stand-in guesses. The sample set sits at the k-vote
         # majority floor (never unanimous), with the majority side a fair coin,
         # so an unsure oracle can never clear a vote threshold above 1/2.
@@ -496,10 +490,8 @@ class OracleBackend(Backend):
         n_major = k // 2 + 1
         answers = [majority] * n_major + [not majority] * (k - n_major)
         rng.shuffle(answers)
-        for a in answers:
-            text = f"No derivation found within the step limit. Guessing. Answer: {a}"
-            samples.append(CotSample(extract_answer(text), 0.5, text))
-        return samples
+        guess = "No derivation found within the step limit. Guessing. Answer: {}"
+        return [CotSample(a, 0.5, guess.format(a)) for a in answers]
 
     # -- generation: KB rule lookup -----------------------------------------
 
@@ -605,19 +597,34 @@ class OracleBackend(Backend):
 # --- the wire backend ---------------------------------------------------------
 
 
+# logprobs key -> the check each non-null entry of its list must pass
+_LOGPROB_ENTRIES = {
+    "tokens": lambda t: isinstance(t, str),
+    "token_logprobs": is_number,
+    "top_logprobs": lambda t: isinstance(t, dict)
+    and all(isinstance(k, str) and is_number(v) for k, v in t.items()),
+}
+
+
 def _read_completion(data) -> tuple[str, dict]:
-    """The text and logprobs of a completion body's first choice; logprobs
-    absent or null reads as ``{}``. Any other shape is a BackendError naming
-    the body."""
+    """The text and logprobs of a completion body's first choice. The
+    logprobs map each key of ``_LOGPROB_ENTRIES`` to a list whose entries are
+    null or pass its check; logprobs, or one of their keys, absent or null
+    reads as empty. Any other shape is a BackendError naming the body."""
     try:
         first = data["choices"][0]
         text, logprobs = first["text"], first.get("logprobs")
     except (KeyError, IndexError, TypeError):
         text = logprobs = None
     logprobs = {} if logprobs is None else logprobs
-    if not (isinstance(text, str) and isinstance(logprobs, dict)):
-        raise BackendError(f"malformed completion response: {data!r}")
-    return text, logprobs
+    if isinstance(text, str) and isinstance(logprobs, dict):
+        read = {key: [] if logprobs.get(key) is None else logprobs[key] for key in _LOGPROB_ENTRIES}
+        if all(
+            isinstance(entries, list) and all(e is None or ok(e) for e in entries)
+            for entries, ok in zip(read.values(), _LOGPROB_ENTRIES.values())
+        ):
+            return text, read
+    raise BackendError(f"malformed completion response: {data!r}")
 
 
 def _retry_after(resp, default: float) -> float:
@@ -646,8 +653,9 @@ class WireBackend(Backend):
     ``BACKOFF_S`` doubled per attempt. A 429 whose ``Retry-After`` header
     is a whole number of seconds waits that long instead, and one above
     ``MAX_RETRY_AFTER_S`` ends the request at once. Any other 4xx response or
-    any other exception ends the request at once. ``post`` and ``sleep``
-    replace the transport and the wait.
+    any other exception ends the request at once, and so does a body that is
+    not JSON or not of the shape above, as a BackendError. ``post`` and
+    ``sleep`` replace the transport and the wait.
     """
 
     def __init__(
@@ -699,7 +707,6 @@ class WireBackend(Backend):
                     raise BackendError(f"server error {status}")
                 if status >= 400:
                     raise BackendExhausted(f"request rejected with status {status}")
-                data = resp.json()
                 break
             except BackendExhausted:
                 raise
@@ -709,6 +716,11 @@ class WireBackend(Backend):
                     self._sleep(delay)
         else:
             raise BackendExhausted(f"all {MAX_ATTEMPTS} attempts failed: {last_error}")
+        try:
+            data = resp.json()
+        except ValueError as exc:  # requests' JSONDecodeError is also an OSError
+            body = getattr(resp, "text", "")[:200]
+            raise BackendError(f"malformed completion response: {exc}: {body!r}") from exc
         return _read_completion(data)
 
     def _cot_samples(self, context, commonsense, query, k) -> list[CotSample]:
@@ -726,10 +738,9 @@ class WireBackend(Backend):
     @staticmethod
     def _answer_confidence(logprobs: dict, answer: bool) -> float:
         """Generation probability of the sample's final answer token."""
-        tokens = logprobs.get("tokens") or []
-        token_lps = logprobs.get("token_logprobs") or []
         want = "true" if answer else "false"
-        for tok, tok_lp in zip(reversed(tokens), reversed(token_lps)):
+        pairs = zip(reversed(logprobs["tokens"]), reversed(logprobs["token_logprobs"]))
+        for tok, tok_lp in pairs:
             if tok is None or tok_lp is None:
                 continue
             if tok.strip().lower() == want:
@@ -738,8 +749,8 @@ class WireBackend(Backend):
 
     def _yes_no_probability(self, prompt: str, positive: str) -> float:
         _, logprobs = self._request(prompt, MAX_SCORE_TOKENS, 0.0, 20)
-        top = logprobs.get("top_logprobs") or []
-        table = top[0] if top else {}
+        top = logprobs["top_logprobs"]
+        table = (top[0] if top else None) or {}
         best = {"yes": None, "no": None}
         for token, value in table.items():
             name = token.strip().lower()

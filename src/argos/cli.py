@@ -134,7 +134,7 @@ def _resolve(args, corpus_dir: Path | None) -> tuple[EngineConfig, RunConfig, di
         if getattr(args, key, None) is not None
     ]
     if args.config:
-        data = load_json_object(args.config, SETTINGS)
+        data = load_json_object(args.config, dict.fromkeys(SETTINGS))
         offered += [(k, v, f"{args.config}: field {k!r}") for k, v in data.items()]
     given = {key for key, _, _ in offered}
     if corpus_dir is not None:

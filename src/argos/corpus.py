@@ -18,7 +18,8 @@ from .logic import Entity, Formula, formula_entities, rule_view
 from .parser import parse_formula
 
 RESERVED_FILES = {"kb.json", "config.json", "exemplars.json"}
-CONFIG_KEYS = ("generation_style", "score_style")  # the EngineConfig fields config.json may set
+# the EngineConfig fields config.json may set; the CLI checks their values
+CONFIG_KEYS = {"generation_style": None, "score_style": None}
 
 
 @dataclass
@@ -43,17 +44,8 @@ class Problem:
         return self._universe
 
 
-def _require(data: dict, key: str, kind, path, required: bool = True) -> object:
-    """``data[key]``, which must be a ``kind``; a missing key is an error if
-    ``required``, else None."""
-    if key not in data:
-        if not required:
-            return None
-        raise CorpusError(f"{path}: missing required field {key!r}")
-    value = data[key]
-    if not isinstance(value, kind):
-        raise CorpusError(f"{path}: field {key!r} has the wrong type")
-    return value
+PROBLEM_KEYS = {"id": str, "text": str, "entities": list, "premises": list, "query": str,
+                "label": None, "withheld_rules": list}
 
 
 def load_problem_file(path) -> Problem:
@@ -64,47 +56,32 @@ def load_problem_file(path) -> Problem:
     one is given.
     """
     path = Path(path)
-    data = load_json_object(path)
-    pid = _require(data, "id", str, path)
-    entity_names = _require(data, "entities", list, path)
-    premise_texts = _require(data, "premises", list, path)
-    query_text = _require(data, "query", str, path)
-
+    data = load_json_object(path, PROBLEM_KEYS, ("id", "entities", "premises", "query"))
+    entity_names = data["entities"]
+    if "" in entity_names:
+        raise CorpusError(f"{path}: field 'entities' holds an empty name")
     signature: dict[str, int] = {}
-    entities = set()
-    for name in entity_names:
-        if not isinstance(name, str) or not name:
-            raise CorpusError(f"{path}: field 'entities' holds a bad entry {name!r}")
-        entities.add(Entity(name))
 
     def parse(text, field_name):
-        if not isinstance(text, str):
-            raise CorpusError(f"{path}: field {field_name!r} holds a non-string entry {text!r}")
         try:
             return parse_formula(text, signature=signature, entities=entity_names)
         except ArgosError as exc:
             raise CorpusError(f"{path}: field {field_name!r}: {exc}") from exc
 
-    premises = [parse(t, "premises") for t in premise_texts]
-    query = parse(query_text, "query")
-
+    premises = [parse(t, "premises") for t in data["premises"]]
+    query = parse(data["query"], "query")
     label = data.get("label")
-    gold: Optional[bool] = None
-    if label is not None:
-        if label not in ("true", "false"):
-            raise CorpusError(f"{path}: field 'label' must be \"true\" or \"false\"")
-        gold = label == "true"
-
-    withheld_texts = _require(data, "withheld_rules", list, path, required=False) or []
-    withheld = [parse(t, "withheld_rules") for t in withheld_texts]
+    if label not in (None, "true", "false"):
+        raise CorpusError(f"{path}: field 'label' must be \"true\" or \"false\"")
+    withheld = [parse(t, "withheld_rules") for t in data.get("withheld_rules", [])]
 
     problem = Problem(
-        id=pid,
-        entities=entities,
+        id=data["id"],
+        entities={Entity(name) for name in entity_names},
         premises=premises,
         query=query,
-        text=_require(data, "text", str, path, required=False),
-        gold_label=gold,
+        text=data.get("text"),
+        gold_label=None if label is None else label == "true",
         withheld_rules=withheld,
     )
     if withheld:
@@ -167,19 +144,42 @@ def load_corpus(path) -> list[Problem]:
     return problems
 
 
-def load_json_object(path, known=None) -> dict:
-    """The JSON object in ``path``, whose keys must all be in ``known`` when
-    that is given; an error names the file."""
+def _read_json(path):
+    """The JSON document in ``path``; an error names the file."""
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise CorpusError(f"{path}: unreadable JSON: {exc}") from exc
+
+
+_KIND_NAMES = {str: "a string", list: "a list of strings"}
+
+
+def _check_object(data, where, known: dict, required=()) -> dict:
+    """``data``, which must be an object whose keys are all in ``known`` and
+    include every ``required`` key; ``known`` maps each key to the kind its
+    value must have: ``str``, ``list`` (of strings), or None when the value's
+    owner checks it. An error starts with ``where``, then names the key."""
     if not isinstance(data, dict):
-        raise CorpusError(f"{path}: expected a JSON object, got a {type(data).__name__}")
-    unknown = [] if known is None else sorted(set(data) - set(known))
-    if unknown:
-        raise CorpusError(f"{path}: unknown key {unknown[0]!r} (set to {data[unknown[0]]!r})")
+        raise CorpusError(f"{where}: expected a JSON object, got a {type(data).__name__}")
+    for key, value in data.items():
+        if key not in known:
+            raise CorpusError(f"{where}: unknown key {key!r} (set to {value!r})")
+        kind = known[key]
+        if kind is not None and not (
+            isinstance(value, kind) and (kind is str or all(isinstance(t, str) for t in value))
+        ):
+            raise CorpusError(f"{where}: field {key!r} must be {_KIND_NAMES[kind]}")
+    for key in required:
+        if key not in data:
+            raise CorpusError(f"{where}: missing required field {key!r}")
     return data
+
+
+def load_json_object(path, known: dict, required=()) -> dict:
+    """The JSON object in ``path``, checked as :func:`_check_object` checks it;
+    every error names the file."""
+    return _check_object(_read_json(path), path, known, required)
 
 
 def load_corpus_config(path) -> dict:
@@ -195,22 +195,11 @@ def load_exemplars(path) -> list[dict]:
     """The few-shot exemplars in ``path``'s ``exemplars.json``, if present.
     Each is an object whose keys are among :data:`EXEMPLAR_KEYS`: lists of
     formula texts under ``premises`` and ``commonsense``, and texts under
-    ``query`` and ``cot``."""
+    ``query`` and ``cot``; an error names the file and the exemplar as ``[i]``."""
     f = Path(path) / "exemplars.json"
     if not f.exists():
         return []
-    try:
-        data = json.loads(f.read_text())
-    except (OSError, ValueError) as exc:
-        raise CorpusError(f"{f}: unreadable exemplars: {exc}") from exc
-    if not isinstance(data, list) or not all(isinstance(e, dict) for e in data):
+    data = _read_json(f)
+    if not isinstance(data, list):
         raise CorpusError(f"{f}: expected a JSON array of objects")
-    for i, exemplar in enumerate(data):
-        for key, v in exemplar.items():
-            kind = EXEMPLAR_KEYS.get(key)
-            if kind is None:
-                raise CorpusError(f"{f}: [{i}]: unknown key {key!r}")
-            if not isinstance(v, kind) or kind is list and not all(isinstance(t, str) for t in v):
-                want = "a list of strings" if kind is list else "a string"
-                raise CorpusError(f"{f}: [{i}]: field {key!r} must be {want}")
-    return data
+    return [_check_object(e, f"{f}: [{i}]", EXEMPLAR_KEYS) for i, e in enumerate(data)]

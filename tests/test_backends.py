@@ -884,6 +884,24 @@ def test_kb_file_malformed_field_names_file_and_field(tmp_path, field, bad, good
         assert getattr(OracleKB.from_file(path), field) == value
 
 
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        ({"rules": "p"}, "field 'rules' must be a list of strings"),
+        ({"rules": [1]}, "field 'rules' must be a list of strings"),
+        ({"noise": 0.0}, "missing required field 'rules'"),
+        ({"rules": [], "depth": 2}, "unknown key 'depth' (set to 2)"),
+    ],
+    ids=["rules-a-string", "rules-a-number", "rules-missing", "unknown-key"],
+)
+def test_kb_file_bad_object_names_file_and_key(tmp_path, data, error):
+    path = tmp_path / "kb.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(CorpusError) as info:
+        OracleKB.from_file(path)
+    assert str(info.value) == f"{path}: {error}"
+
+
 # --- wire backend ----------------------------------------------------------------
 
 
@@ -1227,6 +1245,20 @@ def test_wire_malformed_response_is_backend_error():
         {"choices": [{"text": "Yes", "logprobs": ["Yes"]}]},
         ["choices"],
     ]
+    # logprobs whose lists, or whose entries, have the wrong kind
+    bodies += [
+        {"choices": [{"text": "Yes. Answer: True", "logprobs": logprobs}]}
+        for logprobs in (
+            {"top_logprobs": [5]},
+            {"top_logprobs": [{"Yes": "-0.2"}]},
+            {"top_logprobs": [{"Yes": -0.2}, ["No"]]},
+            {"top_logprobs": {"Yes": -0.2}},
+            {"tokens": [5], "token_logprobs": [-0.1]},
+            {"tokens": "Answer: True"},
+            {"tokens": [" True"], "token_logprobs": ["-0.1"]},
+            {"tokens": [" True"], "token_logprobs": [True]},
+        )
+    ]
     context = Context([parse_formula("a(Rina)")])
     requests = {
         "vote": lambda b: b.solve(context, (), parse_formula("b(Rina)"), 1),
@@ -1260,6 +1292,48 @@ def test_wire_absent_or_null_logprobs_read_as_empty():
         assert vote.answer is True
         assert vote.weighted_confidence == 0.5  # no answer token: half
         assert backend.commonsense_score(_clause([], parse_literal("b(x1)"))) == 0.0
+
+
+def test_wire_null_logprob_entries_are_skipped():
+    body = completion(
+        "Answer: True",
+        tokens=[None, " True", None],
+        token_logprobs=[-0.3, -0.1, None],
+        top=[None, {"Yes": -0.1, "No": -2.0}],
+    )
+
+    def post(url, json=None, headers=None, timeout=None):
+        return FakeResponse(body)
+
+    backend = WireBackend("http://server", "m", post=post)
+    vote = backend.solve(Context([]), (), parse_formula("b(Rina)"), 1)
+    assert vote.answer is True
+    assert vote.weighted_confidence == pytest.approx(math.exp(-0.1))
+    # only the first position's table is read, and a null one has no yes/no
+    assert backend.commonsense_score(_clause([], parse_literal("b(x1)"))) == 0.0
+
+
+def test_wire_non_json_body_is_a_backend_error_not_retried():
+    import requests
+
+    class NotJson(FakeResponse):
+        text = "<html>upstream busy</html>"
+
+        def json(self):
+            raise requests.JSONDecodeError("Expecting value", self.text, 0)
+
+    calls = []
+
+    def post(url, json=None, headers=None, timeout=None):
+        calls.append(1)
+        return NotJson(None)
+
+    backend = WireBackend("http://server", "m", post=post, sleep=lambda s: None)
+    with pytest.raises(BackendError, match="malformed completion response") as info:
+        backend.commonsense_score(_clause([], parse_literal("b(x1)")))
+    assert not isinstance(info.value, BackendExhausted)
+    assert "upstream busy" in str(info.value)
+    assert len(calls) == 1
 
 
 def test_wire_auth_header():

@@ -128,8 +128,15 @@ def test_solve_over_the_wire_sends_model_token_and_exemplars(tmp_path, capsys, m
 
 
 @pytest.mark.parametrize(
-    "status, body", [(404, {}), (200, {"choices": ["oops"]}), (200, {"choices": [{"text": 5}]})],
-    ids=["rejected", "choice-not-an-object", "text-not-a-string"],
+    "status, body",
+    [
+        (404, {}),
+        (200, {"choices": ["oops"]}),
+        (200, {"choices": [{"text": 5}]}),
+        (200, {"choices": [{"text": "Answer: True",
+                            "logprobs": {"tokens": [5], "token_logprobs": [-0.1]}}]}),
+    ],
+    ids=["rejected", "choice-not-an-object", "text-not-a-string", "token-not-a-string"],
 )
 def test_solve_over_the_wire_exits_3_on_a_bad_response(tmp_path, capsys, monkeypatch, status, body):
     code, out, err, seen = _solve_over_the_wire(
@@ -504,7 +511,8 @@ def test_out_of_range_oracle_noise_exits_2_naming_field_and_value(tmp_path, caps
         ("solve", [], {"no_sc": "yes"}, None, ["{config}", "'no_sc'", "'yes'"]),
         ("solve", [], {"score_style": "bogus"}, None, ["{config}", "'score_style'", "'bogus'"]),
         ("solve", [], {"backend": "bogus"}, None, ["{config}", "'backend'", "'bogus'"]),
-        ("solve", [], {"bogus_key": 1}, None, ["{config}", "unknown key 'bogus_key'", "1"]),
+        ("solve", [], {"bogus_key": 1}, None,
+         ["{config}", "unknown key 'bogus_key' (set to 1)"]),
         ("solve", [], [1], None, ["{config}", "expected a JSON object", "list"]),
     ],
     ids=[

@@ -103,9 +103,13 @@ def test_restored_rules_must_match_label(tmp_path):
     ("withheld_rules", "p(a)"),
     ("withheld_rules", None),
     ("text", 5),
+    ("entities", ["a", 1]),
+    ("id", 7),
+    ("query", ["p(a)"]),
 ])
 def test_a_field_of_the_wrong_shape_is_named(tmp_path, key, value):
-    # premises and withheld_rules are arrays of strings, and text a string
+    # premises, withheld_rules and entities are arrays of strings, and id,
+    # query and text strings
     path = tmp_path / "bad.json"
     data = {"id": "bad", "entities": ["a"], "premises": ["p(a)"], "query": "p(a)"}
     path.write_text(json.dumps({**data, key: value}))
@@ -113,7 +117,44 @@ def test_a_field_of_the_wrong_shape_is_named(tmp_path, key, value):
         load_problem_file(path)
     message = str(e.value)
     assert message.startswith(f"{path}: field {key!r}")
-    assert "has the wrong type" in message or "holds a non-string entry" in message
+    assert "must be a string" in message or "must be a list of strings" in message
+
+
+def test_an_unknown_problem_key_is_an_error(tmp_path):
+    # a misspelt optional key would otherwise load without its label or rules
+    path = tmp_path / "typo.json"
+    data = {"id": "t", "entities": ["a"], "premises": ["p(a)"], "query": "p(a)"}
+    for key, value in (("lable", "true"), ("withheld_rule", ["p(a)"])):
+        path.write_text(json.dumps({**data, key: value}))
+        with pytest.raises(CorpusError) as e:
+            load_problem_file(path)
+        assert str(e.value) == f"{path}: unknown key {key!r} (set to {value!r})"
+
+
+def test_an_empty_entity_or_a_non_text_label_is_named(tmp_path):
+    path = tmp_path / "bad.json"
+    data = {"id": "bad", "entities": ["a"], "premises": ["p(a)"], "query": "p(a)"}
+    for key, value, error in (
+        ("entities", ["a", ""], "field 'entities' holds an empty name"),
+        ("label", 5, "field 'label' must be \"true\" or \"false\""),
+    ):
+        path.write_text(json.dumps({**data, key: value}))
+        with pytest.raises(CorpusError) as e:
+            load_problem_file(path)
+        assert str(e.value) == f"{path}: {error}"
+
+
+def test_the_readme_problem_example_loads(tmp_path):
+    # the schema README documents is the one the loader reads
+    readme = (FIXTURES.parent / "README.md").read_text()
+    section = readme.split("\n## Problem files\n", 1)[1]
+    path = tmp_path / "example.json"
+    path.write_text(section.split("```json\n", 1)[1].split("```", 1)[0])
+    problem = load_problem_file(path)
+    assert problem.id == "kinship-7-0001"
+    assert problem.gold_label is True
+    assert len(problem.premises) == 3
+    assert len(problem.withheld_rules) == 1
 
 
 def test_save_load_round_trip(tmp_path):
