@@ -34,8 +34,9 @@ from .corpus import (
     save_problem,
 )
 from .engine import Engine, EngineConfig, trace_jsonl
-from .errors import ArgosError, BackendError, CorpusError, check_setting, is_int, one_of
+from .errors import ArgosError, BackendError, CorpusError, check_setting, one_of
 from .harness import (
+    JOBS,
     RunMetrics,
     cost_histogram_csv,
     flips_csv,
@@ -71,7 +72,7 @@ class RunConfig:
         "endpoint": (_optional_str, "null or a string"),
         "model": (_optional_str, "null or a string"),
         "oracle_kb": (_optional_str, "null or a string"),
-        "jobs": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+        "jobs": JOBS,
     }
 
 

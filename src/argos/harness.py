@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -25,13 +24,16 @@ from .engine import (
     EngineConfig,
     SolveResult,
 )
-from .errors import ArgosError
+from .errors import ArgosError, check_setting, is_int
 from .logic import conj, ground
 from .sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, INCONSISTENT, UNKNOWN, SatSession
 
 _SC_RE = re.compile(r"^sc(\d+)$")
 
 BUCKETS = ((0, 2), (3, 5), (6, None))
+
+# the check on a worker count, and what it wants
+JOBS = (lambda v: is_int(v) and v >= 1, "an integer >= 1")
 
 
 def bucket_name(lo: int, hi: Optional[int]) -> str:
@@ -277,6 +279,7 @@ def run_suite(
     going. Records come back keyed by system, sorted by problem id; flips
     are computed between the abduction run and the first sc baseline.
     """
+    check_setting("jobs", jobs, JOBS)
     systems = parse_system_names(systems)
     metrics = RunMetrics()
     tasks = [
@@ -285,6 +288,9 @@ def run_suite(
         for problem in problems
     ]
     if jobs > 1 and len(tasks) > 1:
+        # imported here: most runs are serial and never pay for the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_worker, tasks, chunksize=1))
     else:

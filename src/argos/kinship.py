@@ -20,7 +20,7 @@ from typing import Optional
 from .backends import OracleKB
 from .corpus import Problem, check_restored
 from .errors import ArgosError
-from .logic import Entity, Formula
+from .logic import Atom, AtomNode, Entity, ForAll, Formula, Implies, Not, Predicate, Var
 from .parser import parse_formula
 
 # kind encodes the genealogical role of x in "x is the <relation> of y"
@@ -69,12 +69,22 @@ KIND_COMPOSE: dict[tuple[str, str], str] = {
 }
 
 
+# (r1, r2) -> the relation composed from them, for every defined pair
+_COMPOSED: dict[tuple[str, str], str] = {
+    (r1, r2): _BY_KIND_GENDER[(KIND_COMPOSE[(k1, k2)], g1)]
+    for r1, (k1, g1) in RELATIONS.items()
+    for r2, (k2, _) in RELATIONS.items()
+    if (k1, k2) in KIND_COMPOSE
+}
+# the constant lists the sampler draws from, sorted so draws repeat by seed
+_SORTED = sorted(RELATIONS)
+_FOLLOWERS = {r1: [r2 for r2 in _SORTED if (r1, r2) in _COMPOSED] for r1 in _SORTED}
+_OTHERS = {r1: [r2 for r2 in _SORTED if r2 != r1] for r1 in _SORTED}
+
+
 def compose(r1: str, r2: str) -> Optional[str]:
     """Relation of x to z given 'x r1 y' and 'y r2 z', if the vocabulary has it."""
-    k1, g1 = RELATIONS[r1]
-    k2, _ = RELATIONS[r2]
-    k = KIND_COMPOSE.get((k1, k2))
-    return None if k is None else _BY_KIND_GENDER[(k, g1)]
+    return _COMPOSED.get((r1, r2))
 
 
 def composition_rule_text(r1: str, r2: str, r3: str) -> str:
@@ -83,14 +93,7 @@ def composition_rule_text(r1: str, r2: str, r3: str) -> str:
 
 def composition_rules() -> list[str]:
     """Every defined composition, as quantified implications (44 rules)."""
-    out = []
-    for r1 in RELATIONS:
-        for r2 in RELATIONS:
-            r3 = compose(r1, r2)
-            if r3 is not None:
-                out.append(composition_rule_text(r1, r2, r3))
-    out.sort()
-    return out
+    return sorted(composition_rule_text(r1, r2, r3) for (r1, r2), r3 in _COMPOSED.items())
 
 
 def exclusion_axioms() -> list[Formula]:
@@ -98,20 +101,17 @@ def exclusion_axioms() -> list[Formula]:
 
     Both directions of every pair are emitted so a fact about one relation
     immediately yields the negations of the others under forward chaining.
+    Each is built as the value that parsing
+    ``forall x forall y (r1(x, y) -> ~r2(x, y))`` gives.
     """
-    signature: dict[str, int] = {}
-    out = []
-    names = sorted(RELATIONS)
-    for r1 in names:
-        for r2 in names:
-            if r1 != r2:
-                out.append(
-                    parse_formula(
-                        f"forall x forall y ({r1}(x, y) -> ~{r2}(x, y))",
-                        signature=signature,
-                    )
-                )
-    return out
+    x, y = Var("x"), Var("y")
+    atoms = {r: AtomNode(Atom(Predicate(r, 2), (x, y))) for r in _SORTED}
+    negated = {r: Not(a) for r, a in atoms.items()}
+    return [
+        ForAll(x, ForAll(y, Implies(atoms[r1], negated[r2])))
+        for r1 in _SORTED
+        for r2 in _OTHERS[r1]
+    ]
 
 
 def kinship_kb(**knobs) -> OracleKB:
@@ -148,7 +148,7 @@ def derivable_relations(relations: list[str]) -> dict[tuple[int, int], str]:
             j = i + span
             for k in range(i + 1, j):
                 if (i, k) in rel and (k, j) in rel:
-                    c = compose(rel[(i, k)], rel[(k, j)])
+                    c = _COMPOSED.get((rel[(i, k)], rel[(k, j)]))
                     if c is not None:
                         rel[(i, j)] = c
                         break
@@ -170,24 +170,33 @@ _MAX_DERIVABLE = 5
 MAX_CHAIN_DEPTH = 4
 
 
-def _sample_chain(rng: random.Random, depth: int) -> tuple[list[str], str]:
-    """Relation sequence whose left fold stays inside the vocabulary."""
+def _sample_chain(
+    rng: random.Random, depth: int, fits: dict[tuple[str, ...], bool]
+) -> tuple[list[str], str]:
+    """Relation sequence whose left fold stays inside the vocabulary.
+
+    ``fits`` keeps, for each chain drawn before, whether its derivable
+    relations stay within ``_MAX_DERIVABLE``: most draws are rejected, and
+    the same chains recur.
+    """
     while True:
-        relations = [rng.choice(sorted(RELATIONS))]
+        relations = [rng.choice(_SORTED)]
         folded = relations[0]
         ok = True
         for _ in range(depth - 1):
-            options = sorted(r for r in RELATIONS if compose(folded, r) is not None)
+            options = _FOLLOWERS[folded]
             if not options:
                 ok = False
                 break
             nxt = rng.choice(options)
             relations.append(nxt)
-            folded = compose(folded, nxt)
+            folded = _COMPOSED[(folded, nxt)]
         if not ok:
             continue
-        derivable = derivable_relations(relations)
-        if len(derivable) - depth <= _MAX_DERIVABLE:
+        chain = tuple(relations)
+        if chain not in fits:
+            fits[chain] = len(derivable_relations(relations)) - depth <= _MAX_DERIVABLE
+        if fits[chain]:
             return relations, folded
 
 
@@ -206,9 +215,13 @@ def generate_kinship(
 
     Labels are balanced exactly: half the problems query the true derived
     relation (label true), the rest a uniformly random different relation
-    between the same two people (label false). Every problem is checked to
-    be decided, with the matching verdict, once the withheld rules are
-    restored.
+    between the same two people (label false). With ``validate`` (the
+    default) every problem is checked to be decided, with the matching
+    verdict, once the withheld rules are restored; ``validate=False`` skips
+    that check.
+
+    Facts, queries and exclusion axioms are built as formula values, equal
+    to what parsing their text gives; only the composition rules are parsed.
     """
     if not 2 <= chain_depth <= MAX_CHAIN_DEPTH:
         raise ArgosError(
@@ -221,47 +234,43 @@ def generate_kinship(
     rng.shuffle(labels)
     depths = list(range(2, chain_depth + 1))
     exclusions = exclusion_axioms()
+    # one value per relation and per person, shared by every problem's facts
+    predicates = {r: Predicate(r, 2) for r in _SORTED}
+    entities = {name: Entity(name) for name in _NAMES}
+
+    def fact(rel: str, x: str, y: str) -> Formula:
+        return AtomNode(Atom(predicates[rel], (entities[x], entities[y])))
+
     signature: dict[str, int] = {}
-    rules: dict[str, Formula] = {}  # each withheld rule parsed once, shared
+    rules: dict[tuple[str, str], Formula] = {}  # each withheld rule parsed once, shared
+    fits: dict[tuple[str, ...], bool] = {}
     problems = []
     for i in range(count):
         depth = depths[i % len(depths)]
-        relations, folded = _sample_chain(rng, depth)
+        relations, folded = _sample_chain(rng, depth, fits)
         people = rng.sample(_NAMES, depth + 1)
         facts = [
             (relations[j], people[j], people[j + 1]) for j in range(depth)
         ]
         label = labels[i]
-        if label:
-            query_rel = folded
-        else:
-            query_rel = rng.choice(sorted(set(RELATIONS) - {folded}))
-        fact_formulas = [
-            parse_formula(f"{rel}({x}, {y})", signature=signature)
-            for rel, x, y in facts
-        ]
-        query = parse_formula(
-            f"{query_rel}({people[0]}, {people[-1]})", signature=signature
-        )
-        used_rules = []
+        query = (folded if label else rng.choice(_OTHERS[folded]), people[0], people[-1])
+        used: dict[tuple[str, str], Formula] = {}  # in order of first use
         folded_so_far = relations[0]
         for r in relations[1:]:
-            rule = composition_rule_text(
-                folded_so_far, r, compose(folded_so_far, r)
-            )
-            if rule not in used_rules:
-                used_rules.append(rule)
-            if rule not in rules:
-                rules[rule] = parse_formula(rule, signature=signature)
-            folded_so_far = compose(folded_so_far, r)
+            pair = (folded_so_far, r)
+            folded_so_far = _COMPOSED[pair]
+            if pair not in rules:
+                text = composition_rule_text(*pair, folded_so_far)
+                rules[pair] = parse_formula(text, signature=signature)
+            used[pair] = rules[pair]
         problem = Problem(
             id=f"kinship-{seed}-{i:04d}",
-            entities={Entity(p) for p in people},
-            premises=fact_formulas + exclusions,
-            query=query,
-            text=_story(facts, (query_rel, people[0], people[-1])),
+            entities={entities[p] for p in people},
+            premises=[fact(*f) for f in facts] + exclusions,
+            query=fact(*query),
+            text=_story(facts, query),
             gold_label=label,
-            withheld_rules=[rules[t] for t in used_rules],
+            withheld_rules=list(used.values()),
         )
         if validate:
             check_restored(problem, problem.id)

@@ -1,8 +1,12 @@
 import copy
 import dataclasses
 import gc
+import os
 import pickle
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -224,6 +228,28 @@ class _QueryFailingOracle(OracleBackend):
         if query == self.query:
             raise ValueError("scripted failure")
         return super()._cot_samples(context, commonsense, query, k)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_run_suite_rejects_a_worker_count_below_one(jobs):
+    problems, kb, config, backend = kinship_setup(count=2, depth=2)
+    with pytest.raises(ArgosError, match=f"jobs: expected an integer >= 1, got {jobs}"):
+        run_suite(problems, config, backend, systems=["sat"], kb=kb, jobs=jobs)
+
+
+def test_importing_argos_imports_no_process_pool():
+    # the pool is imported when a run asks for workers, not with the package
+    probe = (
+        "import sys, argos; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_suite_records_an_unexpected_error_on_its_row():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -14,6 +15,7 @@ from argos.kinship import (
     kinship_kb,
 )
 from argos.logic import ground
+from argos.parser import parse_formula
 from argos.sat import ENTAILS_NOT_QUERY, ENTAILS_QUERY, SatSession
 
 from _oracles import kinship_chains
@@ -145,3 +147,55 @@ def test_derivable_relations_table():
     assert rel[(0, 2)] == "mother"
     rel2 = derivable_relations(["sister", "mother"])
     assert rel2[(0, 2)] == "aunt"
+
+
+def _suite_digest(problems, kb) -> str:
+    """sha256 over each problem's id, premises, query, text, label, entities
+    and withheld rules, then the KB; formulas by repr, so their structure
+    counts, not only their text."""
+    h = hashlib.sha256()
+    for p in problems:
+        parts = [
+            p.id, *map(repr, p.premises), repr(p.query), repr(p.text), repr(p.gold_label),
+            *sorted(e.name for e in p.entities), *map(repr, p.withheld_rules),
+        ]
+        h.update("\n".join(parts).encode() + b"\n\n")
+    h.update(repr(kb).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        # the baselines benchmark suite
+        ((300, 4, 606, False), "4adf599ebd2004bd8995ab5bddad84c2026659d49836c227e18d5a3352f896ae"),
+        # the abduce benchmark suite
+        ((18, 4, 404, True), "45e623c3f1ff1e18197ad7b478c369bedcc3ed1c455b0fe30801895cc51eaae1"),
+    ],
+    ids=["baselines", "abduce"],
+)
+def test_generated_suites_are_pinned(args, digest):
+    count, depth, seed, validate = args
+    assert _suite_digest(*generate_kinship(count, depth, seed=seed, validate=validate)) == digest
+
+
+def test_kinship_kb_is_pinned():
+    # its rules and its knobs
+    digest = hashlib.sha256(repr(kinship_kb()).encode()).hexdigest()
+    assert digest == "2a7d22c26cd6fec815d1749c1170f4de0b94e09b780af9df8d8e7c5f723484f7"
+
+
+def test_exclusion_axioms_equal_their_parsed_text():
+    names = sorted(RELATIONS)
+    texts = [
+        f"forall x forall y ({r1}(x, y) -> ~{r2}(x, y))"
+        for r1 in names for r2 in names if r1 != r2
+    ]
+    assert exclusion_axioms() == [parse_formula(t) for t in texts]
+
+
+def test_generated_facts_and_queries_equal_their_parsed_text():
+    problems, _ = generate_kinship(12, 4, seed=9, validate=False)
+    for p in problems:
+        for f in [*p.premises[:-132], p.query]:
+            assert f == parse_formula(str(f)), p.id
